@@ -16,7 +16,6 @@ from .basis import (
     MBasisState,
     QUBIT_BLOCK,
     QUBIT_M_INDICES,
-    enumerate_m_basis,
     field_index,
     m_index,
 )
@@ -65,7 +64,6 @@ from .observables import (
     UndefinedPhaseError,
     average_fidelity,
     choi_matrix,
-    conditional_fidelity,
     conditional_phase_shift,
     extract_phases,
     ideal_phase_unitary,
@@ -81,7 +79,6 @@ __all__ = [
     "MBasisState",
     "QUBIT_BLOCK",
     "QUBIT_M_INDICES",
-    "enumerate_m_basis",
     "field_index",
     "m_index",
     "GateTrajectories",
@@ -121,7 +118,6 @@ __all__ = [
     "UndefinedPhaseError",
     "average_fidelity",
     "choi_matrix",
-    "conditional_fidelity",
     "conditional_phase_shift",
     "extract_phases",
     "ideal_phase_unitary",

@@ -82,11 +82,6 @@ QUBIT_M_INDICES = (0, 4, 1, 7)
 _FIELD_INDEX = {pair: i for i, pair in enumerate(FIELD_BASIS)}
 
 
-def enumerate_m_basis() -> tuple[MBasisState, ...]:
-    """Return the canonical ordered 18-state basis."""
-    return M_BASIS
-
-
 def m_index(atom: str, n_p: int, n_t: int) -> int:
     """Index of a collective product state in the canonical ordering."""
     try:

@@ -15,6 +15,7 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -119,6 +120,8 @@ def load_config(path: str | None) -> dict:
         else:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"config key {key!r} must be a number")
+            if not math.isfinite(value):
+                raise ValueError(f"config key {key!r} must be finite")
         cfg[key] = value
     return cfg
 
@@ -127,14 +130,18 @@ def _amplitude_value(key: str, value) -> complex:
     if isinstance(value, bool):
         raise ValueError(f"config key {key!r} must be a number or [re, im]")
     if isinstance(value, (int, float)):
-        return complex(value)
-    if (
+        c = complex(value)
+    elif (
         isinstance(value, list)
         and len(value) == 2
         and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
     ):
-        return complex(value[0], value[1])
-    raise ValueError(f"config key {key!r} must be a number or [re, im]")
+        c = complex(value[0], value[1])
+    else:
+        raise ValueError(f"config key {key!r} must be a number or [re, im]")
+    if not cmath.isfinite(c):
+        raise ValueError(f"config key {key!r} must be finite")
+    return c
 
 
 def amplitudes_from_config(cfg: dict) -> np.ndarray:
@@ -208,9 +215,22 @@ def _engine_kwargs(cfg: dict) -> dict:
     }
 
 
-def _metrics_from_blocks(lam_all, cond_lam_all, cond_traces, phases, cfg):
-    """Per-time fidelities against the instantaneous ideal phase gate."""
-    T = lam_all.shape[0]
+def _metrics_from_blocks(gt, cond, qubit_blocks, pop_names, cfg) -> dict:
+    """Phases, fidelities and populations of one gate model.
+
+    gt and cond are the unconditional and conditional trajectories of
+    the sixteen matrix units; qubit_blocks maps (...,n,n) states of the
+    model to their (...,4,4) qubit blocks. Fidelities are taken against
+    the instantaneous ideal phase gate.
+    """
+    super_traj = gt.superposition
+    phases = observables.phases_from_coherences(
+        qubit_blocks(super_traj)[:, 1:4, 0], gt.amplitudes
+    )
+    lam_all = qubit_blocks(gt.unit_inputs)
+    cond_lam_all = qubit_blocks(cond.unit_inputs)
+    cond_traces = np.einsum("tkaa->tk", cond.unit_inputs)
+    T = gt.times.size
     fid = np.empty(T)
     cond_fid = np.empty(T)
     p_success = np.empty(T)
@@ -226,7 +246,16 @@ def _metrics_from_blocks(lam_all, cond_lam_all, cond_traces, phases, cfg):
         )
         cond_fid[m] = r.fidelity
         p_success[m] = r.p_success
-    return fid, cond_fid, p_success
+    return {
+        "times": gt.times,
+        "phases": phases,
+        "cps": observables.conditional_phase_shift(phases),
+        "fidelity": fid,
+        "cond_fidelity": cond_fid,
+        "p_success": p_success,
+        "populations": observables.populations(super_traj),
+        "pop_names": pop_names,
+    }
 
 
 def run_gate_analysis(cfg: dict) -> dict:
@@ -244,69 +273,39 @@ def run_gate_analysis(cfg: dict) -> dict:
         dephasing_mode=cfg["dephasing_mode"],
         **kw,
     )
-    super_traj = gt.superposition
-    fields = observables.reduce_to_fields(super_traj)
-    phases = observables.extract_phases(fields, gt.amplitudes)
-    cps = observables.conditional_phase_shift(phases)
-    lam_all = observables.qubit_block(observables.reduce_to_fields(gt.unit_inputs))
-    cond_lam_all = observables.qubit_block(observables.reduce_to_fields(cond.unit_inputs))
-    cond_traces = np.einsum("tkaa->tk", cond.unit_inputs)
-    fid, cond_fid, p_success = _metrics_from_blocks(
-        lam_all, cond_lam_all, cond_traces, phases, cfg
+    return _metrics_from_blocks(
+        gt,
+        cond,
+        lambda rho: observables.qubit_block(observables.reduce_to_fields(rho)),
+        observables.population_names(),
+        cfg,
     )
-    return {
-        "times": times,
-        "phases": phases,
-        "cps": cps,
-        "fidelity": fid,
-        "cond_fidelity": cond_fid,
-        "p_success": p_success,
-        "populations": observables.populations(super_traj),
-        "pop_names": observables.population_names(),
-    }
 
 
 def run_ladder_analysis(cfg: dict) -> dict:
     """Same metrics for the three-level comparison model."""
     params = ladder_params_from_config(cfg)
+    n_max = params.n_max
     times = _times_from_config(cfg)
     amps = amplitudes_from_config(cfg)
     kw = _engine_kwargs(cfg)
     gt = ladder.evolve_ladder_gate(params, times, amps, **kw)
     cond = ladder.evolve_ladder_gate(params, times, amps, conditional=True, **kw)
-    super_traj = gt.superposition
-    ladder.check_truncation(super_traj, params.n_max)
-    photons = ladder.reduce_to_photons(super_traj, params.n_max)
-    qb = ladder.photon_qubit_block(photons, params.n_max)
-    phases = observables.phases_from_coherences(qb[:, 1:4, 0], gt.amplitudes)
-    cps = observables.conditional_phase_shift(phases)
-    lam_all = ladder.photon_qubit_block(
-        ladder.reduce_to_photons(gt.unit_inputs, params.n_max), params.n_max
-    )
-    cond_lam_all = ladder.photon_qubit_block(
-        ladder.reduce_to_photons(cond.unit_inputs, params.n_max), params.n_max
-    )
-    cond_traces = np.einsum("tkaa->tk", cond.unit_inputs)
-    fid, cond_fid, p_success = _metrics_from_blocks(
-        lam_all, cond_lam_all, cond_traces, phases, cfg
-    )
-    P = params.n_max + 1
+    ladder.check_truncation(gt.superposition, n_max)
+    P = n_max + 1
     pop_names = tuple(
         f"{atom}_{n_p}_{n_t}"
         for atom in ladder.LADDER_ATOM_LABELS
         for n_p in range(P)
         for n_t in range(P)
     )
-    return {
-        "times": times,
-        "phases": phases,
-        "cps": cps,
-        "fidelity": fid,
-        "cond_fidelity": cond_fid,
-        "p_success": p_success,
-        "populations": observables.populations(super_traj),
-        "pop_names": pop_names,
-    }
+    return _metrics_from_blocks(
+        gt,
+        cond,
+        lambda rho: ladder.photon_qubit_block(ladder.reduce_to_photons(rho, n_max), n_max),
+        pop_names,
+        cfg,
+    )
 
 
 def pi_crossing_time(times: np.ndarray, cps: np.ndarray) -> float | None:
@@ -334,37 +333,29 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _gate_columns(res: dict) -> dict:
+    """Per-time gate quantities, named as in timeseries.csv and summary.json."""
+    phases = res["phases"]
+    return {
+        "phi01": phases[:, 0],
+        "phi10": phases[:, 1],
+        "phi11": phases[:, 2],
+        **{k: res[k] for k in ("cps", "fidelity", "cond_fidelity", "p_success")},
+    }
+
+
 def _write_timeseries(outdir: Path, res: dict) -> None:
-    header = ["time", "phi01", "phi10", "phi11", "cps", "fidelity", "cond_fidelity",
-              "p_success"] + [f"pop_{n}" for n in res["pop_names"]]
-    lines = [",".join(header)]
-    for m in range(res["times"].size):
-        row = [
-            res["times"][m],
-            res["phases"][m, 0],
-            res["phases"][m, 1],
-            res["phases"][m, 2],
-            res["cps"][m],
-            res["fidelity"][m],
-            res["cond_fidelity"][m],
-            res["p_success"][m],
-        ] + list(res["populations"][m])
-        lines.append(",".join(_fmt(v) for v in row))
+    columns = _gate_columns(res)
+    header = ["time", *columns] + [f"pop_{n}" for n in res["pop_names"]]
+    table = np.column_stack([res["times"], *columns.values(), res["populations"]])
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in table]
     _atomic_write(outdir / "timeseries.csv", "\n".join(lines) + "\n")
 
 
 def _values_at(res: dict, t: float) -> dict:
     tt = res["times"]
-    return {
-        "time": float(t),
-        "phi01": float(np.interp(t, tt, res["phases"][:, 0])),
-        "phi10": float(np.interp(t, tt, res["phases"][:, 1])),
-        "phi11": float(np.interp(t, tt, res["phases"][:, 2])),
-        "cps": float(np.interp(t, tt, res["cps"])),
-        "fidelity": float(np.interp(t, tt, res["fidelity"])),
-        "cond_fidelity": float(np.interp(t, tt, res["cond_fidelity"])),
-        "p_success": float(np.interp(t, tt, res["p_success"])),
-    }
+    at = {k: float(np.interp(t, tt, v)) for k, v in _gate_columns(res).items()}
+    return {"time": float(t), **at}
 
 
 def _write_summary(outdir: Path, cfg: dict, res: dict, derived: dict) -> None:
@@ -393,25 +384,26 @@ def _config_with_overrides(args) -> dict:
     return cfg
 
 
-def cmd_simulate(args) -> int:
-    cfg = _config_with_overrides(args)
-    res = run_gate_analysis(cfg)
+def _write_gate_outputs(args, cfg: dict, res: dict, derived: dict) -> int:
     outdir = _outdir(args)
-    params = params_from_config(cfg)
-    derived = {"delta1": params.delta1, "delta4": params.delta4}
     _write_timeseries(outdir, res)
     _write_summary(outdir, cfg, res, derived)
     return 0
+
+
+def cmd_simulate(args) -> int:
+    cfg = _config_with_overrides(args)
+    res = run_gate_analysis(cfg)
+    params = params_from_config(cfg)
+    derived = {"delta1": params.delta1, "delta4": params.delta4}
+    return _write_gate_outputs(args, cfg, res, derived)
 
 
 def cmd_ladder(args) -> int:
     cfg = _config_with_overrides(args)
     res = run_ladder_analysis(cfg)
-    outdir = _outdir(args)
     derived = {"ladder_dim": ladder.ladder_dim(int(cfg["n_max"]))}
-    _write_timeseries(outdir, res)
-    _write_summary(outdir, cfg, res, derived)
-    return 0
+    return _write_gate_outputs(args, cfg, res, derived)
 
 
 def cmd_scan(args) -> int:
@@ -436,7 +428,7 @@ def cmd_scan(args) -> int:
                 pi_s = _fmt(t_pi)
                 fid_s = _fmt(np.interp(t_pi, res["times"], res["fidelity"]))
                 cond_s = _fmt(np.interp(t_pi, res["times"], res["cond_fidelity"]))
-        except Exception as exc:  # keep scanning, record the failure
+        except (ValueError, RuntimeError) as exc:  # keep scanning, record the failure
             err = str(exc).replace(",", ";").replace("\n", " ")
         lines.append(f"{_fmt(value)},{pi_s},{fid_s},{cond_s},{err}")
     _atomic_write(_outdir(args) / "scan.csv", "\n".join(lines) + "\n")
@@ -519,6 +511,8 @@ def load_phase_table(path: str) -> dict:
             raise ValueError(f"unknown phase key {key!r}")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"phase key {key!r} must be a number")
+        if not math.isfinite(value):
+            raise ValueError(f"phase key {key!r} must be finite")
         table[key] = float(value)
     return table
 
@@ -592,7 +586,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except Exception as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

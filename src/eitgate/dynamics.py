@@ -150,16 +150,7 @@ def conditional_generator(
             K -= 0.5j * ch.rate * (ch.op.conj().T @ ch.op)
         else:
             kept.append(ch)
-    n = K.shape[0]
-    eye = np.eye(n)
-    G = -1j * np.kron(eye, K) + 1j * np.kron(K.conj(), eye)
-    for ch in kept:
-        S = ch.op
-        SdS = S.conj().T @ S
-        G += (ch.rate / 2.0) * (
-            2.0 * np.kron(S.conj(), S) - np.kron(eye, SdS) - np.kron(SdS.T, eye)
-        )
-    return G
+    return build_liouvillian(K, kept)
 
 
 def no_jump_generator(params: MSchemeParams, dephasing_mode: str = "lindblad") -> Superoperator:
@@ -181,25 +172,37 @@ def evolve_conditional(
     return evolve_superoperator(no_jump_generator(params, dephasing_mode), rho0, times, **kw)
 
 
-def choi_inputs() -> np.ndarray:
-    """The 16 matrix units |q_i><q_j| of the photonic qubit block, embedded
-    in the 18-state space, ordered with the row qubit index fastest last
-    (entry k = 4*i + j)."""
-    E = np.zeros((16, M_DIM, M_DIM), dtype=complex)
-    for i, a in enumerate(QUBIT_M_INDICES):
-        for j, b in enumerate(QUBIT_M_INDICES):
+def matrix_units(positions, dim: int) -> np.ndarray:
+    """The 16 matrix units |q_i><q_j| of the qubit states at the four
+    given positions of a dim-dimensional space, ordered with the row
+    qubit index fastest last (entry k = 4*i + j)."""
+    E = np.zeros((16, dim, dim), dtype=complex)
+    for i, a in enumerate(positions):
+        for j, b in enumerate(positions):
             E[4 * i + j, a, b] = 1.0
     return E
 
 
-def superposition_input(amplitudes) -> np.ndarray:
-    """Pure input ψψ† with ψ = Σ c_ij |q_ij>, normalized."""
-    c = np.asarray(amplitudes, dtype=complex).reshape(4)
+def choi_inputs() -> np.ndarray:
+    """The qubit-block matrix units embedded in the 18-state space."""
+    return matrix_units(QUBIT_M_INDICES, M_DIM)
+
+
+def normalized_amplitudes(amplitudes) -> np.ndarray:
+    """The four qubit amplitudes scaled to unit norm; None means equal."""
+    c = np.full(4, 0.5, dtype=complex) if amplitudes is None else np.asarray(
+        amplitudes, dtype=complex
+    ).reshape(4)
     nrm = np.linalg.norm(c)
     if nrm == 0:
         raise ValueError("superposition amplitudes are all zero")
+    return c / nrm
+
+
+def superposition_input(amplitudes) -> np.ndarray:
+    """Pure input ψψ† with ψ = Σ c_ij |q_ij>, normalized."""
     psi = np.zeros(M_DIM, dtype=complex)
-    psi[list(QUBIT_M_INDICES)] = c / nrm
+    psi[list(QUBIT_M_INDICES)] = normalized_amplitudes(amplitudes)
     return np.outer(psi, psi.conj())
 
 
@@ -236,19 +239,14 @@ def evolve_gate_inputs(
     **kw,
 ) -> GateTrajectories:
     """Propagate all sixteen matrix-unit inputs in one batch."""
-    c = np.full(4, 0.5, dtype=complex) if amplitudes is None else np.asarray(
-        amplitudes, dtype=complex
-    ).reshape(4)
-    nrm = np.linalg.norm(c)
-    if nrm == 0:
-        raise ValueError("superposition amplitudes are all zero")
+    c = normalized_amplitudes(amplitudes)
     if conditional:
         L = no_jump_generator(params, dephasing_mode)
     else:
         L = build_liouvillian_for(params)
     traj = evolve_superoperator(L, choi_inputs(), times, **kw)
     return GateTrajectories(
-        times=np.asarray(times, dtype=float), unit_inputs=traj, amplitudes=c / nrm
+        times=np.asarray(times, dtype=float), unit_inputs=traj, amplitudes=c
     )
 
 

@@ -13,33 +13,20 @@ relation together with the slow-light compression of the pulse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import trapezoid
 
+from .basis import m_index
 from .dynamics import evolve_superoperator, steady_state
-from .mscheme import JumpChannel, MSchemeParams, build_liouvillian
+from .mscheme import JumpChannel, MSchemeParams, build_jump_channels, build_liouvillian
 
-# Atomic levels 1..5 at indices 0..4; the ground level is 3.
-_N_LEVELS = 5
+# Atomic levels 1..5 at indices 0..4; the ground level is 3. They are the
+# photon-free collective states, at these positions of the 18-state basis.
+_LEVEL_INDICES = tuple(m_index(label, 0, 0) for label in ("E1", "E2", "G", "E4", "E5"))
+_N_LEVELS = len(_LEVEL_INDICES)
 _GROUND = 2
-
-_DECAYS = (
-    (1, 0, "gamma21"),
-    (1, 2, "gamma23"),
-    (1, 4, "gamma25"),
-    (3, 0, "gamma41"),
-    (3, 2, "gamma43"),
-    (3, 4, "gamma45"),
-)
-
-_DEPHASINGS = (
-    (0, "gamma_deph_1"),
-    (1, "gamma_deph_2"),
-    (3, "gamma_deph_4"),
-    (4, "gamma_deph_5"),
-)
 
 
 @dataclass(frozen=True)
@@ -86,23 +73,10 @@ def semiclassical_hamiltonian(
 
 
 def semiclassical_channels(params: MSchemeParams) -> list[JumpChannel]:
-    """Single-atom decay and dephasing channels on the five levels."""
-    channels = []
-    for src, dst, attr in _DECAYS:
-        rate = getattr(params, attr)
-        if rate == 0.0:
-            continue
-        op = np.zeros((_N_LEVELS, _N_LEVELS), dtype=complex)
-        op[dst, src] = 1.0
-        channels.append(JumpChannel(rate=rate, op=op, kind="decay"))
-    for lvl, attr in _DEPHASINGS:
-        rate = getattr(params, attr)
-        if rate == 0.0:
-            continue
-        op = np.zeros((_N_LEVELS, _N_LEVELS), dtype=complex)
-        op[lvl, lvl] = 1.0
-        channels.append(JumpChannel(rate=rate, op=op, kind="dephasing"))
-    return channels
+    """Single-atom decay and dephasing channels on the five levels: the
+    collective channels restricted to the photon-free states."""
+    idx = np.ix_(_LEVEL_INDICES, _LEVEL_INDICES)
+    return [replace(ch, op=ch.op[idx]) for ch in build_jump_channels(params)]
 
 
 def semiclassical_liouvillian(

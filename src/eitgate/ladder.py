@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import GateTrajectories, conditional_generator, evolve_superoperator
+from .dynamics import matrix_units, normalized_amplitudes
 from .mscheme import JumpChannel, build_liouvillian
 
 # Atomic labels: all atoms in the intermediate level, one atom moved to
@@ -140,13 +141,7 @@ def _qubit_positions(n_max: int) -> list[int]:
 
 def ladder_choi_inputs(n_max: int) -> np.ndarray:
     """Matrix units of the photonic qubit block, atoms unexcited."""
-    dim = ladder_dim(n_max)
-    pos = _qubit_positions(n_max)
-    E = np.zeros((16, dim, dim), dtype=complex)
-    for i, a in enumerate(pos):
-        for j, b in enumerate(pos):
-            E[4 * i + j, a, b] = 1.0
-    return E
+    return matrix_units(_qubit_positions(n_max), ladder_dim(n_max))
 
 
 def evolve_ladder_gate(
@@ -158,12 +153,7 @@ def evolve_ladder_gate(
     **kw,
 ) -> GateTrajectories:
     """Propagate the sixteen qubit matrix units of the ladder gate."""
-    c = np.full(4, 0.5, dtype=complex) if amplitudes is None else np.asarray(
-        amplitudes, dtype=complex
-    ).reshape(4)
-    nrm = np.linalg.norm(c)
-    if nrm == 0:
-        raise ValueError("superposition amplitudes are all zero")
+    c = normalized_amplitudes(amplitudes)
     if conditional:
         L = conditional_generator(
             build_ladder_hamiltonian(params), build_ladder_channels(params)
@@ -172,7 +162,7 @@ def evolve_ladder_gate(
         L = build_ladder_liouvillian(params)
     traj = evolve_superoperator(L, ladder_choi_inputs(params.n_max), times, **kw)
     return GateTrajectories(
-        times=np.asarray(times, dtype=float), unit_inputs=traj, amplitudes=c / nrm
+        times=np.asarray(times, dtype=float), unit_inputs=traj, amplitudes=c
     )
 
 

@@ -170,14 +170,16 @@ def build_jump_channels(params: MSchemeParams) -> list[JumpChannel]:
 def build_liouvillian(H: OperatorMatrix, channels: list[JumpChannel]) -> Superoperator:
     """Superoperator L with vec(ρ̇) = L vec(ρ), column-major vectorization.
 
-    Encodes -i[H,ρ] + Σ (γ/2)(2 S ρ S† - S†S ρ - ρ S†S). Works for any
-    dimension (the semiclassical and ladder models reuse it).
+    Encodes -i(Hρ - ρH†) + Σ (γ/2)(2 S ρ S† - S†S ρ - ρ S†S), which is
+    -i[H,ρ] for Hermitian H; a non-Hermitian H carries the no-jump drift
+    of the conditional generators. Works for any dimension (the
+    semiclassical and ladder models reuse it).
     """
     n = H.shape[0]
     if H.shape != (n, n):
         raise ValueError("H must be square")
     eye = np.eye(n)
-    L = -1j * (np.kron(eye, H) - np.kron(H.T, eye))
+    L = -1j * (np.kron(eye, H) - np.kron(H.conj(), eye))
     for ch in channels:
         S = ch.op
         if S.shape != (n, n):

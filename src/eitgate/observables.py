@@ -213,18 +213,3 @@ def conditional_fidelity_from_blocks(
         samples_used=mc_samples - skipped,
     )
 
-
-def conditional_fidelity(
-    unit_states: np.ndarray,
-    target_unitary: np.ndarray,
-    *,
-    mc_samples: int = 2000,
-    seed: int = 42,
-) -> ConditionalFidelityResult:
-    """Conditional fidelity of the collective-model no-jump map."""
-    unit_states = np.asarray(unit_states)
-    lam = qubit_block(reduce_to_fields(unit_states))
-    tr_full = np.einsum("kaa->k", unit_states)
-    return conditional_fidelity_from_blocks(
-        lam, tr_full, target_unitary, mc_samples=mc_samples, seed=seed
-    )

@@ -37,10 +37,6 @@ def test_field_order_is_frozen():
     assert tuple(basis.FIELD_BASIS) == EXPECTED_FIELDS
 
 
-def test_enumeration_matches_canonical_tuple():
-    assert tuple(basis.enumerate_m_basis()) == tuple(basis.M_BASIS)
-
-
 def test_state_index_round_trip():
     for i, s in enumerate(basis.M_BASIS):
         assert basis.m_index(s.atom, s.n_p, s.n_t) == i

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,12 +74,17 @@ def test_load_config_without_file_copies_defaults():
         {"c00": "x"},
         {"c01": True},
         {"c01": [0.1, False]},
+        {"g_p": float("nan")},
+        {"t_max": float("inf")},
+        {"c10": [0.5, float("-inf")]},
+        {"c11": float("nan")},
     ],
 )
 def test_load_config_rejects_bad_values(tmp_path, payload):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(ValueError):
+    (key,) = payload
+    with pytest.raises(ValueError, match=f"'{key}'"):
         cli.load_config(str(path))
 
 
@@ -310,6 +316,19 @@ def test_scan_records_per_point_failures(tmp_path):
     assert float(rows[1][1]) > 0.0
 
 
+def test_scan_propagates_programming_errors(tmp_path, monkeypatch):
+    def broken(cfg):
+        raise TypeError("not a domain error")
+
+    monkeypatch.setattr(cli, "run_gate_analysis", broken)
+    cfg_path = write_cfg(tmp_path, **FAST_GATE)
+    with pytest.raises(TypeError, match="not a domain error"):
+        cli.main([
+            "scan", "--config", cfg_path, "--out", str(tmp_path / "scan"),
+            "--param", "g_p", "--from", "0.002", "--to", "0.003", "--steps", "2",
+        ])
+
+
 def test_scan_rejects_bad_parameters(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, **SMALL_GATE)
     base = ["scan", "--config", cfg_path, "--out", str(tmp_path / "x")]
@@ -444,7 +463,14 @@ def test_fringes_output_round_trip(tmp_path):
 
 
 def test_fringes_rejects_bad_tables(tmp_path, capsys):
-    for payload in ({"cps": 1.0, "oops": 2.0}, {"cps": "x"}, {"cps": True}, [1.0]):
+    for payload in (
+        {"cps": 1.0, "oops": 2.0},
+        {"cps": "x"},
+        {"cps": True},
+        [1.0],
+        {"cps": float("nan")},
+        {"phi10": float("inf")},
+    ):
         path = tmp_path / "p.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
         assert cli.main(["fringes", "--phases", str(path), "--out", str(tmp_path)]) == 1
@@ -504,11 +530,14 @@ def test_module_entry_point(tmp_path):
         eps34=1.9,
         t_max=100.0,
     )
+    # ``-m`` puts the working directory first on the child's path, so the
+    # child imports the same copy of the package as this process.
     proc = subprocess.run(
         [sys.executable, "-m", "eitgate.cli", "perturbative", "--config", cfg_path],
         capture_output=True,
         text=True,
         check=False,
+        cwd=Path(cli.__file__).resolve().parents[1],
     )
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
