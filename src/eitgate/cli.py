@@ -221,38 +221,28 @@ def _metrics_from_blocks(gt, cond, qubit_blocks, pop_names, cfg) -> dict:
     gt and cond are the unconditional and conditional trajectories of
     the sixteen matrix units; qubit_blocks maps (...,n,n) states of the
     model to their (...,4,4) qubit blocks. Fidelities are taken against
-    the instantaneous ideal phase gate.
+    the instantaneous ideal phase gate, one batched call per series.
     """
     super_traj = gt.superposition
     phases = observables.phases_from_coherences(
         qubit_blocks(super_traj)[:, 1:4, 0], gt.amplitudes
     )
-    lam_all = qubit_blocks(gt.unit_inputs)
-    cond_lam_all = qubit_blocks(cond.unit_inputs)
-    cond_traces = np.einsum("tkaa->tk", cond.unit_inputs)
-    T = gt.times.size
-    fid = np.empty(T)
-    cond_fid = np.empty(T)
-    p_success = np.empty(T)
-    for m in range(T):
-        U = observables.ideal_phase_unitary(phases[m])
-        fid[m] = observables.average_fidelity_from_blocks(lam_all[m], U)
-        r = observables.conditional_fidelity_from_blocks(
-            cond_lam_all[m],
-            cond_traces[m],
-            U,
-            mc_samples=int(cfg["mc_samples"]),
-            seed=int(cfg["seed"]),
-        )
-        cond_fid[m] = r.fidelity
-        p_success[m] = r.p_success
+    U = observables.ideal_phase_unitary(phases)
+    fid = observables.average_fidelity_from_blocks(qubit_blocks(gt.unit_inputs), U)
+    cond_r = observables.conditional_fidelity_from_blocks(
+        qubit_blocks(cond.unit_inputs),
+        np.einsum("tkaa->tk", cond.unit_inputs),
+        U,
+        mc_samples=int(cfg["mc_samples"]),
+        seed=int(cfg["seed"]),
+    )
     return {
         "times": gt.times,
         "phases": phases,
         "cps": observables.conditional_phase_shift(phases),
         "fidelity": fid,
-        "cond_fidelity": cond_fid,
-        "p_success": p_success,
+        "cond_fidelity": cond_r.fidelity,
+        "p_success": cond_r.p_success,
         "populations": observables.populations(super_traj),
         "pop_names": pop_names,
     }

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .basis import M_DIM, QUBIT_M_INDICES
@@ -93,6 +92,9 @@ def evolve_superoperator(
                 V = P @ V
                 out[m] = _unstack(V, n)
         elif method == "adaptive-rk":
+            # Imported here: scipy.integrate adds ~0.3 s to every start-up.
+            from scipy.integrate import solve_ivp
+
             def rhs(_t, y):
                 V = y.reshape(n * n, k, order="F")
                 return (L @ V).reshape(-1, order="F")

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .basis import m_index
 from .dynamics import evolve_superoperator, steady_state
@@ -186,7 +185,7 @@ def group_velocity_transient(
             )
         )
     v = _velocity_from_chi(chi[0], chi[1], chi[2], fd_step, params, constants)
-    return float(trapezoid(v, times) / (times[-1] - times[0]))
+    return float(np.trapezoid(v, times) / (times[-1] - times[0]))
 
 
 @dataclass(frozen=True)

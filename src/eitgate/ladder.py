@@ -195,9 +195,15 @@ def boundary_population(rho: np.ndarray, n_max: int) -> np.ndarray:
 
 
 def check_truncation(traj: np.ndarray, n_max: int, threshold: float = 1e-3) -> None:
-    """Raise if any state puts more than threshold at the photon edge."""
-    worst = float(np.max(boundary_population(traj, n_max)))
+    """Raise if any state puts more than threshold at the photon edge.
+
+    The message names the index of the worst state in the batch.
+    """
+    leak = boundary_population(traj, n_max)
+    at = np.unravel_index(int(np.argmax(leak)), leak.shape)
+    worst = float(leak[at])
     if worst > threshold:
+        where = "" if not at else f" at state {at[0] if len(at) == 1 else tuple(map(int, at))}"
         raise RuntimeError(
-            f"truncation leakage {worst:.3e} exceeds {threshold:.1e}; raise n_max"
+            f"truncation leakage {worst:.3e}{where} exceeds {threshold:.1e}; raise n_max"
         )

@@ -31,12 +31,25 @@ def _field_projectors() -> np.ndarray:
 _B = _field_projectors()
 
 
+# (324,36) 0/1 readout: entry ((i,j),(f,g)) is Σ_l B[l,f,i] B[l,g,j], so a
+# row-flattened state times _R is its row-flattened field reduction.
+_R = np.einsum("lfi,lgj->ijfg", _B, _B).reshape(M_DIM * M_DIM, FIELD_DIM * FIELD_DIM)
+
+
 def reduce_to_fields(rho: np.ndarray) -> np.ndarray:
-    """Trace out the atomic label: (...,18,18) -> (...,6,6)."""
+    """Trace out the atomic label: (...,18,18) -> (...,6,6).
+
+    The reduction Σ_l B_l ρ B_lᵀ is linear in the entries of ρ, so a
+    whole batch of states goes through one matrix product with the
+    fixed readout matrix.
+    """
     rho = np.asarray(rho)
     if rho.shape[-2:] != (M_DIM, M_DIM):
         raise ValueError("expected states on the 18-dimensional space")
-    return np.einsum("lfi,...ij,lgj->...fg", _B, rho, _B)
+    # One 2-d product: a stacked or mixed-type matmul does not reach BLAS.
+    R = _R.astype(np.result_type(rho, _R), copy=False)
+    out = rho.reshape(-1, M_DIM * M_DIM) @ R
+    return out.reshape(rho.shape[:-2] + (FIELD_DIM, FIELD_DIM))
 
 
 def qubit_block(field_rho: np.ndarray) -> np.ndarray:
@@ -59,6 +72,14 @@ def _wrap(angle: np.ndarray) -> np.ndarray:
     return np.pi - np.mod(np.pi - angle, 2.0 * np.pi)
 
 
+def _sample_label(flags: np.ndarray) -> str:
+    """' at time sample m' for the first flagged sample of a series, '' for one sample."""
+    if flags.ndim == 0:
+        return ""
+    m = np.unravel_index(int(np.argmax(flags)), flags.shape)
+    return f" at time sample {m[0] if len(m) == 1 else tuple(int(i) for i in m)}"
+
+
 def phases_from_coherences(coherences: np.ndarray, amplitudes=None) -> np.ndarray:
     """Unwrap the phases of the qubit coherences against the vacuum.
 
@@ -66,7 +87,7 @@ def phases_from_coherences(coherences: np.ndarray, amplitudes=None) -> np.ndarra
     already present in the input amplitudes is removed, then each time
     step is moved to the nearest 2π branch. Steps of magnitude π or more
     are ambiguous and raise; vanishing coherences raise
-    UndefinedPhaseError.
+    UndefinedPhaseError. Both errors name the time sample that tripped.
     """
     coh = np.asarray(coherences, dtype=complex)
     single = coh.ndim == 1
@@ -79,15 +100,21 @@ def phases_from_coherences(coherences: np.ndarray, amplitudes=None) -> np.ndarra
     ).reshape(4)
     if abs(c[0]) < 1e-12:
         raise UndefinedPhaseError("vacuum amplitude too small to anchor phases")
-    if np.any(np.abs(coh) < 1e-12):
-        raise UndefinedPhaseError("qubit coherence below threshold; phase undefined")
+    vanishing = np.abs(coh) < 1e-12
+    if np.any(vanishing):
+        where = "" if single else _sample_label(np.any(vanishing, axis=-1))
+        raise UndefinedPhaseError(f"qubit coherence below threshold{where}; phase undefined")
     raw = np.angle(coh) - np.angle(c[1:4] * np.conj(c[0]))[None, :]
     phases = np.empty_like(raw)
     phases[0] = _wrap(raw[0])
     for m in range(1, raw.shape[0]):
         step = _wrap(raw[m] - phases[m - 1])
-        if np.any(np.abs(step) >= np.pi * (1.0 - 1e-9)):
-            raise ValueError("phase step of π or more between samples; refine the grid")
+        largest = float(np.max(np.abs(step)))
+        if largest >= np.pi * (1.0 - 1e-9):
+            raise ValueError(
+                f"phase step of π or more between samples {m - 1} and {m} "
+                f"({largest / np.pi:.6f}π); refine the grid"
+            )
         phases[m] = phases[m - 1] + step
     return phases[0] if single else phases
 
@@ -111,9 +138,17 @@ def conditional_phase_shift(phases: np.ndarray) -> np.ndarray:
 
 
 def ideal_phase_unitary(phases) -> np.ndarray:
-    """diag(1, e^{iφ01}, e^{iφ10}, e^{iφ11}) on the qubit block."""
-    p01, p10, p11 = np.asarray(phases, dtype=float).reshape(3)
-    return np.diag(np.exp(1j * np.array([0.0, p01, p10, p11])))
+    """diag(1, e^{iφ01}, e^{iφ10}, e^{iφ11}) on the qubit block.
+
+    Phases of shape (...,3) give unitaries of shape (...,4,4).
+    """
+    p = np.asarray(phases, dtype=float)
+    if p.shape[-1:] != (3,):
+        raise ValueError("expected the three phases φ01, φ10, φ11")
+    diag = np.exp(1j * np.concatenate([np.zeros(p.shape[:-1] + (1,)), p], axis=-1))
+    U = np.zeros(p.shape[:-1] + (4, 4), dtype=complex)
+    U[..., range(4), range(4)] = diag
+    return U
 
 
 def choi_matrix(unit_states: np.ndarray) -> np.ndarray:
@@ -128,27 +163,52 @@ def choi_matrix(unit_states: np.ndarray) -> np.ndarray:
     return lam.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16)
 
 
-def average_fidelity_from_blocks(lam: np.ndarray, target_unitary: np.ndarray) -> float:
+def _check_blocks(lam: np.ndarray) -> tuple[int, ...]:
+    """Leading (time) shape of (...,16,4,4) qubit-block images."""
+    if lam.shape[-3:] != (16, 4, 4):
+        raise ValueError("expected 16 qubit-block images")
+    return lam.shape[:-3]
+
+
+def _rotated_blocks(lam: np.ndarray, target_unitary, lead: tuple[int, ...]) -> np.ndarray:
+    """U†Λ_k U for every block, as (...,4,4,4,4) indexed [i,j,a,b]."""
+    U = np.broadcast_to(np.asarray(target_unitary, dtype=complex), lead + (4, 4))
+    U = U[..., None, :, :]
+    return (U.conj().swapaxes(-1, -2) @ lam @ U).reshape(lead + (4, 4, 4, 4))
+
+
+def average_fidelity_from_blocks(
+    lam: np.ndarray, target_unitary: np.ndarray
+) -> float | np.ndarray:
     """Haar-average fidelity from the qubit-block images of matrix units.
 
-    lam[4*i+j] is the 4x4 qubit-block image of |q_i><q_j|. The average
-    of <ψ|U† Λ(|ψ><ψ|) U|ψ> over pure qubit inputs has the closed form
-    (d² F_e + Tr Λ(I)) / (d(d+1)) with the entanglement fidelity F_e;
-    the reported figure of merit is its square root.
+    lam[..., 4*i+j, :, :] is the 4x4 qubit-block image of |q_i><q_j|. The
+    average of <ψ|U† Λ(|ψ><ψ|) U|ψ> over pure qubit inputs has the
+    closed form (d² F_e + Tr Λ(I)) / (d(d+1)) with the entanglement
+    fidelity F_e; the reported figure of merit is its square root.
+
+    Blocks (16,4,4) with one (4,4) target give a float. A leading time
+    axis, blocks (...,16,4,4) with targets (...,4,4), gives an array
+    (...) of the same per-sample values.
     """
     lam = np.asarray(lam)
-    if lam.shape != (16, 4, 4):
-        raise ValueError("expected 16 qubit-block images")
-    U = np.asarray(target_unitary, dtype=complex)
-    rotated = np.einsum("ai,kij,jb->kab", U.conj().T, lam, U)
-    F_e = np.mean([rotated[4 * i + j, i, j] for i in range(4) for j in range(4)])
-    if abs(F_e.imag) > 1e-9:
-        raise ValueError("entanglement fidelity has a non-real value")
-    trace_of_identity_image = float(sum(lam[4 * i + i].trace().real for i in range(4)))
+    lead = _check_blocks(lam)
+    rotated = _rotated_blocks(lam, target_unitary, lead)
+    F_e = np.einsum("...ijij->...", rotated) / 16.0
+    nonreal = np.abs(F_e.imag) > 1e-9
+    if np.any(nonreal):
+        raise ValueError(
+            f"entanglement fidelity has a non-real value{_sample_label(nonreal)}"
+        )
+    trace_of_identity_image = np.einsum("...iiaa->...", lam.reshape(lead + (4, 4, 4, 4))).real
     overlap = (16.0 * F_e.real + trace_of_identity_image) / 20.0
-    if overlap < -1e-12:
-        raise ValueError("negative average overlap; the map is not physical")
-    return math.sqrt(max(overlap, 0.0))
+    negative = overlap < -1e-12
+    if np.any(negative):
+        raise ValueError(
+            f"negative average overlap{_sample_label(negative)}; the map is not physical"
+        )
+    fid = np.sqrt(np.maximum(overlap, 0.0))
+    return float(fid) if not lead else fid
 
 
 def average_fidelity(unit_states: np.ndarray, target_unitary: np.ndarray) -> float:
@@ -159,12 +219,19 @@ def average_fidelity(unit_states: np.ndarray, target_unitary: np.ndarray) -> flo
 
 @dataclass(frozen=True)
 class ConditionalFidelityResult:
-    """Monte Carlo conditional fidelity and success probabilities."""
+    """Monte Carlo conditional fidelity and success probabilities.
 
-    fidelity: float
-    p_success: float
-    basis_success: np.ndarray  # no-jump probability per qubit basis input
-    samples_used: int
+    For a series the first three fields carry its leading (time) shape.
+    """
+
+    fidelity: float | np.ndarray
+    p_success: float | np.ndarray
+    basis_success: np.ndarray  # no-jump probability per qubit basis input, (...,4)
+    samples_used: int  # fewest samples kept at any time sample
+
+
+# Time samples per Monte Carlo product; bounds the (chunk, mc_samples) temporaries.
+_MC_CHUNK = 32
 
 
 def conditional_fidelity_from_blocks(
@@ -177,39 +244,62 @@ def conditional_fidelity_from_blocks(
 ) -> ConditionalFidelityResult:
     """Haar-average fidelity of the renormalized no-jump state.
 
-    lam[4*i+j] is the qubit-block image of |q_i><q_j| under the
-    conditional (trace-decreasing) map and full_traces its trace on the
-    complete space. Each sampled pure input ψ gives the unnormalized
-    output by linearity; its full trace is the no-jump probability and
-    the overlap with U|ψ> is taken after renormalizing. Samples with
-    trace below 1e-12 are skipped; more than 1% of them aborts the
-    estimate.
+    lam[..., 4*i+j, :, :] is the qubit-block image of |q_i><q_j| under
+    the conditional (trace-decreasing) map and full_traces[..., 4*i+j]
+    its trace on the complete space. Each sampled pure input ψ gives the
+    unnormalized output by linearity; its full trace is the no-jump
+    probability and the overlap with U|ψ> is taken after renormalizing.
+
+    A leading time axis is allowed: blocks (...,16,4,4), traces (...,16)
+    and targets (...,4,4). One Haar set, drawn from (seed, mc_samples),
+    serves every time sample, so each sample gets the estimate a call on
+    it alone would give. With the target folded into the blocks as
+    U†Λ_ij U, all overlaps come from one product with the per-draw
+    weights conj(ψ_c)ψ_i conj(ψ_j)ψ_d, taken a few time samples at a
+    time. Samples with trace below 1e-12 are skipped; more than 1% of
+    them at any time sample aborts the estimate.
     """
-    lam = np.asarray(lam).reshape(4, 4, 4, 4)
-    tr_full = np.asarray(full_traces).reshape(4, 4)
-    U = np.asarray(target_unitary, dtype=complex)
+    lam = np.asarray(lam)
+    lead = _check_blocks(lam)
+    T = math.prod(lead)
+    rotated = _rotated_blocks(lam, target_unitary, lead).reshape(T, 256)
+    tr_full = np.asarray(full_traces).reshape(T, 16)
 
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((mc_samples, 4)) + 1j * rng.standard_normal((mc_samples, 4))
     psi = X / np.linalg.norm(X, axis=1, keepdims=True)
+    W = (psi[:, :, None] * psi.conj()[:, None, :]).reshape(mc_samples, 16)  # c_i c_j*
+    Q = (W[:, :, None] * W.conj()[:, None, :]).reshape(mc_samples, 256).T
 
-    W = psi[:, :, None] * psi.conj()[:, None, :]  # (S,4,4) weights c_i c_j*
-    p = np.einsum("sij,ij->s", W, tr_full).real
-    psi_id = psi @ U.T
-    num = np.einsum("sa,sij,ijab,sb->s", psi_id.conj(), W, lam, psi_id).real
+    mean_f = np.empty(T)
+    p_success = np.empty(T)
+    kept = np.empty(T, dtype=int)
+    for a in range(0, T, _MC_CHUNK):
+        b = min(a + _MC_CHUNK, T)
+        num = (rotated[a:b] @ Q).real
+        p = (tr_full[a:b] @ W.T).real
+        keep = p >= 1e-12
+        kept[a:b] = np.count_nonzero(keep, axis=1)
+        skipped = mc_samples - kept[a:b]
+        too_many = skipped > 0.01 * mc_samples
+        if np.any(too_many):
+            flags = np.zeros(T, dtype=bool)
+            flags[a:b] = too_many
+            where = _sample_label(flags.reshape(lead))
+            raise RuntimeError(
+                f"{skipped[np.argmax(too_many)]} of {mc_samples} samples had "
+                f"negligible success probability{where}"
+            )
+        ratio = np.divide(num, p, out=np.zeros_like(num), where=keep)
+        mean_f[a:b] = ratio.sum(axis=1) / kept[a:b]
+        p_success[a:b] = p.mean(axis=1)
 
-    keep = p >= 1e-12
-    skipped = mc_samples - int(np.count_nonzero(keep))
-    if skipped > 0.01 * mc_samples:
-        raise RuntimeError(
-            f"{skipped} of {mc_samples} samples had negligible success probability"
-        )
-    mean_f = float(np.mean(num[keep] / p[keep]))
-    basis = np.array([tr_full[i, i].real for i in range(4)])
+    fid = np.sqrt(np.maximum(mean_f, 0.0)).reshape(lead)
+    p_success = p_success.reshape(lead)
+    basis = np.diagonal(tr_full.reshape(lead + (4, 4)), axis1=-2, axis2=-1).real.copy()
     return ConditionalFidelityResult(
-        fidelity=math.sqrt(max(mean_f, 0.0)),
-        p_success=float(np.mean(p)),
+        fidelity=float(fid) if not lead else fid,
+        p_success=float(p_success) if not lead else p_success,
         basis_success=basis,
-        samples_used=mc_samples - skipped,
+        samples_used=int(kept.min()),
     )
-

@@ -542,3 +542,20 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["lambda_p"] == pytest.approx(7.702100748786742e-4, rel=1e-9)
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # Every CLI process pays for what importing the package loads; the
+    # adaptive integrator is imported only when that engine runs.
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import eitgate.cli, sys; print('scipy.integrate' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=Path(cli.__file__).resolve().parents[1],
+    )
+    assert proc.stdout.strip() == "False"

@@ -202,6 +202,14 @@ def test_check_truncation_threshold():
     ladder.check_truncation(rho, 2)
 
 
+def test_truncation_error_names_the_worst_state():
+    traj = np.zeros((5, 27, 27))
+    traj[1, 2, 2] = 2e-3
+    traj[3, 2, 2] = 4e-3
+    with pytest.raises(RuntimeError, match="truncation leakage 4.000e-03 at state 3 "):
+        ladder.check_truncation(traj, 2)
+
+
 def test_gate_without_couplings_or_decay_is_static():
     quiet = LadderParams(N_a=1, delta_p=2.0, delta_t=-1.0, gamma21=0.0, gamma32=0.0, n_max=1)
     times = np.linspace(0.0, 3.0, 4)

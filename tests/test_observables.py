@@ -32,9 +32,36 @@ def test_field_reduction_sums_matching_atomic_labels():
     assert np.trace(reduced) == pytest.approx(np.trace(rho))
 
 
+def _projector_sum(rho):
+    """Σ_l B_l ρ B_lᵀ with the 0/1 selectors B_l built from the basis table."""
+    B = np.zeros((len(basis.ATOM_LABELS), 6, 18))
+    for i, s in enumerate(basis.M_BASIS):
+        B[basis.ATOM_LABELS.index(s.atom), basis.field_index(s.n_p, s.n_t), i] = 1.0
+    return sum(B[l] @ rho @ B[l].T for l in range(B.shape[0]))
+
+
+@pytest.mark.parametrize("shape", [(18, 18), (5, 18, 18), (3, 4, 18, 18)])
+def test_field_reduction_matches_projector_sum(shape):
+    rng = np.random.default_rng(sum(shape))
+    rho = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    reduced = observables.reduce_to_fields(rho)
+    assert reduced.shape == shape[:-2] + (6, 6)
+    assert np.max(np.abs(reduced - _projector_sum(rho))) <= 1e-14
+
+
+def test_field_reduction_of_non_contiguous_slice():
+    rng = np.random.default_rng(4)
+    units = rng.standard_normal((7, 16, 18, 18)) + 1j * rng.standard_normal((7, 16, 18, 18))
+    sliced = units[:, 3]
+    assert not sliced.flags.c_contiguous
+    assert np.max(np.abs(observables.reduce_to_fields(sliced) - _projector_sum(sliced))) <= 1e-14
+
+
 def test_field_reduction_requires_full_space():
     with pytest.raises(ValueError):
         observables.reduce_to_fields(np.eye(6))
+    with pytest.raises(ValueError):
+        observables.reduce_to_fields(np.zeros((3, 18, 6)))
 
 
 def test_qubit_block_is_leading_four_by_four():
@@ -90,6 +117,20 @@ def test_phase_step_of_pi_is_rejected_as_ambiguous():
     assert np.allclose(phases[1], 3.0, atol=1e-12)
 
 
+def test_phase_step_error_names_the_time_sample():
+    angles = np.array([0.0, 0.5, 1.0, 1.5, 1.5 + np.pi, 2.0])
+    coh = 0.5 * np.exp(1j * np.repeat(angles[:, None], 3, axis=1))
+    with pytest.raises(ValueError, match="phase step of π or more between samples 3 and 4"):
+        observables.phases_from_coherences(coh)
+
+
+def test_undefined_phase_error_names_the_time_sample():
+    coh = np.full((5, 3), 0.5, dtype=complex)
+    coh[2, 1] = 1e-13
+    with pytest.raises(observables.UndefinedPhaseError, match="at time sample 2;"):
+        observables.phases_from_coherences(coh)
+
+
 def test_vanishing_coherence_raises_undefined_phase():
     coh = np.full((3, 3), 1e-13, dtype=complex)
     with pytest.raises(observables.UndefinedPhaseError):
@@ -116,6 +157,16 @@ def test_ideal_phase_unitary_layout():
     U = observables.ideal_phase_unitary([0.2, -0.4, 1.0])
     assert np.allclose(np.diag(U), np.exp(1j * np.array([0.0, 0.2, -0.4, 1.0])))
     assert np.allclose(U, np.diag(np.diag(U)))
+
+
+def test_ideal_phase_unitary_of_a_series():
+    phases = np.array([[0.2, -0.4, 1.0], [0.0, 0.0, 0.0], [3.0, 1.0, -2.0]])
+    series = observables.ideal_phase_unitary(phases)
+    assert series.shape == (3, 4, 4)
+    for m in range(3):
+        assert np.array_equal(series[m], observables.ideal_phase_unitary(phases[m]))
+    with pytest.raises(ValueError):
+        observables.ideal_phase_unitary([0.1, 0.2])
 
 
 def test_choi_matrix_of_identity_channel():
@@ -223,6 +274,110 @@ def test_conditional_fidelity_aborts_when_success_vanishes():
     tr = np.zeros(16, dtype=complex)
     with pytest.raises(RuntimeError, match="negligible success"):
         observables.conditional_fidelity_from_blocks(lam, tr, np.eye(4))
+
+
+def _random_unitary(rng):
+    Z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    Q, R = np.linalg.qr(Z)
+    return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+def _random_lossy_blocks(rng, times):
+    """Qubit blocks and full traces of random trace-decreasing maps.
+
+    Each time sample gets its own map into a 6-dimensional space, from
+    three Kraus operators scaled so that Σ K†K ≤ 0.9 I; the two extra
+    dimensions hold population that leaves the qubit block.
+    """
+    lam = np.empty((times, 16, 4, 4), dtype=complex)
+    traces = np.empty((times, 16), dtype=complex)
+    for m in range(times):
+        K = rng.standard_normal((3, 6, 4)) + 1j * rng.standard_normal((3, 6, 4))
+        K *= math.sqrt(0.9 / np.linalg.eigvalsh(np.einsum("kai,kaj->ij", K.conj(), K))[-1])
+        for i in range(4):
+            for j in range(4):
+                image = np.einsum("ka,kb->ab", K[:, :, i], K[:, :, j].conj())
+                lam[m, 4 * i + j] = image[:4, :4]
+                traces[m, 4 * i + j] = np.trace(image)
+    return lam, traces
+
+
+def _direct_conditional_fidelity(lam, traces, U, mc_samples, seed):
+    """The Monte Carlo estimate written out per draw, without the folded target."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((mc_samples, 4)) + 1j * rng.standard_normal((mc_samples, 4))
+    psi = X / np.linalg.norm(X, axis=1, keepdims=True)
+    W = psi[:, :, None] * psi.conj()[:, None, :]
+    p = np.einsum("sij,ij->s", W, traces.reshape(4, 4)).real
+    tgt = psi @ U.T
+    num = np.einsum("sa,sij,ijab,sb->s", tgt.conj(), W, lam.reshape(4, 4, 4, 4), tgt).real
+    return math.sqrt(np.mean(num / p)), np.mean(p)
+
+
+def _direct_average_fidelity(lam, U):
+    """Closed-form average fidelity, entry by entry."""
+    rotated = np.einsum("ai,kij,jb->kab", U.conj().T, lam, U)
+    F_e = np.mean([rotated[4 * i + j, i, j] for i in range(4) for j in range(4)]).real
+    identity_image = sum(lam[4 * i + i].trace().real for i in range(4))
+    return math.sqrt((16.0 * F_e + identity_image) / 20.0)
+
+
+def test_batched_fidelities_match_per_sample_calls(monkeypatch):
+    # Three time samples per product, so the series spans two full chunks and a partial one.
+    monkeypatch.setattr(observables, "_MC_CHUNK", 3)
+    rng = np.random.default_rng(21)
+    T = 7
+    lam, traces = _random_lossy_blocks(rng, T)
+    U = np.stack([_random_unitary(rng) for _ in range(T)])
+    assert np.all(np.abs(U[:, 0, 1]) > 1e-3)  # non-diagonal targets
+    F = observables.average_fidelity_from_blocks(lam, U)
+    r = observables.conditional_fidelity_from_blocks(lam, traces, U, mc_samples=500, seed=3)
+    assert F.shape == r.fidelity.shape == r.p_success.shape == (T,)
+    assert r.basis_success.shape == (T, 4)
+    used = []
+    for m in range(T):
+        one = observables.conditional_fidelity_from_blocks(
+            lam[m], traces[m], U[m], mc_samples=500, seed=3
+        )
+        one_F = observables.average_fidelity_from_blocks(lam[m], U[m])
+        assert F[m] == pytest.approx(one_F, rel=1e-12)
+        assert one_F == pytest.approx(_direct_average_fidelity(lam[m], U[m]), rel=1e-12)
+        assert r.fidelity[m] == pytest.approx(one.fidelity, rel=1e-12)
+        assert r.p_success[m] == pytest.approx(one.p_success, rel=1e-12)
+        assert np.array_equal(r.basis_success[m], one.basis_success)
+        direct_f, direct_p = _direct_conditional_fidelity(lam[m], traces[m], U[m], 500, 3)
+        assert one.fidelity == pytest.approx(direct_f, rel=1e-12)
+        assert one.p_success == pytest.approx(direct_p, rel=1e-12)
+        used.append(one.samples_used)
+    assert r.samples_used == min(used)
+    # Any leading shape: the first six samples as a 3 x 2 grid.
+    grid = observables.conditional_fidelity_from_blocks(
+        lam[:6].reshape(3, 2, 16, 4, 4), traces[:6].reshape(3, 2, 16), U[:6].reshape(3, 2, 4, 4),
+        mc_samples=500, seed=3,
+    )
+    assert np.allclose(grid.fidelity.reshape(6), r.fidelity[:6], rtol=1e-12, atol=0.0)
+
+
+def test_single_sample_fidelities_return_scalars():
+    rng = np.random.default_rng(22)
+    lam, traces = _random_lossy_blocks(rng, 1)
+    U = _random_unitary(rng)
+    F = observables.average_fidelity_from_blocks(lam[0], U)
+    r = observables.conditional_fidelity_from_blocks(lam[0], traces[0], U, mc_samples=300)
+    assert type(F) is float
+    assert type(r.fidelity) is float
+    assert type(r.p_success) is float
+    assert type(r.samples_used) is int
+    assert r.basis_success.shape == (4,)
+
+
+def test_negligible_success_error_names_the_time_sample():
+    rng = np.random.default_rng(23)
+    lam, traces = _random_lossy_blocks(rng, 6)
+    lam[4] = 0.0
+    traces[4] = 0.0
+    with pytest.raises(RuntimeError, match="negligible success probability at time sample 4"):
+        observables.conditional_fidelity_from_blocks(lam, traces, np.eye(4), mc_samples=200)
 
 
 def test_conditional_fidelity_bounds_unconditional_on_real_evolution():
