@@ -155,25 +155,6 @@ def conditional_generator(
     return build_liouvillian(K, kept)
 
 
-def no_jump_generator(params: MSchemeParams, dephasing_mode: str = "lindblad") -> Superoperator:
-    """Conditional generator of the collective model."""
-    return conditional_generator(
-        build_hamiltonian(params), build_jump_channels(params), dephasing_mode
-    )
-
-
-def evolve_conditional(
-    params: MSchemeParams,
-    rho0: np.ndarray,
-    times: np.ndarray,
-    *,
-    dephasing_mode: str = "lindblad",
-    **kw,
-) -> np.ndarray:
-    """Null-measurement evolution; Tr ρ(t) is the no-jump probability."""
-    return evolve_superoperator(no_jump_generator(params, dephasing_mode), rho0, times, **kw)
-
-
 def matrix_units(positions, dim: int) -> np.ndarray:
     """The 16 matrix units |q_i><q_j| of the qubit states at the four
     given positions of a dim-dimensional space, ordered with the row
@@ -217,18 +198,26 @@ class GateTrajectories:
     """
 
     times: np.ndarray
-    unit_inputs: np.ndarray  # (T, 16, 18, 18)
+    unit_inputs: np.ndarray  # (T, 16, n, n)
     amplitudes: np.ndarray  # (4,) normalized
 
     @property
     def superposition(self) -> np.ndarray:
-        """Trajectory (T,18,18) of the pure superposition input."""
+        """Trajectory (T,n,n) of the pure superposition input."""
         w = np.outer(self.amplitudes, self.amplitudes.conj()).reshape(16)
         return np.einsum("k,tkab->tab", w, self.unit_inputs)
 
-    def unit(self, i: int, j: int) -> np.ndarray:
-        """Trajectory of the (i,j) matrix unit, qubit indices 0..3."""
-        return self.unit_inputs[:, 4 * i + j]
+
+def evolve_qubit_units(
+    L: Superoperator, positions, times: np.ndarray, amplitudes=None, **kw
+) -> GateTrajectories:
+    """Propagate the sixteen matrix units of the qubit states at the four
+    given positions under the generator L, in one batch."""
+    c = normalized_amplitudes(amplitudes)
+    traj = evolve_superoperator(L, matrix_units(positions, math.isqrt(L.shape[0])), times, **kw)
+    return GateTrajectories(
+        times=np.asarray(times, dtype=float), unit_inputs=traj, amplitudes=c
+    )
 
 
 def evolve_gate_inputs(
@@ -240,16 +229,14 @@ def evolve_gate_inputs(
     dephasing_mode: str = "lindblad",
     **kw,
 ) -> GateTrajectories:
-    """Propagate all sixteen matrix-unit inputs in one batch."""
-    c = normalized_amplitudes(amplitudes)
+    """Propagate the qubit matrix units of the collective model."""
     if conditional:
-        L = no_jump_generator(params, dephasing_mode)
+        L = conditional_generator(
+            build_hamiltonian(params), build_jump_channels(params), dephasing_mode
+        )
     else:
         L = build_liouvillian_for(params)
-    traj = evolve_superoperator(L, choi_inputs(), times, **kw)
-    return GateTrajectories(
-        times=np.asarray(times, dtype=float), unit_inputs=traj, amplitudes=c
-    )
+    return evolve_qubit_units(L, QUBIT_M_INDICES, times, amplitudes, **kw)
 
 
 def steady_state(

@@ -137,6 +137,8 @@ def group_velocity_steady(
     The frequency derivative of Re χ is taken by central differences
     over the probe offset, fd_step in γ units.
     """
+    if fd_step <= 0:
+        raise ValueError("fd_step must be positive")
     chis = [
         steady_susceptibility(
             params, offset + d, probe_rabi_classical=probe_rabi_classical,
@@ -169,6 +171,8 @@ def group_velocity_transient(
         raise ValueError("avg_grid must be at least 2")
     if t_int <= 0:
         raise ValueError("t_int must be positive")
+    if fd_step <= 0:
+        raise ValueError("fd_step must be positive")
     times = np.linspace(0.0, t_int, avg_grid)
     rho0 = np.zeros((_N_LEVELS, _N_LEVELS), dtype=complex)
     rho0[_GROUND, _GROUND] = 1.0

@@ -1,9 +1,9 @@
 """Readout of gate quantities from propagated states.
 
 Covers the partial trace onto the two field modes, the phases picked up
-by the photonic basis states, the gate Choi matrix with its average
-fidelity against the ideal phase unitary, and the Monte Carlo estimate
-of the conditional (no-decay) fidelity.
+by the photonic basis states, the average gate fidelity against the
+ideal phase unitary from the images of the qubit matrix units, and the
+Monte Carlo estimate of the conditional (no-decay) fidelity.
 """
 
 from __future__ import annotations
@@ -151,18 +151,6 @@ def ideal_phase_unitary(phases) -> np.ndarray:
     return U
 
 
-def choi_matrix(unit_states: np.ndarray) -> np.ndarray:
-    """16x16 process matrix from the images of the matrix units.
-
-    unit_states[4*i+j] is the full-space image of |q_i><q_j|; block
-    (i,j) of the result is its reduced qubit-block matrix.
-    """
-    lam = qubit_block(reduce_to_fields(np.asarray(unit_states)))
-    if lam.shape != (16, 4, 4):
-        raise ValueError("expected the images of the 16 matrix units")
-    return lam.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16)
-
-
 def _check_blocks(lam: np.ndarray) -> tuple[int, ...]:
     """Leading (time) shape of (...,16,4,4) qubit-block images."""
     if lam.shape[-3:] != (16, 4, 4):
@@ -211,12 +199,6 @@ def average_fidelity_from_blocks(
     return float(fid) if not lead else fid
 
 
-def average_fidelity(unit_states: np.ndarray, target_unitary: np.ndarray) -> float:
-    """Haar-average fidelity of the collective-model gate map."""
-    lam = qubit_block(reduce_to_fields(np.asarray(unit_states)))
-    return average_fidelity_from_blocks(lam, target_unitary)
-
-
 @dataclass(frozen=True)
 class ConditionalFidelityResult:
     """Monte Carlo conditional fidelity and success probabilities.
@@ -259,6 +241,9 @@ def conditional_fidelity_from_blocks(
     time. Samples with trace below 1e-12 are skipped; more than 1% of
     them at any time sample aborts the estimate.
     """
+    for key, value, low in (("mc_samples", mc_samples, 1), ("seed", seed, 0)):
+        if value < low:
+            raise ValueError(f"{key} must be at least {low}, got {value}")
     lam = np.asarray(lam)
     lead = _check_blocks(lam)
     T = math.prod(lead)

@@ -6,11 +6,25 @@ space and the isometry onto the symmetric zero/one-excitation
 collective states. It shares no code with the package builders, so
 projected agreement is an independent check of every matrix element.
 """
+import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
+import eitgate
 from eitgate import basis, mscheme
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def child_env() -> dict:
+    """Environment for a child Python process that imports the same copy
+    of the package as this one: its directory leads PYTHONPATH."""
+    path = [str(Path(eitgate.__file__).resolve().parents[1])]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
 
 LEVELS = ("G", "E1", "E2", "E4", "E5")
 

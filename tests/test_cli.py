@@ -504,6 +504,26 @@ def test_ladder_cli_outputs(tmp_path):
     assert len(rows) == 4
 
 
+@pytest.mark.parametrize("overrides, flags, key", [
+    ({"mc_samples": 0}, [], "mc_samples"),
+    ({"mc_samples": -1}, [], "mc_samples"),
+    ({"seed": -1}, [], "seed"),
+    ({}, ["--seed", "-1"], "seed"),
+])
+def test_simulate_rejects_bad_monte_carlo_settings(tmp_path, capsys, overrides, flags, key):
+    cfg_path = write_cfg(tmp_path, **{**SMALL_GATE, **overrides})
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", cfg_path, "--out", str(out), *flags]) == 1
+    assert key in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+def test_groupvel_rejects_zero_fd_step(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, n_atoms=1e6, g_p=0.0022, g_t=0.0022, fd_step=0.0)
+    assert cli.main(["groupvel", "--config", cfg_path]) == 1
+    assert "fd_step" in capsys.readouterr().err
+
+
 def test_error_exit_and_usage(tmp_path, capsys):
     bad_cfg = tmp_path / "bad.json"
     bad_cfg.write_text(json.dumps({"nope": 1}), encoding="utf-8")

@@ -145,10 +145,16 @@ def test_mismatched_superoperator_dimension_rejected():
         dynamics.evolve_superoperator(np.eye(16), np.eye(18) / 18.0, np.array([0.0, 0.1]))
 
 
+def _conditional(p, mode="lindblad"):
+    return dynamics.conditional_generator(
+        mscheme.build_hamiltonian(p), mscheme.build_jump_channels(p), mode
+    )
+
+
 def test_conditional_trace_is_nonincreasing_and_bounded():
     rho0 = dynamics.superposition_input([0.5, 0.5, 0.5, 0.5])
     times = np.linspace(0.0, 2.0, 41)
-    traj = dynamics.evolve_conditional(RICH_PARAMS, rho0, times)
+    traj = dynamics.evolve_superoperator(_conditional(RICH_PARAMS), rho0, times)
     traces = np.einsum("taa->t", traj).real
     assert traces[0] == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.diff(traces) <= 1e-12)
@@ -158,7 +164,7 @@ def test_conditional_trace_is_nonincreasing_and_bounded():
 def test_conditional_without_any_channels_is_unitary():
     rho0 = dynamics.superposition_input([1.0, 1.0, 0.0, 1.0])
     times = np.linspace(0.0, 1.0, 21)
-    traj = dynamics.evolve_conditional(CLOSED_PARAMS, rho0, times)
+    traj = dynamics.evolve_superoperator(_conditional(CLOSED_PARAMS), rho0, times)
     traces = np.einsum("taa->t", traj).real
     assert np.allclose(traces, 1.0, atol=1e-10)
 
@@ -170,12 +176,12 @@ def test_dephasing_mode_switch_changes_conditional_trace():
     rho0 = np.zeros((18, 18), dtype=complex)
     rho0[2, 2] = 1.0
     times = np.linspace(0.0, 2.0, 21)
-    kept = dynamics.evolve_conditional(p, rho0, times, dephasing_mode="lindblad")
-    moved = dynamics.evolve_conditional(p, rho0, times, dephasing_mode="excluded")
+    kept = dynamics.evolve_superoperator(_conditional(p, "lindblad"), rho0, times)
+    moved = dynamics.evolve_superoperator(_conditional(p, "excluded"), rho0, times)
     assert np.allclose(np.einsum("taa->t", kept).real, 1.0, atol=1e-10)
     assert np.allclose(np.einsum("taa->t", moved).real, np.exp(-0.5 * times), atol=1e-9)
     with pytest.raises(ValueError):
-        dynamics.no_jump_generator(p, dephasing_mode="drop")
+        _conditional(p, "drop")
 
 
 def test_choi_inputs_are_qubit_matrix_units():
@@ -203,7 +209,6 @@ def test_gate_trajectories_reconstruct_superposition_by_linearity():
     gt = dynamics.evolve_gate_inputs(RICH_PARAMS, times, amps)
     direct = dynamics.evolve(RICH_PARAMS, dynamics.superposition_input(amps), times)
     assert np.max(np.abs(gt.superposition - direct)) < 1e-10
-    assert np.array_equal(gt.unit(2, 1), gt.unit_inputs[:, 9])
 
 
 def test_steady_state_of_cascading_model_is_photon_vacuum():

@@ -138,6 +138,19 @@ def test_transient_validation():
         groupvel.group_velocity_transient(EIT_SET, -1.0)
 
 
+def test_zero_fd_step_rejected_before_any_propagation(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("propagated before validating fd_step")
+
+    monkeypatch.setattr(groupvel, "steady_state", never)
+    monkeypatch.setattr(groupvel, "evolve_superoperator", never)
+    for fd_step in (0.0, -1e-3):
+        with pytest.raises(ValueError, match="fd_step"):
+            groupvel.group_velocity_steady(EIT_SET, fd_step=fd_step)
+        with pytest.raises(ValueError, match="fd_step"):
+            groupvel.group_velocity_transient(EIT_SET, 1.0, fd_step=fd_step)
+
+
 def test_cell_geometry_round_trips():
     consts = OpticalConstants()
     geo = groupvel.cell_geometry(EIT_SET, 1.5e6, 0.4)

@@ -170,18 +170,15 @@ def test_ideal_phase_unitary_of_a_series():
 
 
 def test_choi_matrix_of_identity_channel():
-    states = dynamics.choi_inputs()
-    choi = observables.choi_matrix(states)
-    phi = np.zeros(16)
-    for i in range(4):
-        phi[4 * i + i] = 1.0
-    assert np.allclose(choi, np.outer(phi, phi), atol=1e-14)
-    assert np.trace(choi) == pytest.approx(4.0)
+    # The Choi matrix in block form: the qubit-block images of the units.
+    blocks = observables.qubit_block(observables.reduce_to_fields(dynamics.choi_inputs()))
+    assert np.array_equal(blocks, _units())
 
 
 def test_average_fidelity_of_identity_is_one():
     assert observables.average_fidelity_from_blocks(_units(), np.eye(4)) == pytest.approx(1.0)
-    assert observables.average_fidelity(dynamics.choi_inputs(), np.eye(4)) == pytest.approx(1.0)
+    blocks = observables.qubit_block(observables.reduce_to_fields(dynamics.choi_inputs()))
+    assert observables.average_fidelity_from_blocks(blocks, np.eye(4)) == pytest.approx(1.0)
 
 
 def test_average_fidelity_of_depolarizing_channel():
@@ -267,6 +264,23 @@ def test_conditional_fidelity_is_seed_deterministic():
     assert a.samples_used == b.samples_used
     assert a.fidelity != c.fidelity
     assert abs(a.fidelity - c.fidelity) < 5e-3
+
+
+@pytest.mark.parametrize("kwargs, key", [
+    ({"mc_samples": 0}, "mc_samples"),
+    ({"mc_samples": -1}, "mc_samples"),
+    ({"seed": -1}, "seed"),
+])
+def test_conditional_fidelity_rejects_bad_sampling_settings(monkeypatch, kwargs, key):
+    def never(*args, **kw):
+        raise AssertionError("drew samples before validating")
+
+    monkeypatch.setattr(observables.np.random, "default_rng", never)
+    lam = _units()
+    with pytest.raises(ValueError, match=key):
+        observables.conditional_fidelity_from_blocks(
+            lam, np.einsum("kaa->k", lam), np.eye(4), **kwargs
+        )
 
 
 def test_conditional_fidelity_aborts_when_success_vanishes():
