@@ -65,8 +65,8 @@ def ladder_metrics():
 
     coarse = np.linspace(0.0, 0.24, 61)
     kc = int(np.argmin(np.abs(coarse - T_EVAL)))
-    units = ladder.ladder_choi_inputs(LADDER.n_max)
-    unc = dynamics.evolve_superoperator(Ls, units, coarse, method="adaptive-rk")
+    positions = ladder.qubit_positions(LADDER.n_max)
+    unc = dynamics.evolve_qubit_units(Ls, positions, coarse, method="adaptive-rk").unit_inputs
     lam = ladder.photon_qubit_block(
         ladder.reduce_to_photons(unc[kc], LADDER.n_max), LADDER.n_max
     )
@@ -75,7 +75,7 @@ def ladder_metrics():
     Lc = sp.csr_matrix(dynamics.conditional_generator(
         ladder.build_ladder_hamiltonian(LADDER), ladder.build_ladder_channels(LADDER)
     ))
-    con = dynamics.evolve_superoperator(Lc, units, coarse, method="adaptive-rk")
+    con = dynamics.evolve_qubit_units(Lc, positions, coarse, method="adaptive-rk").unit_inputs
     clam = ladder.photon_qubit_block(
         ladder.reduce_to_photons(con[kc], LADDER.n_max), LADDER.n_max
     )

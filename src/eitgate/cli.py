@@ -371,6 +371,7 @@ def _config_with_overrides(args) -> dict:
     seed = getattr(args, "seed", None)
     if seed is not None:
         cfg["seed"] = seed
+    observables.check_sampling(cfg["mc_samples"], cfg["seed"])
     return cfg
 
 

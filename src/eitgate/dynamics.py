@@ -166,11 +166,6 @@ def matrix_units(positions, dim: int) -> np.ndarray:
     return E
 
 
-def choi_inputs() -> np.ndarray:
-    """The qubit-block matrix units embedded in the 18-state space."""
-    return matrix_units(QUBIT_M_INDICES, M_DIM)
-
-
 def normalized_amplitudes(amplitudes) -> np.ndarray:
     """The four qubit amplitudes scaled to unit norm; None means equal."""
     c = np.full(4, 0.5, dtype=complex) if amplitudes is None else np.asarray(

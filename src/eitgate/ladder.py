@@ -131,7 +131,7 @@ def build_ladder_liouvillian(params: LadderParams) -> np.ndarray:
     return build_liouvillian(build_ladder_hamiltonian(params), build_ladder_channels(params))
 
 
-def _qubit_positions(n_max: int) -> list[int]:
+def qubit_positions(n_max: int) -> list[int]:
     """Ladder indices of the four photonic qubit states on G2."""
     return [
         ladder_index("G2", n_p, n_t, n_max) for n_p, n_t in ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -140,7 +140,7 @@ def _qubit_positions(n_max: int) -> list[int]:
 
 def ladder_choi_inputs(n_max: int) -> np.ndarray:
     """Matrix units of the photonic qubit block, atoms unexcited."""
-    return matrix_units(_qubit_positions(n_max), ladder_dim(n_max))
+    return matrix_units(qubit_positions(n_max), ladder_dim(n_max))
 
 
 def evolve_ladder_gate(
@@ -153,10 +153,9 @@ def evolve_ladder_gate(
 ) -> GateTrajectories:
     """Propagate the sixteen qubit matrix units of the ladder gate.
 
-    The generators are built here, through this module's names
-    build_ladder_liouvillian and conditional_generator, because
-    perfbench/tracer.py measures the memory of the ladder build at
-    exactly those bindings (its RSS_BINDINGS).
+    perfbench/tracer.py measures the ladder build's memory at this
+    module's bindings build_ladder_liouvillian and conditional_generator
+    (its RSS_BINDINGS), so the generators are built here under them.
     """
     if conditional:
         L = conditional_generator(
@@ -164,7 +163,7 @@ def evolve_ladder_gate(
         )
     else:
         L = build_ladder_liouvillian(params)
-    return evolve_qubit_units(L, _qubit_positions(params.n_max), times, amplitudes, **kw)
+    return evolve_qubit_units(L, qubit_positions(params.n_max), times, amplitudes, **kw)
 
 
 def reduce_to_photons(rho: np.ndarray, n_max: int) -> np.ndarray:

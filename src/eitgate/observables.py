@@ -212,6 +212,13 @@ class ConditionalFidelityResult:
     samples_used: int  # fewest samples kept at any time sample
 
 
+def check_sampling(mc_samples: int, seed: int) -> None:
+    """Reject fewer than one Monte Carlo sample or a negative seed."""
+    for key, value, low in (("mc_samples", mc_samples, 1), ("seed", seed, 0)):
+        if value < low:
+            raise ValueError(f"{key} must be at least {low}, got {value}")
+
+
 # Time samples per Monte Carlo product; bounds the (chunk, mc_samples) temporaries.
 _MC_CHUNK = 32
 
@@ -241,9 +248,7 @@ def conditional_fidelity_from_blocks(
     time. Samples with trace below 1e-12 are skipped; more than 1% of
     them at any time sample aborts the estimate.
     """
-    for key, value, low in (("mc_samples", mc_samples, 1), ("seed", seed, 0)):
-        if value < low:
-            raise ValueError(f"{key} must be at least {low}, got {value}")
+    check_sampling(mc_samples, seed)
     lam = np.asarray(lam)
     lead = _check_blocks(lam)
     T = math.prod(lead)

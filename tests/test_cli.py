@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eitgate import cli, groupvel, interferometer, observables
+from eitgate import cli, dynamics, groupvel, interferometer, observables
 from eitgate.mscheme import GAMMA_SI_DEFAULT
 
 
@@ -504,18 +504,29 @@ def test_ladder_cli_outputs(tmp_path):
     assert len(rows) == 4
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate"],
+    ["ladder"],
+    ["scan", "--param", "g_p", "--from", "0.4", "--to", "0.5", "--steps", "2"],
+])
 @pytest.mark.parametrize("overrides, flags, key", [
     ({"mc_samples": 0}, [], "mc_samples"),
     ({"mc_samples": -1}, [], "mc_samples"),
     ({"seed": -1}, [], "seed"),
     ({}, ["--seed", "-1"], "seed"),
 ])
-def test_simulate_rejects_bad_monte_carlo_settings(tmp_path, capsys, overrides, flags, key):
+def test_gate_commands_reject_bad_monte_carlo_settings_before_propagating(
+    tmp_path, capsys, monkeypatch, command, overrides, flags, key
+):
+    def never(*args, **kwargs):
+        raise AssertionError("propagated before validating the Monte Carlo settings")
+
+    monkeypatch.setattr(dynamics, "evolve_superoperator", never)
     cfg_path = write_cfg(tmp_path, **{**SMALL_GATE, **overrides})
     out = tmp_path / "out"
-    assert cli.main(["simulate", "--config", cfg_path, "--out", str(out), *flags]) == 1
+    assert cli.main([*command, "--config", cfg_path, "--out", str(out), *flags]) == 1
     assert key in capsys.readouterr().err
-    assert not (out / "summary.json").exists()
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_groupvel_rejects_zero_fd_step(tmp_path, capsys):

@@ -185,7 +185,7 @@ def test_dephasing_mode_switch_changes_conditional_trace():
 
 
 def test_choi_inputs_are_qubit_matrix_units():
-    E = dynamics.choi_inputs()
+    E = dynamics.matrix_units(basis.QUBIT_M_INDICES, basis.M_DIM)
     assert E.shape == (16, 18, 18)
     for i, a in enumerate(basis.QUBIT_M_INDICES):
         for j, b in enumerate(basis.QUBIT_M_INDICES):

@@ -17,6 +17,11 @@ def _units():
     return E
 
 
+def _embedded_units():
+    """The same units at the qubit states of the 18-state space."""
+    return dynamics.matrix_units(basis.QUBIT_M_INDICES, basis.M_DIM)
+
+
 def test_field_reduction_sums_matching_atomic_labels():
     rng = np.random.default_rng(1)
     rho = random_density(18, rng)
@@ -171,13 +176,13 @@ def test_ideal_phase_unitary_of_a_series():
 
 def test_choi_matrix_of_identity_channel():
     # The Choi matrix in block form: the qubit-block images of the units.
-    blocks = observables.qubit_block(observables.reduce_to_fields(dynamics.choi_inputs()))
+    blocks = observables.qubit_block(observables.reduce_to_fields(_embedded_units()))
     assert np.array_equal(blocks, _units())
 
 
 def test_average_fidelity_of_identity_is_one():
     assert observables.average_fidelity_from_blocks(_units(), np.eye(4)) == pytest.approx(1.0)
-    blocks = observables.qubit_block(observables.reduce_to_fields(dynamics.choi_inputs()))
+    blocks = observables.qubit_block(observables.reduce_to_fields(_embedded_units()))
     assert observables.average_fidelity_from_blocks(blocks, np.eye(4)) == pytest.approx(1.0)
 
 
