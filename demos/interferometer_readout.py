@@ -11,26 +11,21 @@ import math
 
 import numpy as np
 
-from eitgate import dynamics, interferometer, observables
-from eitgate.mscheme import MSchemeParams
+from eitgate import cli, interferometer
 
-PARAMS = MSchemeParams(
-    N_a=1e8, g_p=0.0022, g_t=0.0022, Omega1=4.0, Omega4=4.0,
-    delta2=15.0, delta3=15.0, eps12=0.01, eps34=0.01,
-    gamma21=1 / 3, gamma23=1 / 3, gamma25=1 / 3,
-    gamma41=1 / 3, gamma43=1 / 3, gamma45=1 / 3,
-    gamma_deph_1=1e-3, gamma_deph_2=1e-3, gamma_deph_4=1e-3, gamma_deph_5=1e-3,
-)
+CONFIG = {
+    **cli.DEFAULTS,
+    "n_atoms": 1e8, "g_p": 0.0022, "g_t": 0.0022, "omega1": 4.0, "omega4": 4.0,
+    "delta2": 15.0, "delta3": 15.0, "eps12": 0.01, "eps34": 0.01,
+    "t_max": 0.4, "n_samples": 161,
+}
 
 
 def main():
-    times = np.linspace(0.0, 0.4, 161)
-    traj = dynamics.evolve_gate_inputs(PARAMS, times)
-    phases = observables.extract_phases(
-        observables.reduce_to_fields(traj.superposition), traj.amplitudes
-    )
-    p01, p10, p11 = phases[-1]
-    cps = p11 - p10 - p01
+    res = cli.run_gate_analysis(CONFIG)
+    times = res["times"]
+    p01, p10, p11 = res["phases"][-1]
+    cps = res["cps"][-1]
     print(f"gate output at t = {times[-1]:g}: phi01 = {p01:+.4f}, "
           f"phi10 = {p10:+.4f}, phi11 = {p11:+.4f}")
     print(f"conditional phase = {cps:+.4f} rad")
@@ -54,8 +49,7 @@ def main():
     alt = diag["pp"] - diag["pm"] - diag["mp"] + diag["mm"]
     print(f"  alternating sum = {alt:+.4f} rad (single-photon phases drop out)")
 
-    S = np.array([interferometer.chsh_parameter(c)
-                  for c in observables.conditional_phase_shift(phases)])
+    S = np.array([interferometer.chsh_parameter(c) for c in res["cps"]])
     k = int(np.argmax(S))
     print(f"CHSH parameter at the gate time: {interferometer.chsh_parameter(cps):.4f}")
     print(f"  best along the trajectory: {S[k]:.4f} at t = {times[k]:.4f} "

@@ -4,7 +4,8 @@ A cascade EIT medium also produces a cross-Kerr phase, but its upper
 level decays straight back into the probe transition, so the phase
 comes at a much higher decoherence price.  The run propagates the
 ladder model with the same collective coupling as the strong transient
-set and compares the conditional fidelities side by side.
+set and compares the conditional fidelities side by side.  The
+five-level figures come from the pipeline behind `eitgate simulate`.
 
 The photon cutoff matters here: one decay path re-emits trigger
 photons, so the truncation guard is checked before any numbers are
@@ -18,20 +19,18 @@ import numpy as np
 import scipy.sparse as sp
 
 from eitgate import cli, dynamics, ladder, observables
-from eitgate.mscheme import MSchemeParams
 
 LADDER = ladder.LadderParams(
     N_a=1e8, g_p=0.0022, g_t=0.0022, delta_p=10.0, delta_t=0.0,
     gamma21=1.0, gamma32=1.0, n_max=4,
 )
 
-FIVE_LEVEL = MSchemeParams(
-    N_a=1e8, g_p=0.0022, g_t=0.0022, Omega1=4.0, Omega4=4.0,
-    delta2=15.0, delta3=15.0, eps12=0.01, eps34=0.01,
-    gamma21=1 / 3, gamma23=1 / 3, gamma25=1 / 3,
-    gamma41=1 / 3, gamma43=1 / 3, gamma45=1 / 3,
-    gamma_deph_1=1e-3, gamma_deph_2=1e-3, gamma_deph_4=1e-3, gamma_deph_5=1e-3,
-)
+FIVE_LEVEL = {
+    **cli.DEFAULTS,
+    "n_atoms": 1e8, "g_p": 0.0022, "g_t": 0.0022, "omega1": 4.0, "omega4": 4.0,
+    "delta2": 15.0, "delta3": 15.0, "eps12": 0.01, "eps34": 0.01,
+    "t_max": 0.4, "n_samples": 101,
+}
 
 T_EVAL = 0.12
 AMPS = np.full(4, 0.5)
@@ -89,21 +88,8 @@ def ladder_metrics():
 
 
 def five_level_metrics():
-    times = np.linspace(0.0, 0.4, 101)
-    un = dynamics.evolve_gate_inputs(FIVE_LEVEL, times)
-    phases = observables.extract_phases(
-        observables.reduce_to_fields(un.superposition), un.amplitudes
-    )
-    U = observables.ideal_phase_unitary(phases[-1])
-    lam = observables.qubit_block(observables.reduce_to_fields(un.unit_inputs[-1]))
-    del un
-    co = dynamics.evolve_gate_inputs(FIVE_LEVEL, times, conditional=True)
-    clam = observables.qubit_block(observables.reduce_to_fields(co.unit_inputs[-1]))
-    ctr = np.einsum("kaa->k", co.unit_inputs[-1])
-    cps = phases[-1, 2] - phases[-1, 1] - phases[-1, 0]
-    F = observables.average_fidelity_from_blocks(lam, U)
-    cond = observables.conditional_fidelity_from_blocks(clam, ctr, U)
-    return float(cps), F, cond.fidelity
+    res = cli.run_gate_analysis(FIVE_LEVEL)
+    return float(res["cps"][-1]), res["fidelity"][-1], res["cond_fidelity"][-1]
 
 
 def main():

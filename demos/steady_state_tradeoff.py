@@ -6,66 +6,41 @@ visibly on the way.  The run prints the trade-off at a few waypoints
 and compares dephasing switched on and off at the crossing.
 """
 
-from dataclasses import replace
-
 import numpy as np
 
-from eitgate import cli, dynamics, observables
-from eitgate.mscheme import MSchemeParams
+from eitgate import cli
 
-PARAMS = MSchemeParams(
-    N_a=1e6, g_p=0.0011, g_t=0.0011, Omega1=1.875, Omega4=1.875,
-    delta2=7.5, delta3=7.5, eps12=0.05, eps34=0.05,
-    gamma21=1 / 3, gamma23=1 / 3, gamma25=1 / 3,
-    gamma41=1 / 3, gamma43=1 / 3, gamma45=1 / 3,
-    gamma_deph_1=1e-3, gamma_deph_2=1e-3, gamma_deph_4=1e-3, gamma_deph_5=1e-3,
-)
-
-
-def run(params, times):
-    un = dynamics.evolve_gate_inputs(params, times)
-    phases = observables.extract_phases(
-        observables.reduce_to_fields(un.superposition), un.amplitudes
-    )
-    lam = observables.qubit_block(observables.reduce_to_fields(un.unit_inputs))
-    del un
-    co = dynamics.evolve_gate_inputs(params, times, conditional=True)
-    clam = observables.qubit_block(observables.reduce_to_fields(co.unit_inputs))
-    ctr = np.einsum("tkaa->tk", co.unit_inputs)
-    del co
-    return phases, lam, clam, ctr
+CONFIG = {
+    **cli.DEFAULTS,
+    "n_atoms": 1e6, "g_p": 0.0011, "g_t": 0.0011, "omega1": 1.875, "omega4": 1.875,
+    "delta2": 7.5, "delta3": 7.5, "eps12": 0.05, "eps34": 0.05,
+    "t_max": 700.0, "n_samples": 1401,
+}
+NO_DEPHASING = {"deph_1": 0.0, "deph_2": 0.0, "deph_4": 0.0, "deph_5": 0.0}
 
 
-def metrics(phases, lam, clam, ctr, k):
-    U = observables.ideal_phase_unitary(phases[k])
-    F = observables.average_fidelity_from_blocks(lam[k], U)
-    cond = observables.conditional_fidelity_from_blocks(clam[k], ctr[k], U)
-    return F, cond.fidelity
+def at_crossing(res):
+    """Crossing time and the (F, F_c) sample nearest to it."""
+    times = res["times"]
+    t_pi = cli.pi_crossing_time(times, res["cps"])
+    k = int(np.argmin(np.abs(times - t_pi)))
+    return t_pi, res["fidelity"][k], res["cond_fidelity"][k]
 
 
 def main():
-    times = np.linspace(0.0, 700.0, 1401)
     print("with dephasing (takes a moment)...")
-    phases, lam, clam, ctr = run(PARAMS, times)
-    cps = observables.conditional_phase_shift(phases)
+    res = cli.run_gate_analysis(CONFIG)
+    times = res["times"]
     print(f"{'t':>7} {'CPS':>9} {'F':>7} {'F_c':>7}")
     for t in (100.0, 300.0, 500.0, 700.0):
         k = int(np.argmin(np.abs(times - t)))
-        F, Fc = metrics(phases, lam, clam, ctr, k)
-        print(f"{times[k]:7.1f} {cps[k]:+9.4f} {F:7.4f} {Fc:7.4f}")
-    t_pi = cli.pi_crossing_time(times, cps)
-    k = int(np.argmin(np.abs(times - t_pi)))
-    F_on, Fc_on = metrics(phases, lam, clam, ctr, k)
+        print(f"{times[k]:7.1f} {res['cps'][k]:+9.4f} "
+              f"{res['fidelity'][k]:7.4f} {res['cond_fidelity'][k]:7.4f}")
+    t_pi, F_on, Fc_on = at_crossing(res)
     print(f"|CPS| reaches pi at t = {t_pi:.1f}: F = {F_on:.4f}, F_c = {Fc_on:.4f}")
 
     print("same run without dephasing...")
-    phases, lam, clam, ctr = run(replace(
-        PARAMS, gamma_deph_1=0.0, gamma_deph_2=0.0, gamma_deph_4=0.0, gamma_deph_5=0.0
-    ), times)
-    cps = observables.conditional_phase_shift(phases)
-    t_pi = cli.pi_crossing_time(times, cps)
-    k = int(np.argmin(np.abs(times - t_pi)))
-    F_off, Fc_off = metrics(phases, lam, clam, ctr, k)
+    t_pi, F_off, Fc_off = at_crossing(cli.run_gate_analysis({**CONFIG, **NO_DEPHASING}))
     print(f"|CPS| reaches pi at t = {t_pi:.1f}: F = {F_off:.4f}, F_c = {Fc_off:.4f}")
     print(f"dephasing costs {F_off - F_on:.4f} in F at the crossing")
 

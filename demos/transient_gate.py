@@ -6,46 +6,33 @@ conditional phase reaches pi, and reports the gate metrics there.
 
 import numpy as np
 
-from eitgate import cli, dynamics, observables
-from eitgate.mscheme import MSchemeParams
+from eitgate import cli
 
-PARAMS = MSchemeParams(
-    N_a=1e8, g_p=0.0022, g_t=0.0022, Omega1=4.0, Omega4=4.0,
-    delta2=15.0, delta3=15.0, eps12=0.01, eps34=0.01,
-    gamma21=1 / 3, gamma23=1 / 3, gamma25=1 / 3,
-    gamma41=1 / 3, gamma43=1 / 3, gamma45=1 / 3,
-    gamma_deph_1=1e-3, gamma_deph_2=1e-3, gamma_deph_4=1e-3, gamma_deph_5=1e-3,
-)
+CONFIG = {
+    **cli.DEFAULTS,
+    "n_atoms": 1e8, "g_p": 0.0022, "g_t": 0.0022, "omega1": 4.0, "omega4": 4.0,
+    "delta2": 15.0, "delta3": 15.0, "eps12": 0.01, "eps34": 0.01,
+    "t_max": 1.0, "n_samples": 401,
+}
 
 
 def main():
-    times = np.linspace(0.0, 1.0, 401)
     print("propagating the sixteen matrix-unit inputs (unconditional)...")
-    un = dynamics.evolve_gate_inputs(PARAMS, times)
-    phases = observables.extract_phases(
-        observables.reduce_to_fields(un.superposition), un.amplitudes
-    )
-    cps = observables.conditional_phase_shift(phases)
+    # One call propagates both maps; the conditional line below is printed
+    # after it so the output keeps its recorded order.
+    res = cli.run_gate_analysis(CONFIG)
+    times, cps = res["times"], res["cps"]
     t_pi = cli.pi_crossing_time(times, cps)
     print(f"first |CPS| = pi crossing at t = {t_pi:.4f} (units of 1/gamma)")
-
     print("propagating the no-jump conditional map...")
-    co = dynamics.evolve_gate_inputs(PARAMS, times, conditional=True)
 
     k = int(np.argmin(np.abs(times - 0.4)))
-    U = observables.ideal_phase_unitary(phases[k])
-    lam = observables.qubit_block(observables.reduce_to_fields(un.unit_inputs[k]))
-    clam = observables.qubit_block(observables.reduce_to_fields(co.unit_inputs[k]))
-    ctr = np.einsum("kaa->k", co.unit_inputs[k])
-    F = observables.average_fidelity_from_blocks(lam, U)
-    cond = observables.conditional_fidelity_from_blocks(clam, ctr, U)
-
+    p = res["p_success"][k]
     print(f"at the plateau time t = {times[k]:.2f}:")
     print(f"  CPS                  = {cps[k]:+.4f} rad")
-    print(f"  average fidelity     = {F:.4f}")
-    print(f"  conditional fidelity = {cond.fidelity:.4f}")
-    print(f"  success probability  = {cond.p_success:.4f} "
-          f"(amplitude norm {np.sqrt(cond.p_success):.4f})")
+    print(f"  average fidelity     = {res['fidelity'][k]:.4f}")
+    print(f"  conditional fidelity = {res['cond_fidelity'][k]:.4f}")
+    print(f"  success probability  = {p:.4f} (amplitude norm {np.sqrt(p):.4f})")
 
 
 if __name__ == "__main__":

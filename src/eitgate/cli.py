@@ -193,9 +193,7 @@ def constants_from_config(cfg: dict) -> OpticalConstants:
         hbar=float(cfg["hbar"]),
         epsilon0=float(cfg["epsilon0"]),
         omega_p=float(cfg["omega_p"]),
-        omega_t=float(cfg["omega_t"]),
         mu_p=float(cfg["mu_p"]),
-        mu_t=float(cfg["mu_t"]),
     )
 
 
@@ -371,7 +369,15 @@ def _config_with_overrides(args) -> dict:
     seed = getattr(args, "seed", None)
     if seed is not None:
         cfg["seed"] = seed
+    # Settings the Monte Carlo and the phase readout would refuse only
+    # after propagating are rejected here, before any propagation.
     observables.check_sampling(cfg["mc_samples"], cfg["seed"])
+    c = amplitudes_from_config(cfg)
+    nrm = np.linalg.norm(c)
+    if nrm == 0:
+        raise ValueError(f"config keys {', '.join(_AMPLITUDE_KEYS)} are all zero")
+    if abs(c[0] / nrm) < 1e-12:
+        raise ValueError("config key 'c00' is below 1e-12 of the amplitude norm")
     return cfg
 
 
@@ -440,9 +446,7 @@ def cmd_groupvel(args) -> int:
         params,
         float(cfg["t_max"]),
         avg_grid=int(cfg["avg_grid"]),
-        method=cfg["method"],
-        rel_tol=float(cfg["rel_tol"]),
-        abs_tol=float(cfg["abs_tol"]),
+        **_engine_kwargs(cfg),
         **common,
     )
     geom = groupvel.cell_geometry(params, v_transient, float(cfg["t_max"]), constants)
@@ -491,7 +495,8 @@ _FRINGE_KEYS = ("cps", "phi10", "phi00", "phi_plus0")
 
 
 def load_phase_table(path: str) -> dict:
-    """Flat JSON phase table in radians; unknown keys are fatal."""
+    """Flat JSON phase table in radians, keyed by the fock_coincidences
+    parameters; unknown keys are fatal."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -510,12 +515,8 @@ def load_phase_table(path: str) -> dict:
 
 def cmd_fringes(args) -> int:
     table = load_phase_table(args.phases)
-    cps = table["cps"]
-    phi10 = table["phi10"]
-    phi00 = table["phi00"]
-    phi_plus0 = table["phi_plus0"]
     Phi = np.linspace(0.0, 4.0 * math.pi, 256, endpoint=False)
-    p1, p2 = interferometer.fock_coincidences(Phi, cps, phi10, phi00, phi_plus0)
+    p1, p2 = interferometer.fock_coincidences(Phi, **table)
     lines = ["Phi,P_RB1,P_RB2"]
     for m in range(Phi.size):
         lines.append(f"{_fmt(Phi[m])},{_fmt(p1[m])},{_fmt(p2[m])}")

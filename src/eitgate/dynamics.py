@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .basis import M_DIM, QUBIT_M_INDICES
 from .mscheme import (
@@ -30,6 +29,14 @@ from .mscheme import (
 )
 
 _UNIFORM_RTOL = 1e-9
+_KERNEL_RTOL = 1e-10
+
+
+def expm(A: np.ndarray) -> np.ndarray:
+    """Matrix exponential; scipy.linalg (~0.3 s to import) loads on first use."""
+    from scipy.linalg import expm as _expm
+
+    return _expm(A)
 
 
 def _uniform_step(times: np.ndarray) -> float:
@@ -61,7 +68,6 @@ def evolve_superoperator(
     method: str = "exponential",
     rel_tol: float = 1e-8,
     abs_tol: float = 1e-12,
-    max_step: float | None = None,
 ) -> np.ndarray:
     """Propagate one state (n,n) or a batch (k,n,n) along a time grid.
 
@@ -99,9 +105,6 @@ def evolve_superoperator(
                 V = y.reshape(n * n, k, order="F")
                 return (L @ V).reshape(-1, order="F")
 
-            kwargs = {}
-            if max_step is not None:
-                kwargs["max_step"] = max_step
             sol = solve_ivp(
                 rhs,
                 (times[0], times[-1]),
@@ -110,7 +113,6 @@ def evolve_superoperator(
                 method="RK45",
                 rtol=rel_tol,
                 atol=abs_tol,
-                **kwargs,
             )
             if not sol.success:
                 raise RuntimeError(f"adaptive integration failed: {sol.message}")
@@ -234,9 +236,7 @@ def evolve_gate_inputs(
     return evolve_qubit_units(L, QUBIT_M_INDICES, times, amplitudes, **kw)
 
 
-def steady_state(
-    L: Superoperator, *, kernel_tol: float = 1e-10, residual_tol: float = 1e-10
-) -> np.ndarray:
+def steady_state(L: Superoperator, *, residual_tol: float = 1e-10) -> np.ndarray:
     """Unique trace-one stationary state of L, from the SVD null space.
 
     Raises if the kernel at the relative tolerance is empty or has
@@ -247,7 +247,7 @@ def steady_state(
     if L.shape != (n * n, n * n):
         raise ValueError("L must act on vectorized square matrices")
     _, s, Vh = np.linalg.svd(L)
-    null_dim = int(np.count_nonzero(s <= kernel_tol * s[0]))
+    null_dim = int(np.count_nonzero(s <= _KERNEL_RTOL * s[0]))
     if null_dim != 1:
         raise ValueError(f"stationary subspace has dimension {null_dim}, expected 1")
     rho = unvec(Vh[-1].conj(), n)

@@ -19,7 +19,9 @@ import numpy as np
 
 from .basis import m_index
 from .dynamics import evolve_superoperator, steady_state
-from .mscheme import JumpChannel, MSchemeParams, build_jump_channels, build_liouvillian
+from .mscheme import (
+    JumpChannel, MSchemeParams, build_hamiltonian, build_jump_channels, build_liouvillian
+)
 
 # Atomic levels 1..5 at indices 0..4; the ground level is 3. They are the
 # photon-free collective states, at these positions of the 18-state basis.
@@ -36,9 +38,7 @@ class OpticalConstants:
     hbar: float = 1.054571817e-34
     epsilon0: float = 8.8541878128e-12
     omega_p: float = 2.0 * math.pi * 377.228e12  # rad/s
-    omega_t: float = 2.0 * math.pi * 384.225e12  # rad/s
     mu_p: float = 2.5e-29  # C m
-    mu_t: float = 2.5e-29  # C m
 
 
 def _probe_rabi(params: MSchemeParams, probe_rabi_classical: float) -> float:
@@ -51,7 +51,8 @@ def _probe_rabi(params: MSchemeParams, probe_rabi_classical: float) -> float:
 def semiclassical_hamiltonian(
     params: MSchemeParams, probe_rabi_classical: float = 1e-3, offset: float = 0.0
 ) -> np.ndarray:
-    """5x5 single-atom Hamiltonian in γ units.
+    """5x5 collective Hamiltonian on the photon-free states (γ units),
+    with weak classical probe and trigger couplings in place of photons.
 
     offset shifts the probe carrier frequency (γ units): the probe
     detuning drops by offset while the probe two-photon mismatch grows
@@ -59,15 +60,11 @@ def semiclassical_hamiltonian(
     """
     omega_p = _probe_rabi(params, probe_rabi_classical)
     omega_t = probe_rabi_classical * params.g_t * math.sqrt(params.N_a)
-    H = np.zeros((_N_LEVELS, _N_LEVELS), dtype=complex)
-    H[0, 0] = params.eps12 + offset
-    H[1, 1] = params.delta2 - offset
-    H[3, 3] = params.delta3
-    H[4, 4] = params.eps34
-    H[1, 0] = H[0, 1] = params.Omega1
+    H = build_hamiltonian(params)[np.ix_(_LEVEL_INDICES, _LEVEL_INDICES)]
+    H[0, 0] += offset
+    H[1, 1] -= offset
     H[1, 2] = H[2, 1] = omega_p
     H[3, 2] = H[2, 3] = omega_t
-    H[3, 4] = H[4, 3] = params.Omega4
     return H
 
 

@@ -514,6 +514,9 @@ def test_ladder_cli_outputs(tmp_path):
     ({"mc_samples": -1}, [], "mc_samples"),
     ({"seed": -1}, [], "seed"),
     ({}, ["--seed", "-1"], "seed"),
+    ({"c00": 0}, [], "c00"),
+    ({"c00": [1e-13, 0.0]}, [], "c00"),
+    ({"c00": 0, "c01": 0, "c10": 0, "c11": 0}, [], "c00, c01, c10, c11"),
 ])
 def test_gate_commands_reject_bad_monte_carlo_settings_before_propagating(
     tmp_path, capsys, monkeypatch, command, overrides, flags, key
@@ -575,14 +578,16 @@ def test_module_entry_point(tmp_path):
     assert report["lambda_p"] == pytest.approx(7.702100748786742e-4, rel=1e-9)
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.linalg"])
+def test_cli_import_leaves_scipy_integrate_unloaded(module):
     # Every CLI process pays for what importing the package loads; the
-    # adaptive integrator is imported only when that engine runs.
+    # adaptive integrator and the matrix exponential are imported only
+    # when an engine runs.
     proc = subprocess.run(
         [
             sys.executable,
             "-c",
-            "import eitgate.cli, sys; print('scipy.integrate' in sys.modules)",
+            f"import eitgate.cli, sys; print({module!r} in sys.modules)",
         ],
         capture_output=True,
         text=True,
