@@ -17,14 +17,11 @@ CONFIG = {
 
 
 def main():
-    print("propagating the sixteen matrix-unit inputs (unconditional)...")
-    # One call propagates both maps; the conditional line below is printed
-    # after it so the output keeps its recorded order.
+    print("propagating the unconditional and the no-jump conditional map...")
     res = cli.run_gate_analysis(CONFIG)
     times, cps = res["times"], res["cps"]
     t_pi = cli.pi_crossing_time(times, cps)
     print(f"first |CPS| = pi crossing at t = {t_pi:.4f} (units of 1/gamma)")
-    print("propagating the no-jump conditional map...")
 
     k = int(np.argmin(np.abs(times - 0.4)))
     p = res["p_success"][k]

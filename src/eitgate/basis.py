@@ -43,7 +43,7 @@ class MBasisState:
 # Canonical ordering of the 18 reachable states. Indices 0-11 span the
 # four sectors connected by the Hamiltonian; 12-17 are reached only
 # through the cross decay channels 2->1 and 4->5 (and level swaps).
-_M_BASIS_ORDER = (
+M_STATES: tuple[tuple[str, int, int], ...] = (
     ("G", 0, 0),
     ("G", 1, 0),
     ("E2", 0, 0),
@@ -64,10 +64,10 @@ _M_BASIS_ORDER = (
     ("G", 0, 2),
 )
 
-M_BASIS: tuple[MBasisState, ...] = tuple(MBasisState(*s) for s in _M_BASIS_ORDER)
+M_BASIS: tuple[MBasisState, ...] = tuple(MBasisState(*s) for s in M_STATES)
 M_DIM = len(M_BASIS)
 
-_M_INDEX = {(s.atom, s.n_p, s.n_t): i for i, s in enumerate(M_BASIS)}
+_M_INDEX = {s: i for i, s in enumerate(M_STATES)}
 
 # Reachable photon-number pairs. The first four form the qubit block in
 # the order |00>, |01>, |10>, |11>; (2,0) and (0,2) are leakage states.

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import os
@@ -213,57 +214,57 @@ def _engine_kwargs(cfg: dict) -> dict:
     }
 
 
-def _metrics_from_blocks(gt, cond, qubit_blocks, pop_names, cfg) -> dict:
+def _metrics_from_blocks(propagate, qubit_blocks, pop_names, cfg) -> dict:
     """Phases, fidelities and populations of one gate model.
 
-    gt and cond are the unconditional and conditional trajectories of
-    the sixteen matrix units; qubit_blocks maps (...,n,n) states of the
-    model to their (...,4,4) qubit blocks. Fidelities are taken against
-    the instantaneous ideal phase gate, one batched call per series.
+    propagate(conditional=...) returns the trajectories of the sixteen
+    matrix units; qubit_blocks maps (...,n,n) states of the model to
+    their (...,4,4) qubit blocks. The unconditional map is read out and
+    dropped before the conditional one is propagated. Fidelities are
+    taken against the instantaneous ideal phase gate, one batched call
+    per series.
     """
-    super_traj = gt.superposition
+    gt = propagate(conditional=False)
+    times, super_traj = gt.times, gt.superposition
     phases = observables.phases_from_coherences(
         qubit_blocks(super_traj)[:, 1:4, 0], gt.amplitudes
     )
     U = observables.ideal_phase_unitary(phases)
     fid = observables.average_fidelity_from_blocks(qubit_blocks(gt.unit_inputs), U)
+    populations = observables.populations(super_traj)
+    del gt, super_traj
+    cond = propagate(conditional=True).unit_inputs
     cond_r = observables.conditional_fidelity_from_blocks(
-        qubit_blocks(cond.unit_inputs),
-        np.einsum("tkaa->tk", cond.unit_inputs),
+        qubit_blocks(cond),
+        np.einsum("tkaa->tk", cond),
         U,
         mc_samples=int(cfg["mc_samples"]),
         seed=int(cfg["seed"]),
     )
     return {
-        "times": gt.times,
+        "times": times,
         "phases": phases,
         "cps": observables.conditional_phase_shift(phases),
         "fidelity": fid,
         "cond_fidelity": cond_r.fidelity,
         "p_success": cond_r.p_success,
-        "populations": observables.populations(super_traj),
+        "populations": populations,
         "pop_names": pop_names,
     }
 
 
 def run_gate_analysis(cfg: dict) -> dict:
     """Phases, fidelities and populations of the five-level gate."""
-    params = params_from_config(cfg)
-    times = _times_from_config(cfg)
-    amps = amplitudes_from_config(cfg)
-    kw = _engine_kwargs(cfg)
-    gt = dynamics.evolve_gate_inputs(params, times, amps, **kw)
-    cond = dynamics.evolve_gate_inputs(
-        params,
-        times,
-        amps,
-        conditional=True,
+    propagate = functools.partial(
+        dynamics.evolve_gate_inputs,
+        params_from_config(cfg),
+        _times_from_config(cfg),
+        amplitudes_from_config(cfg),
         dephasing_mode=cfg["dephasing_mode"],
-        **kw,
+        **_engine_kwargs(cfg),
     )
     return _metrics_from_blocks(
-        gt,
-        cond,
+        propagate,
         lambda rho: observables.qubit_block(observables.reduce_to_fields(rho)),
         observables.population_names(),
         cfg,
@@ -277,21 +278,20 @@ def run_ladder_analysis(cfg: dict) -> dict:
     times = _times_from_config(cfg)
     amps = amplitudes_from_config(cfg)
     kw = _engine_kwargs(cfg)
-    gt = ladder.evolve_ladder_gate(params, times, amps, **kw)
-    cond = ladder.evolve_ladder_gate(params, times, amps, conditional=True, **kw)
-    ladder.check_truncation(gt.superposition, n_max)
-    P = n_max + 1
-    pop_names = tuple(
-        f"{atom}_{n_p}_{n_t}"
-        for atom in ladder.LADDER_ATOM_LABELS
-        for n_p in range(P)
-        for n_t in range(P)
-    )
+
+    def propagate(conditional):
+        traj = ladder.evolve_ladder_gate(params, times, amps, conditional=conditional, **kw)
+        if not conditional:
+            # Guard the superposition and the four basis inputs the
+            # fidelities average over, before the conditional map is run.
+            ladder.check_truncation(traj.superposition, n_max)
+            ladder.check_truncation(traj.unit_inputs[:, [0, 5, 10, 15]], n_max)
+        return traj
+
     return _metrics_from_blocks(
-        gt,
-        cond,
+        propagate,
         lambda rho: ladder.photon_qubit_block(ladder.reduce_to_photons(rho, n_max), n_max),
-        pop_names,
+        tuple(f"{atom}_{n_p}_{n_t}" for atom, n_p, n_t in ladder.ladder_states(n_max)),
         cfg,
     )
 

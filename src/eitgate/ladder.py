@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import GateTrajectories, conditional_generator, evolve_qubit_units, matrix_units
-from .mscheme import JumpChannel, build_liouvillian
+from .mscheme import JumpChannel, build_liouvillian, transition_operator
 
 # Atomic labels: all atoms in the intermediate level, one atom moved to
 # the bottom level, one atom moved to the top level.
@@ -66,6 +66,12 @@ def ladder_index(atom: str, n_p: int, n_t: int, n_max: int) -> int:
     return LADDER_ATOM_LABELS.index(atom) * P * P + n_p * P + n_t
 
 
+def ladder_states(n_max: int) -> tuple[tuple[str, int, int], ...]:
+    """The basis as (label, n_p, n_t) tuples, in ladder_index order."""
+    P = range(n_max + 1)
+    return tuple((atom, n_p, n_t) for atom in LADDER_ATOM_LABELS for n_p in P for n_t in P)
+
+
 def build_ladder_hamiltonian(params: LadderParams) -> np.ndarray:
     """Hamiltonian on the truncated collective space, units of γ.
 
@@ -76,29 +82,21 @@ def build_ladder_hamiltonian(params: LadderParams) -> np.ndarray:
     "absorptive" consumes a trigger photon when populating the top
     level). Collective enhancement enters once as g√N_a.
     """
-    n_max = params.n_max
-    dim = ladder_dim(n_max)
+    states = ladder_states(params.n_max)
+    energy = {"G2": 0.0, "E1": -params.delta_p, "E3": -params.delta_t}
     gp = params.g_p * math.sqrt(params.N_a)
     gt = params.g_t * math.sqrt(params.N_a)
-    H = np.zeros((dim, dim), dtype=complex)
-    for n_p in range(n_max + 1):
-        for n_t in range(n_max + 1):
-            i1 = ladder_index("E1", n_p, n_t, n_max)
-            i3 = ladder_index("E3", n_p, n_t, n_max)
-            H[i1, i1] = -params.delta_p
-            H[i3, i3] = -params.delta_t
-            g2 = ladder_index("G2", n_p, n_t, n_max)
-            if n_p < n_max:
-                j = ladder_index("E1", n_p + 1, n_t, n_max)
-                H[g2, j] = H[j, g2] = gp * math.sqrt(n_p + 1)
-            if params.convention == "as-printed":
-                if n_t < n_max:
-                    j = ladder_index("E3", n_p, n_t + 1, n_max)
-                    H[g2, j] = H[j, g2] = gt * math.sqrt(n_t + 1)
-            else:
-                if n_t >= 1:
-                    j = ladder_index("E3", n_p, n_t - 1, n_max)
-                    H[g2, j] = H[j, g2] = gt * math.sqrt(n_t)
+    # A trigger photon is created on entering E3 ("as-printed") or on leaving it.
+    trigger = ("G2", "E3") if params.convention == "as-printed" else ("E3", "G2")
+    couplings = (
+        (gp, "G2", "E1", (1, 0), lambda n_p, n_t: math.sqrt(n_p + 1)),
+        (gt, *trigger, (0, 1), lambda n_p, n_t: math.sqrt(n_t + 1)),
+    )
+    H = np.zeros((len(states), len(states)), dtype=complex)
+    for strength, src, dst, shift, weight in couplings:
+        T = transition_operator(states, src, dst, shift, weight)
+        H += strength * (T + T.conj().T)
+    np.fill_diagonal(H, [energy[label] for label, _, _ in states])
     return H
 
 
@@ -110,21 +108,12 @@ def build_ladder_channels(params: LadderParams) -> list[JumpChannel]:
     one (E3 -> G2). Both carry unit amplitude and conserve photon
     numbers; dephasing is not part of this model.
     """
-    n_max = params.n_max
-    dim = ladder_dim(n_max)
-    channels = []
-    for rate, src, dst in ((params.gamma21, "G2", "E1"), (params.gamma32, "E3", "G2")):
-        if rate == 0.0:
-            continue
-        op = np.zeros((dim, dim), dtype=complex)
-        for n_p in range(n_max + 1):
-            for n_t in range(n_max + 1):
-                op[
-                    ladder_index(dst, n_p, n_t, n_max),
-                    ladder_index(src, n_p, n_t, n_max),
-                ] = 1.0
-        channels.append(JumpChannel(rate=rate, op=op, kind="decay"))
-    return channels
+    states = ladder_states(params.n_max)
+    return [
+        JumpChannel(rate=rate, op=transition_operator(states, src, dst), kind="decay")
+        for rate, src, dst in ((params.gamma21, "G2", "E1"), (params.gamma32, "E3", "G2"))
+        if rate != 0.0
+    ]
 
 
 def build_ladder_liouvillian(params: LadderParams) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import M_BASIS, M_DIM, m_index
+from .basis import M_DIM, M_STATES
 
 # Type aliases: operators and superoperators are plain dense arrays.
 OperatorMatrix = np.ndarray
@@ -25,7 +25,7 @@ Superoperator = np.ndarray
 
 GAMMA_SI_DEFAULT = 2.0 * math.pi * 6.0e6  # rad/s
 
-# (upper label, lower label, params attribute) for the six decay channels.
+# (source label, target label, params attribute) for the six decay channels.
 _DECAYS = (
     ("E2", "E1", "gamma21"),
     ("E2", "G", "gamma23"),
@@ -35,11 +35,12 @@ _DECAYS = (
     ("E4", "E5", "gamma45"),
 )
 
+# A dephasing channel maps each label onto itself.
 _DEPHASINGS = (
-    ("E1", "gamma_deph_1"),
-    ("E2", "gamma_deph_2"),
-    ("E4", "gamma_deph_4"),
-    ("E5", "gamma_deph_5"),
+    ("E1", "E1", "gamma_deph_1"),
+    ("E2", "E2", "gamma_deph_2"),
+    ("E4", "E4", "gamma_deph_4"),
+    ("E5", "E5", "gamma_deph_5"),
 )
 
 
@@ -71,8 +72,7 @@ class MSchemeParams:
     def __post_init__(self):
         if self.N_a < 1:
             raise ValueError("N_a must be >= 1")
-        rates = [getattr(self, a) for _, _, a in _DECAYS]
-        rates += [getattr(self, a) for _, a in _DEPHASINGS]
+        rates = [getattr(self, a) for _, _, a in _DECAYS + _DEPHASINGS]
         if any(r < 0 for r in rates):
             raise ValueError("decay and dephasing rates must be >= 0")
         if self.gamma_SI <= 0:
@@ -99,9 +99,31 @@ class JumpChannel:
     kind: str  # "decay" | "dephasing"
 
 
+def transition_operator(states, src, dst, shift=(0, 0), weight=None) -> OperatorMatrix:
+    """Σ w(n_p,n_t) |dst,n_p+Δp,n_t+Δt><src,n_p,n_t| on a product basis.
+
+    states lists the basis as (label, n_p, n_t) tuples and shift is
+    (Δp, Δt); terms whose image leaves the basis are dropped. weight
+    maps the source photon numbers to the amplitude and defaults to 1,
+    so src == dst with no shift is the projector on one label.
+    """
+    index = {s: i for i, s in enumerate(states)}
+    op = np.zeros((len(states), len(states)), dtype=complex)
+    for i, (label, n_p, n_t) in enumerate(states):
+        j = index.get((dst, n_p + shift[0], n_t + shift[1]))
+        if label == src and j is not None:
+            op[j, i] = 1.0 if weight is None else weight(n_p, n_t)
+    return op
+
+
 def build_hamiltonian(params: MSchemeParams) -> OperatorMatrix:
-    """18x18 Hermitian Hamiltonian in the canonical basis, units of γ."""
-    diag_by_label = {
+    """18x18 Hermitian Hamiltonian in the canonical basis, units of γ.
+
+    Classical fields swap the excited label at fixed photon numbers.
+    Quantized fields turn an excitation into a photon of the matching
+    mode, with the bosonic √(n+1) factor of the created photon.
+    """
+    energy = {
         "G": 0.0,
         "E1": params.eps12,
         "E2": params.delta2,
@@ -110,27 +132,17 @@ def build_hamiltonian(params: MSchemeParams) -> OperatorMatrix:
     }
     gp = params.g_p * math.sqrt(params.N_a)
     gt = params.g_t * math.sqrt(params.N_a)
-
+    couplings = (
+        (params.Omega1, "E2", "E1", (0, 0), None),
+        (params.Omega4, "E4", "E5", (0, 0), None),
+        (gp, "E2", "G", (1, 0), lambda n_p, n_t: math.sqrt(n_p + 1)),
+        (gt, "E4", "G", (0, 1), lambda n_p, n_t: math.sqrt(n_t + 1)),
+    )
     H = np.zeros((M_DIM, M_DIM), dtype=complex)
-    for i, s in enumerate(M_BASIS):
-        H[i, i] = diag_by_label[s.atom]
-        # Classical fields swap the excited label at fixed photon numbers.
-        if s.atom == "E1":
-            j = m_index("E2", s.n_p, s.n_t)
-            H[i, j] = H[j, i] = params.Omega1
-        if s.atom == "E5":
-            j = m_index("E4", s.n_p, s.n_t)
-            H[i, j] = H[j, i] = params.Omega4
-        # Quantized fields convert a photon into the matching excitation,
-        # with the bosonic √n factor of the annihilated photon. Elements
-        # into doubly excited atomic states do not arise here (the E
-        # labels carry the single excitation already).
-        if s.atom == "G" and s.n_p >= 1:
-            j = m_index("E2", s.n_p - 1, s.n_t)
-            H[i, j] = H[j, i] = gp * math.sqrt(s.n_p)
-        if s.atom == "G" and s.n_t >= 1:
-            j = m_index("E4", s.n_p, s.n_t - 1)
-            H[i, j] = H[j, i] = gt * math.sqrt(s.n_t)
+    for strength, src, dst, shift, weight in couplings:
+        T = transition_operator(M_STATES, src, dst, shift, weight)
+        H += strength * (T + T.conj().T)
+    np.fill_diagonal(H, [energy[label] for label, _, _ in M_STATES])
     return H
 
 
@@ -146,24 +158,11 @@ def build_jump_channels(params: MSchemeParams) -> list[JumpChannel]:
     omitted.
     """
     channels = []
-    for upper, lower, attr in _DECAYS:
+    for src, dst, attr in _DECAYS + _DEPHASINGS:
         rate = getattr(params, attr)
-        if rate == 0.0:
-            continue
-        op = np.zeros((M_DIM, M_DIM), dtype=complex)
-        for i, s in enumerate(M_BASIS):
-            if s.atom == upper:
-                op[m_index(lower, s.n_p, s.n_t), i] = 1.0
-        channels.append(JumpChannel(rate=rate, op=op, kind="decay"))
-    for label, attr in _DEPHASINGS:
-        rate = getattr(params, attr)
-        if rate == 0.0:
-            continue
-        op = np.zeros((M_DIM, M_DIM), dtype=complex)
-        for i, s in enumerate(M_BASIS):
-            if s.atom == label:
-                op[i, i] = 1.0
-        channels.append(JumpChannel(rate=rate, op=op, kind="dephasing"))
+        if rate != 0.0:
+            op = transition_operator(M_STATES, src, dst)
+            channels.append(JumpChannel(rate, op, "dephasing" if src == dst else "decay"))
     return channels
 
 

@@ -98,8 +98,9 @@ def phases_from_coherences(coherences: np.ndarray, amplitudes=None) -> np.ndarra
     c = np.full(4, 0.5, dtype=complex) if amplitudes is None else np.asarray(
         amplitudes, dtype=complex
     ).reshape(4)
-    if abs(c[0]) < 1e-12:
-        raise UndefinedPhaseError("vacuum amplitude too small to anchor phases")
+    nrm = np.linalg.norm(c)
+    if nrm == 0 or abs(c[0]) < 1e-12 * nrm:
+        raise UndefinedPhaseError("vacuum amplitude below 1e-12 of the norm; phases undefined")
     vanishing = np.abs(coh) < 1e-12
     if np.any(vanishing):
         where = "" if single else _sample_label(np.any(vanishing, axis=-1))

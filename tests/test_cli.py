@@ -1,15 +1,17 @@
 """Command-line interface: config handling, outputs, determinism."""
 
+import gc
 import json
 import math
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eitgate import cli, dynamics, groupvel, interferometer, observables
+from eitgate import cli, dynamics, groupvel, interferometer, ladder, observables
 from eitgate.mscheme import GAMMA_SI_DEFAULT
 
 
@@ -33,6 +35,21 @@ SMALL_GATE = dict(
     t_max=0.5,
     n_samples=6,
     mc_samples=300,
+)
+
+# Small ladder set that stays inside its truncation.
+SMALL_LADDER = dict(
+    n_atoms=1,
+    g_p=0.5,
+    g_t=0.5,
+    delta_p=1.0,
+    delta_t=0.5,
+    ladder_gamma21=0.2,
+    ladder_gamma32=0.3,
+    n_max=2,
+    t_max=0.02,
+    n_samples=4,
+    mc_samples=200,
 )
 
 
@@ -478,20 +495,7 @@ def test_fringes_rejects_bad_tables(tmp_path, capsys):
 
 
 def test_ladder_cli_outputs(tmp_path):
-    cfg_path = write_cfg(
-        tmp_path,
-        n_atoms=1,
-        g_p=0.5,
-        g_t=0.5,
-        delta_p=1.0,
-        delta_t=0.5,
-        ladder_gamma21=0.2,
-        ladder_gamma32=0.3,
-        n_max=2,
-        t_max=0.02,
-        n_samples=4,
-        mc_samples=200,
-    )
+    cfg_path = write_cfg(tmp_path, **SMALL_LADDER)
     out = tmp_path / "lad"
     assert cli.main(["ladder", "--config", cfg_path, "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
@@ -502,6 +506,69 @@ def test_ladder_cli_outputs(tmp_path):
     assert pops[0] == "pop_G2_0_0"
     assert pops[-1] == "pop_E3_2_2"
     assert len(rows) == 4
+
+
+# The benchmark's absorptive ladder point, at a truncation too tight for it.
+LADDER_ABSORPTIVE = dict(
+    n_atoms=1e8,
+    g_p=0.0022,
+    g_t=0.0022,
+    delta_p=10.0,
+    ladder_gamma21=1.0,
+    ladder_gamma32=1.0,
+    ladder_convention="absorptive",
+    n_max=2,
+    t_max=0.25,
+    n_samples=26,
+    mc_samples=200,
+)
+
+
+@pytest.mark.parametrize("module, name, config", [
+    (dynamics, "evolve_gate_inputs", SMALL_GATE),
+    (ladder, "evolve_ladder_gate", SMALL_LADDER),
+])
+def test_unconditional_map_is_freed_before_the_conditional_one(
+    tmp_path, monkeypatch, module, name, config
+):
+    evolve = getattr(module, name)
+    unconditional = []
+
+    def spy(*args, conditional=False, **kwargs):
+        if conditional:
+            gc.collect()
+            alive = unconditional[0]() is not None
+            assert not alive, "the unconditional map outlived its readout"
+        traj = evolve(*args, conditional=conditional, **kwargs)
+        if not conditional:
+            unconditional.append(weakref.ref(traj.unit_inputs))
+        return traj
+
+    monkeypatch.setattr(module, name, spy)
+    command = "ladder" if module is ladder else "simulate"
+    cfg_path = write_cfg(tmp_path, **config)
+    assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+    assert len(unconditional) == 1
+
+
+def test_ladder_truncation_guard_covers_every_basis_input(tmp_path, capsys, monkeypatch):
+    # Equal amplitudes trip the guard on the superposition; a superposition
+    # tilted towards |00> hides the edge population of the other inputs.
+    evolve = dynamics.evolve_superoperator
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "evolve_superoperator", counting)
+    tilted = {**LADDER_ABSORPTIVE, "c00": 1.0, "c01": 0.01, "c10": 0.01, "c11": 0.01}
+    cfg_path = write_cfg(tmp_path, **tilted)
+    out = tmp_path / "out"
+    assert cli.main(["ladder", "--config", cfg_path, "--out", str(out)]) == 1
+    assert "truncation leakage" in capsys.readouterr().err
+    assert len(calls) == 1
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("command", [

@@ -161,6 +161,12 @@ def test_choi_inputs_sit_on_the_photonic_qubit():
             assert np.array_equal(E[4 * i + j], expect)
 
 
+def test_ladder_states_follow_ladder_index():
+    states = ladder.ladder_states(2)
+    assert len(states) == ladder.ladder_dim(2)
+    assert [ladder.ladder_index(*s, 2) for s in states] == list(range(27))
+
+
 def test_reduce_to_photons_sums_labels():
     rng = np.random.default_rng(3)
     blocks = rng.standard_normal((3, 9, 9)) + 1j * rng.standard_normal((3, 9, 9))

@@ -133,6 +133,22 @@ def test_dephasing_projectors_match_projected_label_counters(n_atoms):
         assert np.allclose(micro, ch.op, atol=1e-13), label
 
 
+def test_transition_operator_places_weights_and_drops_exits():
+    states = (("g", 0, 0), ("g", 1, 0), ("e", 0, 0), ("e", 1, 0))
+    up = mscheme.transition_operator(
+        states, "e", "g", shift=(1, 0), weight=lambda n_p, n_t: math.sqrt(n_p + 1)
+    )
+    expected = np.zeros((4, 4), dtype=complex)
+    # |g,1><e,0| carries √1; |e,1> would go to |g,2>, which is not in the basis.
+    expected[1, 2] = 1.0
+    assert np.array_equal(up, expected)
+    weighted = mscheme.transition_operator(states, "e", "g", weight=lambda n_p, n_t: 2.0 + n_p)
+    assert weighted[0, 2] == 2.0 and weighted[1, 3] == 3.0
+    assert np.count_nonzero(weighted) == 2
+    projector = mscheme.transition_operator(states, "e", "e")
+    assert np.array_equal(projector, np.diag([0, 0, 1, 1]).astype(complex))
+
+
 def test_channel_bookkeeping():
     channels = mscheme.build_jump_channels(RICH_PARAMS)
     assert len(channels) == 10

@@ -112,6 +112,17 @@ def test_phase_extraction_removes_input_argument():
     assert np.allclose(phases, -np.outer(times, lam), atol=1e-10)
 
 
+def test_phases_depend_only_on_amplitude_ratios():
+    amps = np.array([0.6, 0.3j, -0.5, 0.2 - 0.4j])
+    times = np.linspace(0.0, 1.0, 11)
+    coh = np.exp(-1j * np.outer(times, [0.3, 0.2, -0.5]))
+    phases = observables.phases_from_coherences(coh, amps)
+    scaled = observables.phases_from_coherences(coh, 1e-13 * amps)
+    assert np.allclose(scaled, phases, rtol=0.0, atol=1e-14)
+    with pytest.raises(observables.UndefinedPhaseError):
+        observables.phases_from_coherences(coh, np.zeros(4))
+
+
 def test_phase_step_of_pi_is_rejected_as_ambiguous():
     coh = 0.5 * np.exp(1j * np.array([[0.0] * 3, [np.pi] * 3]))
     with pytest.raises(ValueError, match="refine the grid"):
