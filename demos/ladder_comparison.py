@@ -9,14 +9,10 @@ five-level figures come from the pipeline behind `eitgate simulate`.
 
 The photon cutoff matters here: one decay path re-emits trigger
 photons, so the truncation guard is checked before any numbers are
-trusted.  The Liouvillian is built dense and immediately compressed to
-a sparse matrix (0.4% occupancy) to keep the n_max=4 space affordable.
+trusted.
 """
 
-import gc
-
 import numpy as np
-import scipy.sparse as sp
 
 from eitgate import cli, dynamics, ladder, observables
 
@@ -42,8 +38,7 @@ def ladder_metrics():
         psi[ladder.ladder_index("G2", n_p, n_t, LADDER.n_max)] = a
     rho0 = np.outer(psi, psi.conj())
 
-    Ls = sp.csr_matrix(ladder.build_ladder_liouvillian(LADDER))
-    gc.collect()
+    Ls = ladder.build_ladder_liouvillian(LADDER)
     times = np.linspace(0.0, 0.24, 301)
     traj = dynamics.evolve_superoperator(Ls, rho0, times, method="adaptive-rk")
     leak = float(np.max(ladder.boundary_population(traj, LADDER.n_max)))
@@ -70,17 +65,15 @@ def ladder_metrics():
         ladder.reduce_to_photons(unc[kc], LADDER.n_max), LADDER.n_max
     )
     del unc, Ls
-    gc.collect()
-    Lc = sp.csr_matrix(dynamics.conditional_generator(
+    Lc = dynamics.conditional_generator(
         ladder.build_ladder_hamiltonian(LADDER), ladder.build_ladder_channels(LADDER)
-    ))
+    )
     con = dynamics.evolve_qubit_units(Lc, positions, coarse, method="adaptive-rk").unit_inputs
     clam = ladder.photon_qubit_block(
         ladder.reduce_to_photons(con[kc], LADDER.n_max), LADDER.n_max
     )
     ctr = np.einsum("kaa->k", con[kc])
     del con, Lc
-    gc.collect()
 
     F = observables.average_fidelity_from_blocks(lam, U)
     cond = observables.conditional_fidelity_from_blocks(clam, ctr, U)

@@ -219,8 +219,9 @@ def _metrics_from_blocks(propagate, qubit_blocks, pop_names, cfg) -> dict:
 
     propagate(conditional=...) returns the trajectories of the sixteen
     matrix units; qubit_blocks maps (...,n,n) states of the model to
-    their (...,4,4) qubit blocks. The unconditional map is read out and
-    dropped before the conditional one is propagated. Fidelities are
+    their (...,4,4) qubit blocks. Each map is dropped once it is read
+    out: the unconditional one before the conditional one is propagated,
+    the conditional one before the Monte Carlo runs. Fidelities are
     taken against the instantaneous ideal phase gate, one batched call
     per series.
     """
@@ -234,9 +235,11 @@ def _metrics_from_blocks(propagate, qubit_blocks, pop_names, cfg) -> dict:
     populations = observables.populations(super_traj)
     del gt, super_traj
     cond = propagate(conditional=True).unit_inputs
+    cond_blocks, cond_traces = qubit_blocks(cond), np.einsum("tkaa->tk", cond)
+    del cond
     cond_r = observables.conditional_fidelity_from_blocks(
-        qubit_blocks(cond),
-        np.einsum("tkaa->tk", cond),
+        cond_blocks,
+        cond_traces,
         U,
         mc_samples=int(cfg["mc_samples"]),
         seed=int(cfg["seed"]),
@@ -285,7 +288,8 @@ def run_ladder_analysis(cfg: dict) -> dict:
             # Guard the superposition and the four basis inputs the
             # fidelities average over, before the conditional map is run.
             ladder.check_truncation(traj.superposition, n_max)
-            ladder.check_truncation(traj.unit_inputs[:, [0, 5, 10, 15]], n_max)
+            labels = ("|00>", "|01>", "|10>", "|11>")
+            ladder.check_truncation(traj.unit_inputs[:, [0, 5, 10, 15]], n_max, labels=labels)
         return traj
 
     return _metrics_from_blocks(

@@ -54,10 +54,21 @@ def _stack(rhos: np.ndarray) -> np.ndarray:
     return rhos.transpose(0, 2, 1).reshape(k, n * n).T
 
 
-def _unstack(V: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of _stack."""
-    k = V.shape[1]
-    return V.T.reshape(k, n, n).transpose(0, 2, 1)
+def reachable(L: Superoperator, seeds) -> np.ndarray:
+    """Sorted vec-space indices reachable from seeds in the sparsity
+    graph of L, where index i feeds index j when L[j, i] != 0.
+
+    The set is closed under L, so a state supported on it stays there
+    and evolves under the block L[R, R] alone.
+    """
+    A = abs(L)
+    hit = np.zeros(L.shape[0], dtype=bool)
+    hit[seeds] = True
+    frontier = hit
+    while frontier.any():
+        frontier = (A @ frontier.astype(float) > 0) & ~hit
+        hit |= frontier
+    return np.flatnonzero(hit)
 
 
 def evolve_superoperator(
@@ -72,7 +83,9 @@ def evolve_superoperator(
     """Propagate one state (n,n) or a batch (k,n,n) along a time grid.
 
     Returns (T,n,n) or (T,k,n,n) matching the input rank; rho0 is the
-    state at times[0].
+    state at times[0]. L is a scipy.sparse matrix. Both engines run on
+    the dense block of L over the indices reachable from the nonzero
+    entries of rho0; every other entry of the result is exactly 0.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:
@@ -87,28 +100,30 @@ def evolve_superoperator(
     if L.shape != (n * n, n * n):
         raise ValueError("superoperator does not match the state dimension")
 
-    out = np.empty((times.size, k, n, n), dtype=complex)
-    out[0] = rho0
+    V = _stack(rho0)
+    R = reachable(L, np.flatnonzero(V.any(axis=1)))
+    LR, V = L[R][:, R].toarray(), V[R]
+    out = np.zeros((times.size, k, n, n), dtype=complex)
+    # The reached vec(ρ) entries ρ[a, b], at a + n*b, sit at row-major a*n + b.
+    flat, cols = out.reshape(times.size, k, n * n), (R % n) * n + R // n
+    flat[0][:, cols] = V.T
     if times.size > 1:
         if method == "exponential":
-            dt = _uniform_step(times)
-            P = expm(L * dt)
-            V = _stack(rho0)
+            P = expm(LR * _uniform_step(times))
             for m in range(1, times.size):
                 V = P @ V
-                out[m] = _unstack(V, n)
+                flat[m][:, cols] = V.T
         elif method == "adaptive-rk":
             # Imported here: scipy.integrate adds ~0.3 s to every start-up.
             from scipy.integrate import solve_ivp
 
             def rhs(_t, y):
-                V = y.reshape(n * n, k, order="F")
-                return (L @ V).reshape(-1, order="F")
+                return (LR @ y.reshape(R.size, k, order="F")).reshape(-1, order="F")
 
             sol = solve_ivp(
                 rhs,
                 (times[0], times[-1]),
-                _stack(rho0).reshape(-1, order="F"),
+                V.reshape(-1, order="F"),
                 t_eval=times,
                 method="RK45",
                 rtol=rel_tol,
@@ -117,7 +132,7 @@ def evolve_superoperator(
             if not sol.success:
                 raise RuntimeError(f"adaptive integration failed: {sol.message}")
             for m in range(1, times.size):
-                out[m] = _unstack(sol.y[:, m].reshape(n * n, k, order="F"), n)
+                flat[m][:, cols] = sol.y[:, m].reshape(R.size, k, order="F").T
         else:
             raise ValueError(f"unknown evolution method {method!r}")
     return out[:, 0] if single else out
@@ -246,6 +261,7 @@ def steady_state(L: Superoperator, *, residual_tol: float = 1e-10) -> np.ndarray
     n = math.isqrt(L.shape[0])
     if L.shape != (n * n, n * n):
         raise ValueError("L must act on vectorized square matrices")
+    L = L.toarray()
     _, s, Vh = np.linalg.svd(L)
     null_dim = int(np.count_nonzero(s <= _KERNEL_RTOL * s[0]))
     if null_dim != 1:

@@ -20,13 +20,15 @@ import numpy as np
 from .basis import m_index
 from .dynamics import evolve_superoperator, steady_state
 from .mscheme import (
-    JumpChannel, MSchemeParams, build_hamiltonian, build_jump_channels, build_liouvillian
+    JumpChannel, MSchemeParams, Superoperator, build_hamiltonian, build_jump_channels,
+    build_liouvillian, transition_operator,
 )
 
 # Atomic levels 1..5 at indices 0..4; the ground level is 3. They are the
 # photon-free collective states, at these positions of the 18-state basis.
-_LEVEL_INDICES = tuple(m_index(label, 0, 0) for label in ("E1", "E2", "G", "E4", "E5"))
-_N_LEVELS = len(_LEVEL_INDICES)
+_LEVELS = tuple((label, 0, 0) for label in ("E1", "E2", "G", "E4", "E5"))
+_LEVEL_INDICES = tuple(m_index(*state) for state in _LEVELS)
+_N_LEVELS = len(_LEVELS)
 _GROUND = 2
 
 
@@ -63,8 +65,9 @@ def semiclassical_hamiltonian(
     H = build_hamiltonian(params)[np.ix_(_LEVEL_INDICES, _LEVEL_INDICES)]
     H[0, 0] += offset
     H[1, 1] -= offset
-    H[1, 2] = H[2, 1] = omega_p
-    H[3, 2] = H[2, 3] = omega_t
+    for strength, level in ((omega_p, "E2"), (omega_t, "E4")):
+        T = transition_operator(_LEVELS, "G", level)
+        H += strength * (T + T.conj().T)
     return H
 
 
@@ -77,7 +80,7 @@ def semiclassical_channels(params: MSchemeParams) -> list[JumpChannel]:
 
 def semiclassical_liouvillian(
     params: MSchemeParams, probe_rabi_classical: float = 1e-3, offset: float = 0.0
-) -> np.ndarray:
+) -> Superoperator:
     """25x25 generator of the single-atom master equation."""
     return build_liouvillian(
         semiclassical_hamiltonian(params, probe_rabi_classical, offset),

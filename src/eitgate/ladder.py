@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import GateTrajectories, conditional_generator, evolve_qubit_units, matrix_units
-from .mscheme import JumpChannel, build_liouvillian, transition_operator
+from .mscheme import JumpChannel, Superoperator, build_liouvillian, transition_operator
 
 # Atomic labels: all atoms in the intermediate level, one atom moved to
 # the bottom level, one atom moved to the top level.
@@ -116,7 +116,7 @@ def build_ladder_channels(params: LadderParams) -> list[JumpChannel]:
     ]
 
 
-def build_ladder_liouvillian(params: LadderParams) -> np.ndarray:
+def build_ladder_liouvillian(params: LadderParams) -> Superoperator:
     return build_liouvillian(build_ladder_hamiltonian(params), build_ladder_channels(params))
 
 
@@ -183,16 +183,22 @@ def boundary_population(rho: np.ndarray, n_max: int) -> np.ndarray:
     return r.sum(axis=(-3, -2, -1)) - interior
 
 
-def check_truncation(traj: np.ndarray, n_max: int, threshold: float = 1e-3) -> None:
+def check_truncation(
+    traj: np.ndarray, n_max: int, threshold: float = 1e-3, *, labels=None
+) -> None:
     """Raise if any state puts more than threshold at the photon edge.
 
-    The message names the index of the worst state in the batch.
+    traj is one trajectory (T,n,n) or a batch (T,k,n,n); labels names
+    the k inputs of a batch. The message names the time sample and,
+    for a batch, the input of the worst state.
     """
     leak = boundary_population(traj, n_max)
     at = np.unravel_index(int(np.argmax(leak)), leak.shape)
     worst = float(leak[at])
     if worst > threshold:
-        where = "" if not at else f" at state {at[0] if len(at) == 1 else tuple(map(int, at))}"
+        where = f" at time sample {int(at[0])}" if at else ""
+        if len(at) == 2:
+            where += f" of input {int(at[1]) if labels is None else labels[at[1]]}"
         raise RuntimeError(
             f"truncation leakage {worst:.3e}{where} exceeds {threshold:.1e}; raise n_max"
         )

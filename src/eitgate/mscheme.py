@@ -19,9 +19,10 @@ import numpy as np
 
 from .basis import M_DIM, M_STATES
 
-# Type aliases: operators and superoperators are plain dense arrays.
+# Type aliases: operators are dense arrays; superoperators are
+# scipy.sparse.csr_array (scipy.sparse loads with the first build).
 OperatorMatrix = np.ndarray
-Superoperator = np.ndarray
+Superoperator = "scipy.sparse.csr_array"
 
 GAMMA_SI_DEFAULT = 2.0 * math.pi * 6.0e6  # rad/s
 
@@ -173,21 +174,41 @@ def build_liouvillian(H: OperatorMatrix, channels: list[JumpChannel]) -> Superop
     -i[H,ρ] for Hermitian H; a non-Hermitian H carries the no-jump drift
     of the conditional generators. Works for any dimension (the
     semiclassical and ladder models reuse it).
+
+    L is assembled as a CSR array from the nonzeros of each Kronecker
+    factor pair, summed in the order of the dense expression so that
+    L.toarray() equals the dense np.kron assembly bit for bit.
     """
+    # Imported here: the CLI loads no scipy module at start-up.
+    import scipy.sparse as sp
+
     n = H.shape[0]
     if H.shape != (n, n):
         raise ValueError("H must be square")
     eye = np.eye(n)
-    L = -1j * (np.kron(eye, H) - np.kron(H.conj(), eye))
+    pairs = [(eye, H), (H.conj(), eye)]
     for ch in channels:
-        S = ch.op
-        if S.shape != (n, n):
+        if ch.op.shape != (n, n):
             raise ValueError("channel operator dimension mismatch")
-        SdS = S.conj().T @ S
-        L += (ch.rate / 2.0) * (
-            2.0 * np.kron(S.conj(), S) - np.kron(eye, SdS) - np.kron(SdS.T, eye)
-        )
-    return L
+        SdS = ch.op.conj().T @ ch.op
+        pairs += [(ch.op.conj(), ch.op), (eye, SdS), (SdS.T, eye)]
+    # Each kron(A, B) as COO keys row * n² + column over the factors' nonzeros.
+    coo = []
+    for A, B in pairs:
+        (ia, ja), (ib, jb) = np.nonzero(A), np.nonzero(B)
+        key = ((ia[:, None] * n + ib) * (n * n) + ja[:, None] * n + jb).ravel()
+        coo.append((key, (A[ia, ja][:, None] * B[ib, jb]).ravel()))
+    union = np.unique(np.concatenate([key for key, _ in coo]))
+    terms = [np.zeros(union.size, dtype=complex) for _ in coo]
+    for t, (key, value) in zip(terms, coo):
+        t[np.searchsorted(union, key)] = value
+    data = -1j * (terms[0] - terms[1])
+    for m, ch in enumerate(channels):
+        K3, K4, K5 = terms[2 + 3 * m : 5 + 3 * m]
+        data += (ch.rate / 2.0) * (2.0 * K3 - K4 - K5)
+    rows, cols = np.divmod(union, n * n)
+    indptr = np.searchsorted(rows, np.arange(n * n + 1))
+    return sp.csr_array((data, cols, indptr), shape=(n * n, n * n))
 
 
 def vec(rho: np.ndarray) -> np.ndarray:

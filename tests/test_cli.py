@@ -532,23 +532,29 @@ def test_unconditional_map_is_freed_before_the_conditional_one(
     tmp_path, monkeypatch, module, name, config
 ):
     evolve = getattr(module, name)
-    unconditional = []
+    score = observables.conditional_fidelity_from_blocks
+    maps = {}
 
     def spy(*args, conditional=False, **kwargs):
         if conditional:
             gc.collect()
-            alive = unconditional[0]() is not None
+            alive = maps[False]() is not None
             assert not alive, "the unconditional map outlived its readout"
         traj = evolve(*args, conditional=conditional, **kwargs)
-        if not conditional:
-            unconditional.append(weakref.ref(traj.unit_inputs))
+        maps[conditional] = weakref.ref(traj.unit_inputs)
         return traj
 
+    def scoring(*args, **kwargs):
+        gc.collect()
+        assert maps[True]() is None, "the conditional map outlived its readout"
+        return score(*args, **kwargs)
+
     monkeypatch.setattr(module, name, spy)
+    monkeypatch.setattr(observables, "conditional_fidelity_from_blocks", scoring)
     command = "ladder" if module is ladder else "simulate"
     cfg_path = write_cfg(tmp_path, **config)
     assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
-    assert len(unconditional) == 1
+    assert set(maps) == {False, True}
 
 
 def test_ladder_truncation_guard_covers_every_basis_input(tmp_path, capsys, monkeypatch):
@@ -566,7 +572,9 @@ def test_ladder_truncation_guard_covers_every_basis_input(tmp_path, capsys, monk
     cfg_path = write_cfg(tmp_path, **tilted)
     out = tmp_path / "out"
     assert cli.main(["ladder", "--config", cfg_path, "--out", str(out)]) == 1
-    assert "truncation leakage" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "truncation leakage" in err
+    assert "at time sample " in err and " of input |10> " in err
     assert len(calls) == 1
     assert not out.exists() or not any(out.iterdir())
 
@@ -645,7 +653,7 @@ def test_module_entry_point(tmp_path):
     assert report["lambda_p"] == pytest.approx(7.702100748786742e-4, rel=1e-9)
 
 
-@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.linalg"])
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.linalg", "scipy.sparse"])
 def test_cli_import_leaves_scipy_integrate_unloaded(module):
     # Every CLI process pays for what importing the package loads; the
     # adaptive integrator and the matrix exponential are imported only

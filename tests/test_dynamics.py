@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from eitgate import basis, dynamics, mscheme
+from eitgate import basis, dynamics, ladder, mscheme
 
 from _support import CLOSED_PARAMS, RICH_PARAMS, random_density
 
@@ -223,3 +223,75 @@ def test_steady_state_requires_unique_kernel():
     # Without any coupling or decay every state is stationary.
     with pytest.raises(ValueError):
         dynamics.steady_state(dynamics.build_liouvillian_for(BARE))
+
+
+GATE_POINT = replace(
+    RICH_PARAMS, N_a=1e8, g_p=0.0022, g_t=0.0022, Omega1=4.0, Omega4=4.0,
+    delta2=15.0, delta3=15.0, eps12=0.01, eps34=0.01,
+)
+LADDER_POINT = dict(N_a=1e8, g_p=0.0022, g_t=0.0022, delta_p=10.0)
+
+
+def _qubit_unit_seeds(positions, n):
+    return [a + n * b for a in positions for b in positions]
+
+
+def _dense_expm_run(L, rho0, times):
+    # Reference: the full dense generator exponentiated and stepped in
+    # vec space, with no restriction to a reachable set.
+    import scipy.linalg
+
+    k, n = rho0.shape[0], rho0.shape[1]
+    P = scipy.linalg.expm(L.toarray() * (times[1] - times[0]))
+    V = rho0.transpose(0, 2, 1).reshape(k, n * n).T
+    out = [V]
+    for _ in times[1:]:
+        V = P @ V
+        out.append(V)
+    return np.stack([v.T.reshape(k, n, n).transpose(0, 2, 1) for v in out])
+
+
+@pytest.mark.parametrize("method", ["exponential", "adaptive-rk"])
+@pytest.mark.parametrize("model", ["five-level", "ladder"])
+def test_restricted_propagation_matches_full_dense_expm(model, method):
+    if model == "five-level":
+        L = dynamics.build_liouvillian_for(GATE_POINT)
+        positions = basis.QUBIT_M_INDICES
+    else:
+        L = ladder.build_ladder_liouvillian(
+            ladder.LadderParams(**LADDER_POINT, n_max=2, convention="absorptive")
+        )
+        positions = ladder.qubit_positions(2)
+    n = math.isqrt(L.shape[0])
+    units = dynamics.matrix_units(positions, n)
+    # A short window keeps the Runge-Kutta error below the bound.
+    times = np.linspace(0.0, 0.02, 11)
+    got = dynamics.evolve_superoperator(
+        L, units, times, method=method, rel_tol=1e-13, abs_tol=1e-16
+    )
+    assert np.max(np.abs(got - _dense_expm_run(L, units, times))) < 1e-13
+    outside = np.ones(n * n, dtype=bool)
+    outside[dynamics.reachable(L, _qubit_unit_seeds(positions, n))] = False
+    vec_traj = got.transpose(0, 1, 3, 2).reshape(times.size, 16, n * n)
+    assert outside.any()
+    assert np.all(vec_traj[:, :, outside] == 0)
+
+
+def test_reached_sizes_of_the_qubit_units():
+    L = dynamics.build_liouvillian_for(GATE_POINT)
+    seeds = _qubit_unit_seeds(basis.QUBIT_M_INDICES, basis.M_DIM)
+    assert dynamics.reachable(L, seeds).size == 198
+    for n_max, convention, size in [(n, "absorptive", 124) for n in range(3, 9)] + [
+        (8, "as-printed", 1027)
+    ]:
+        p = ladder.LadderParams(**LADDER_POINT, n_max=n_max, convention=convention)
+        seeds = _qubit_unit_seeds(ladder.qubit_positions(n_max), ladder.ladder_dim(n_max))
+        assert dynamics.reachable(ladder.build_ladder_liouvillian(p), seeds).size == size
+
+
+def test_reachable_set_is_closed_under_the_generator():
+    L = dynamics.build_liouvillian_for(RICH_PARAMS)
+    R = dynamics.reachable(L, [0])
+    outside = np.setdiff1d(np.arange(L.shape[0]), R)
+    assert R[0] == 0 and outside.size > 0
+    assert L[outside][:, R].count_nonzero() == 0

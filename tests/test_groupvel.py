@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from eitgate import groupvel
+from eitgate import basis, groupvel, mscheme
 from eitgate.groupvel import OpticalConstants
 from eitgate.mscheme import MSchemeParams
 
@@ -41,6 +41,32 @@ def test_semiclassical_hamiltonian_structure():
     assert H[3, 3] == pytest.approx(EIT_SET.delta3)
     assert H[4, 4] == pytest.approx(EIT_SET.eps34)
     assert H[1, 2] == pytest.approx(1e-3 * 0.0022 * 1000.0)
+
+
+def _positional_semiclassical_hamiltonian(params, probe_rabi_classical, offset):
+    # Reference layout: the photon-free slice of the collective
+    # Hamiltonian with the classical couplings written at the positions
+    # of levels E2-G and E4-G in the order E1, E2, G, E4, E5.
+    idx = [basis.m_index(label, 0, 0) for label in ("E1", "E2", "G", "E4", "E5")]
+    H = mscheme.build_hamiltonian(params)[np.ix_(idx, idx)]
+    H[0, 0] += offset
+    H[1, 1] -= offset
+    H[1, 2] = H[2, 1] = probe_rabi_classical * params.g_p * math.sqrt(params.N_a)
+    H[3, 2] = H[2, 3] = probe_rabi_classical * params.g_t * math.sqrt(params.N_a)
+    return H
+
+
+def test_semiclassical_hamiltonian_is_bitwise_the_positional_layout():
+    rng = np.random.default_rng(11)
+    names = ("g_p", "g_t", "Omega1", "Omega4", "delta2", "delta3", "eps12", "eps34")
+    for i in range(200):
+        values = {k: float(rng.normal() * rng.choice([1e-3, 1.0, 10.0])) for k in names}
+        if i % 5 == 0:
+            values["g_t"] = 0.0
+        params = MSchemeParams(N_a=float(10 ** rng.uniform(0, 8)), **values)
+        rabi, offset = float(10 ** rng.uniform(-4, -1)), float(rng.normal())
+        H = groupvel.semiclassical_hamiltonian(params, rabi, offset)
+        assert H.tobytes() == _positional_semiclassical_hamiltonian(params, rabi, offset).tobytes()
 
 
 def test_semiclassical_channels_drop_zero_rates():

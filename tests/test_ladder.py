@@ -212,8 +212,13 @@ def test_truncation_error_names_the_worst_state():
     traj = np.zeros((5, 27, 27))
     traj[1, 2, 2] = 2e-3
     traj[3, 2, 2] = 4e-3
-    with pytest.raises(RuntimeError, match="truncation leakage 4.000e-03 at state 3 "):
+    with pytest.raises(RuntimeError, match="truncation leakage 4.000e-03 at time sample 3 "):
         ladder.check_truncation(traj, 2)
+    batch = np.stack([np.zeros_like(traj), traj], axis=1)
+    with pytest.raises(RuntimeError, match="at time sample 3 of input 1 "):
+        ladder.check_truncation(batch, 2)
+    with pytest.raises(RuntimeError, match=r"at time sample 3 of input \|01> "):
+        ladder.check_truncation(batch, 2, labels=("|00>", "|01>"))
 
 
 def test_gate_without_couplings_or_decay_is_static():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eitgate import basis, mscheme
+from eitgate import basis, dynamics, groupvel, ladder, mscheme
 
 from _support import RICH_PARAMS, full_space_operators, random_density, symmetric_isometry
 
@@ -202,6 +202,66 @@ def test_liouvillian_generator_is_traceless():
     for _ in range(5):
         rho = random_density(18, rng)
         assert abs(np.trace(mscheme.unvec(L @ mscheme.vec(rho)))) < 1e-12
+
+
+def _dense_liouvillian(H, channels):
+    # The dense assembly the sparse builder must reproduce bit for bit.
+    n = H.shape[0]
+    eye = np.eye(n)
+    L = -1j * (np.kron(eye, H) - np.kron(H.conj(), eye))
+    for ch in channels:
+        S = ch.op
+        SdS = S.conj().T @ S
+        L += (ch.rate / 2.0) * (
+            2.0 * np.kron(S.conj(), S) - np.kron(eye, SdS) - np.kron(SdS.T, eye)
+        )
+    return L
+
+
+def _conditional_parts(H, channels):
+    # No-jump drift of the decays; dephasing keeps its full dissipator.
+    K = H.copy()
+    for ch in channels:
+        if ch.kind == "decay":
+            K -= 0.5j * ch.rate * (ch.op.conj().T @ ch.op)
+    return K, [ch for ch in channels if ch.kind != "decay"]
+
+
+def _ladder_case(n_max, convention):
+    p = ladder.LadderParams(
+        N_a=50.0, g_p=0.3, g_t=0.2, delta_p=1.5, delta_t=-0.5,
+        gamma21=0.7, gamma32=0.4, n_max=n_max, convention=convention,
+    )
+    name = f"ladder {convention} n_max={n_max}"
+    return name, ladder.build_ladder_hamiltonian(p), ladder.build_ladder_channels(p)
+
+
+_H_RICH = mscheme.build_hamiltonian(RICH_PARAMS)
+_CHANNELS_RICH = mscheme.build_jump_channels(RICH_PARAMS)
+_GENERATOR_CASES = [
+    ("five-level", _H_RICH, _CHANNELS_RICH),
+    ("five-level conditional", *_conditional_parts(_H_RICH, _CHANNELS_RICH)),
+    (
+        "semiclassical",
+        groupvel.semiclassical_hamiltonian(RICH_PARAMS, 1e-3, 0.3),
+        groupvel.semiclassical_channels(RICH_PARAMS),
+    ),
+] + [_ladder_case(n_max, c) for n_max in (1, 2, 3) for c in ladder.CONVENTIONS]
+
+
+@pytest.mark.parametrize(
+    "name, H, channels", _GENERATOR_CASES, ids=[c[0] for c in _GENERATOR_CASES]
+)
+def test_sparse_liouvillian_is_bitwise_the_dense_assembly(name, H, channels):
+    L = mscheme.build_liouvillian(H, channels)
+    assert L.format == "csr"
+    assert L.toarray().tobytes() == _dense_liouvillian(H, channels).tobytes()
+
+
+def test_conditional_generator_matches_the_dense_assembly():
+    L = dynamics.conditional_generator(_H_RICH, _CHANNELS_RICH)
+    reference = _dense_liouvillian(*_conditional_parts(_H_RICH, _CHANNELS_RICH))
+    assert L.toarray().tobytes() == reference.tobytes()
 
 
 def test_liouvillian_dimension_checks():
