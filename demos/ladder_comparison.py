@@ -60,19 +60,20 @@ def ladder_metrics():
     coarse = np.linspace(0.0, 0.24, 61)
     kc = int(np.argmin(np.abs(coarse - T_EVAL)))
     positions = ladder.qubit_positions(LADDER.n_max)
-    unc = dynamics.evolve_qubit_units(Ls, positions, coarse, method="adaptive-rk").unit_inputs
-    lam = ladder.photon_qubit_block(
-        ladder.reduce_to_photons(unc[kc], LADDER.n_max), LADDER.n_max
-    )
+
+    def block(rho):
+        return ladder.photon_qubit_block(ladder.reduce_to_photons(rho, LADDER.n_max), LADDER.n_max)
+
+    # Read the matrix-unit maps out as images, without their dense states.
+    unc = dynamics.evolve_qubit_units(Ls, positions, coarse, method="adaptive-rk")
+    lam = unc.image(block)[kc]
     del unc, Ls
     Lc = dynamics.conditional_generator(
         ladder.build_ladder_hamiltonian(LADDER), ladder.build_ladder_channels(LADDER)
     )
-    con = dynamics.evolve_qubit_units(Lc, positions, coarse, method="adaptive-rk").unit_inputs
-    clam = ladder.photon_qubit_block(
-        ladder.reduce_to_photons(con[kc], LADDER.n_max), LADDER.n_max
-    )
-    ctr = np.einsum("kaa->k", con[kc])
+    con = dynamics.evolve_qubit_units(Lc, positions, coarse, method="adaptive-rk")
+    clam = con.image(block)[kc]
+    ctr = con.image(lambda rho: np.trace(rho, axis1=-2, axis2=-1))[kc]
     del con, Lc
 
     F = observables.average_fidelity_from_blocks(lam, U)

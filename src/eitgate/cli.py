@@ -219,23 +219,24 @@ def _metrics_from_blocks(propagate, qubit_blocks, pop_names, cfg) -> dict:
 
     propagate(conditional=...) returns the trajectories of the sixteen
     matrix units; qubit_blocks maps (...,n,n) states of the model to
-    their (...,4,4) qubit blocks. Each map is dropped once it is read
-    out: the unconditional one before the conditional one is propagated,
-    the conditional one before the Monte Carlo runs. Fidelities are
-    taken against the instantaneous ideal phase gate, one batched call
-    per series.
+    their (...,4,4) qubit blocks; every readout is an image of the maps.
+    Each map is dropped once it is read out: the unconditional one before
+    the conditional one is propagated, the conditional one before the
+    Monte Carlo runs. Fidelities are taken against the instantaneous
+    ideal phase gate, one batched call per series.
     """
     gt = propagate(conditional=False)
-    times, super_traj = gt.times, gt.superposition
-    phases = observables.phases_from_coherences(
-        qubit_blocks(super_traj)[:, 1:4, 0], gt.amplitudes
-    )
+    times, w = gt.times, gt.weights
+    blocks = gt.image(qubit_blocks)
+    super_blocks = np.einsum("k,tkab->tab", w, blocks)
+    phases = observables.phases_from_coherences(super_blocks[:, 1:4, 0], gt.amplitudes)
     U = observables.ideal_phase_unitary(phases)
-    fid = observables.average_fidelity_from_blocks(qubit_blocks(gt.unit_inputs), U)
-    populations = observables.populations(super_traj)
-    del gt, super_traj
-    cond = propagate(conditional=True).unit_inputs
-    cond_blocks, cond_traces = qubit_blocks(cond), np.einsum("tkaa->tk", cond)
+    fid = observables.average_fidelity_from_blocks(blocks, U)
+    populations = np.einsum("k,tki->ti", w, gt.image(observables.populations)).real
+    del gt, blocks
+    cond = propagate(conditional=True)
+    cond_blocks = cond.image(qubit_blocks)
+    cond_traces = cond.image(functools.partial(np.trace, axis1=-2, axis2=-1))
     del cond
     cond_r = observables.conditional_fidelity_from_blocks(
         cond_blocks,
@@ -287,9 +288,10 @@ def run_ladder_analysis(cfg: dict) -> dict:
         if not conditional:
             # Guard the superposition and the four basis inputs the
             # fidelities average over, before the conditional map is run.
-            ladder.check_truncation(traj.superposition, n_max)
+            leak = traj.image(lambda rho: ladder.boundary_population(rho, n_max))
+            ladder.check_leakage((leak @ traj.weights).real)
             labels = ("|00>", "|01>", "|10>", "|11>")
-            ladder.check_truncation(traj.unit_inputs[:, [0, 5, 10, 15]], n_max, labels=labels)
+            ladder.check_leakage(leak[:, [0, 5, 10, 15]].real, labels=labels)
         return traj
 
     return _metrics_from_blocks(

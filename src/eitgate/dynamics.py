@@ -71,70 +71,74 @@ def reachable(L: Superoperator, seeds) -> np.ndarray:
     return np.flatnonzero(hit)
 
 
+def propagate_reached(
+    L: Superoperator, V: np.ndarray, times: np.ndarray, *, method: str = "exponential",
+    rel_tol: float = 1e-8, abs_tol: float = 1e-12,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Propagate the k columns of V (n²,k) along times under the sparse L.
+
+    Returns the sorted indices R reachable from the nonzero rows of V and
+    Y (T,k,|R|) with Y[m, i] = vec(ρ_i(t_m))[R]; entries outside R stay 0.
+    Both engines run on the dense block L[R, R].
+    """
+    if method not in ("exponential", "adaptive-rk"):
+        raise ValueError(f"unknown evolution method {method!r}")
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size < 1:
+        raise ValueError("times must be a non-empty 1-d array")
+    k = V.shape[1]
+    R = reachable(L, np.flatnonzero(V.any(axis=1)))
+    LR, V = L[R][:, R].toarray(), V[R]
+    Y = np.empty((times.size, k, R.size), dtype=complex)
+    Y[0] = V.T
+    if times.size > 1 and method == "exponential":
+        P = expm(LR * _uniform_step(times))
+        for m in range(1, times.size):
+            V = P @ V
+            Y[m] = V.T
+    elif times.size > 1:
+        # Imported here: scipy.integrate adds ~0.3 s to every start-up.
+        from scipy.integrate import solve_ivp
+
+        def rhs(_t, y):
+            return (LR @ y.reshape(R.size, k, order="F")).reshape(-1, order="F")
+
+        sol = solve_ivp(rhs, times[[0, -1]], V.reshape(-1, order="F"), method="RK45",
+                        t_eval=times, rtol=rel_tol, atol=abs_tol)
+        if not sol.success:
+            raise RuntimeError(f"adaptive integration failed: {sol.message}")
+        Y[1:] = sol.y[:, 1:].reshape(R.size, k, -1, order="F").transpose(2, 1, 0)
+    return R, Y
+
+
+def _scatter(R: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray:
+    """Columns Y (...,|R|) -> zero-filled states (...,n,n). The reached
+    vec(ρ) entries ρ[a, b], at a + n*b, sit at row-major a*n + b."""
+    out = np.zeros(Y.shape[:-1] + (n, n), dtype=complex)
+    out.reshape(Y.shape[:-1] + (n * n,))[..., (R % n) * n + R // n] = Y
+    return out
+
+
 def evolve_superoperator(
-    L: Superoperator,
-    rho0: np.ndarray,
-    times: np.ndarray,
-    *,
-    method: str = "exponential",
-    rel_tol: float = 1e-8,
-    abs_tol: float = 1e-12,
+    L: Superoperator, rho0: np.ndarray, times: np.ndarray, *, method: str = "exponential",
+    rel_tol: float = 1e-8, abs_tol: float = 1e-12,
 ) -> np.ndarray:
     """Propagate one state (n,n) or a batch (k,n,n) along a time grid.
 
     Returns (T,n,n) or (T,k,n,n) matching the input rank; rho0 is the
-    state at times[0]. L is a scipy.sparse matrix. Both engines run on
-    the dense block of L over the indices reachable from the nonzero
-    entries of rho0; every other entry of the result is exactly 0.
+    state at times[0]. Entries outside the reached set are exactly 0.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 1:
-        raise ValueError("times must be a non-empty 1-d array")
     rho0 = np.asarray(rho0, dtype=complex)
     single = rho0.ndim == 2
     if single:
         rho0 = rho0[None]
     if rho0.ndim != 3 or rho0.shape[1] != rho0.shape[2]:
         raise ValueError("rho0 must be square or a batch of square matrices")
-    k, n = rho0.shape[0], rho0.shape[1]
+    n = rho0.shape[1]
     if L.shape != (n * n, n * n):
         raise ValueError("superoperator does not match the state dimension")
-
-    V = _stack(rho0)
-    R = reachable(L, np.flatnonzero(V.any(axis=1)))
-    LR, V = L[R][:, R].toarray(), V[R]
-    out = np.zeros((times.size, k, n, n), dtype=complex)
-    # The reached vec(ρ) entries ρ[a, b], at a + n*b, sit at row-major a*n + b.
-    flat, cols = out.reshape(times.size, k, n * n), (R % n) * n + R // n
-    flat[0][:, cols] = V.T
-    if times.size > 1:
-        if method == "exponential":
-            P = expm(LR * _uniform_step(times))
-            for m in range(1, times.size):
-                V = P @ V
-                flat[m][:, cols] = V.T
-        elif method == "adaptive-rk":
-            # Imported here: scipy.integrate adds ~0.3 s to every start-up.
-            from scipy.integrate import solve_ivp
-
-            def rhs(_t, y):
-                return (LR @ y.reshape(R.size, k, order="F")).reshape(-1, order="F")
-
-            sol = solve_ivp(
-                rhs,
-                (times[0], times[-1]),
-                V.reshape(-1, order="F"),
-                t_eval=times,
-                method="RK45",
-                rtol=rel_tol,
-                atol=abs_tol,
-            )
-            if not sol.success:
-                raise RuntimeError(f"adaptive integration failed: {sol.message}")
-            for m in range(1, times.size):
-                flat[m][:, cols] = sol.y[:, m].reshape(R.size, k, order="F").T
-        else:
-            raise ValueError(f"unknown evolution method {method!r}")
+    kw = {"method": method, "rel_tol": rel_tol, "abs_tol": abs_tol}
+    out = _scatter(*propagate_reached(L, _stack(rho0), times, **kw), n)
     return out[:, 0] if single else out
 
 
@@ -201,23 +205,58 @@ def superposition_input(amplitudes) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
+# Matrix units per readout call in GateTrajectories.image; bounds its (chunk,n,n) temporaries.
+_IMAGE_CHUNK = 64
+
+
 @dataclass(frozen=True)
 class GateTrajectories:
     """Evolution of the sixteen qubit-block matrix units.
 
-    unit_inputs[t, 4*i+j] is the propagated image of |q_i><q_j|; any
-    superposition input follows by linearity without re-integrating.
+    columns[t, 4*i+j] is the propagated image of |q_i><q_j| on the
+    reached vec indices (a + dim*b for ρ[a, b]); all else is exactly 0.
+    Any superposition input follows by linearity without re-integrating.
     """
 
     times: np.ndarray
-    unit_inputs: np.ndarray  # (T, 16, n, n)
+    reached: np.ndarray  # (|R|,) sorted vec-space indices
+    columns: np.ndarray  # (T, 16, |R|)
+    dim: int
     amplitudes: np.ndarray  # (4,) normalized
+
+    @property
+    def weights(self) -> np.ndarray:
+        """(16,) coefficients c_i c_j* of the superposition over the units."""
+        return np.outer(self.amplitudes, self.amplitudes.conj()).reshape(16)
+
+    @property
+    def unit_inputs(self) -> np.ndarray:
+        """Zero-filled states (T,16,n,n) of the sixteen units."""
+        return _scatter(self.reached, self.columns, self.dim)
 
     @property
     def superposition(self) -> np.ndarray:
         """Trajectory (T,n,n) of the pure superposition input."""
-        w = np.outer(self.amplitudes, self.amplitudes.conj()).reshape(16)
-        return np.einsum("k,tkab->tab", w, self.unit_inputs)
+        return _scatter(self.reached, np.einsum("k,tkr->tr", self.weights, self.columns), self.dim)
+
+    def image(self, f) -> np.ndarray:
+        """Linear readout f of (...,n,n) states applied to every unit,
+        (T,16,...), from f on the reached matrix units |a><b| and one
+        product with the columns. Take .real of a readout's image if it
+        takes .real itself (populations, edge leakage)."""
+        n, R = self.dim, self.reached
+        parts = []
+        for s in range(0, R.size, _IMAGE_CHUNK):
+            idx = R[s : s + _IMAGE_CHUNK]
+            E = np.zeros((idx.size, n, n), dtype=complex)
+            E[np.arange(idx.size), idx % n, idx // n] = 1.0
+            # Keep a copy, not a view, and free E before the next chunk.
+            parts.append(np.array(f(E), dtype=complex))
+            del E
+        F = np.concatenate(parts)
+        T, k = self.columns.shape[:2]
+        out = self.columns.reshape(T * k, R.size) @ F.reshape(R.size, -1)
+        return out.reshape((T, k) + F.shape[1:])
 
 
 def evolve_qubit_units(
@@ -226,9 +265,10 @@ def evolve_qubit_units(
     """Propagate the sixteen matrix units of the qubit states at the four
     given positions under the generator L, in one batch."""
     c = normalized_amplitudes(amplitudes)
-    traj = evolve_superoperator(L, matrix_units(positions, math.isqrt(L.shape[0])), times, **kw)
+    n = math.isqrt(L.shape[0])
+    R, Y = propagate_reached(L, _stack(matrix_units(positions, n)), times, **kw)
     return GateTrajectories(
-        times=np.asarray(times, dtype=float), unit_inputs=traj, amplitudes=c
+        times=np.asarray(times, dtype=float), reached=R, columns=Y, dim=n, amplitudes=c
     )
 
 

@@ -186,13 +186,16 @@ def boundary_population(rho: np.ndarray, n_max: int) -> np.ndarray:
 def check_truncation(
     traj: np.ndarray, n_max: int, threshold: float = 1e-3, *, labels=None
 ) -> None:
-    """Raise if any state puts more than threshold at the photon edge.
+    """check_leakage on the edge population of one trajectory (T,n,n) or a batch (T,k,n,n)."""
+    check_leakage(boundary_population(traj, n_max), threshold, labels=labels)
 
-    traj is one trajectory (T,n,n) or a batch (T,k,n,n); labels names
-    the k inputs of a batch. The message names the time sample and,
-    for a batch, the input of the worst state.
+
+def check_leakage(leak: np.ndarray, threshold: float = 1e-3, *, labels=None) -> None:
+    """Raise if any edge population (T,) or (T,k) exceeds threshold.
+
+    The message names the time sample and, for a batch, the input of
+    the worst state.
     """
-    leak = boundary_population(traj, n_max)
     at = np.unravel_index(int(np.argmax(leak)), leak.shape)
     worst = float(leak[at])
     if worst > threshold:

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -541,7 +542,7 @@ def test_unconditional_map_is_freed_before_the_conditional_one(
             alive = maps[False][-1]() is not None
             assert not alive, "the unconditional map outlived its readout"
         traj = evolve(*args, conditional=conditional, **kwargs)
-        maps.setdefault(conditional, []).append(weakref.ref(traj.unit_inputs))
+        maps.setdefault(conditional, []).append(weakref.ref(traj.columns))
         return traj
 
     def scoring(*args, **kwargs):
@@ -560,14 +561,14 @@ def test_unconditional_map_is_freed_before_the_conditional_one(
 def test_ladder_truncation_guard_covers_every_basis_input(tmp_path, capsys, monkeypatch):
     # Equal amplitudes trip the guard on the superposition; a superposition
     # tilted towards |00> hides the edge population of the other inputs.
-    evolve = dynamics.evolve_superoperator
+    evolve = dynamics.propagate_reached
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(1)
         return evolve(*args, **kwargs)
 
-    monkeypatch.setattr(dynamics, "evolve_superoperator", counting)
+    monkeypatch.setattr(dynamics, "propagate_reached", counting)
     tilted = {**LADDER_ABSORPTIVE, "c00": 1.0, "c01": 0.01, "c10": 0.01, "c11": 0.01}
     cfg_path = write_cfg(tmp_path, **tilted)
     out = tmp_path / "out"
@@ -577,6 +578,21 @@ def test_ladder_truncation_guard_covers_every_basis_input(tmp_path, capsys, monk
     assert "at time sample " in err and " of input |10> " in err
     assert len(calls) == 1
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_ladder_analysis_stays_below_one_dense_map():
+    # As-printed n_max 6 reaches 769 of 147² vec entries. A (T,16,n,n)
+    # array of the unit states would take 26*16*147²*16 B, about 144 MB.
+    cfg = {**cli.DEFAULTS, **SMALL_LADDER, "n_max": 6, "t_max": 0.25, "n_samples": 26}
+    dense_map = 26 * 16 * ladder.ladder_dim(6) ** 2 * 16
+    tracemalloc.start()
+    try:
+        res = cli.run_ladder_analysis(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res["fidelity"].shape == (26,)
+    assert peak < dense_map, f"traced peak {peak / 1e6:.0f} MB"
 
 
 @pytest.mark.parametrize("command", [
@@ -599,7 +615,7 @@ def test_gate_commands_reject_bad_monte_carlo_settings_before_propagating(
     def never(*args, **kwargs):
         raise AssertionError("propagated before validating the Monte Carlo settings")
 
-    monkeypatch.setattr(dynamics, "evolve_superoperator", never)
+    monkeypatch.setattr(dynamics, "propagate_reached", never)
     cfg_path = write_cfg(tmp_path, **{**SMALL_GATE, **overrides})
     out = tmp_path / "out"
     assert cli.main([*command, "--config", cfg_path, "--out", str(out), *flags]) == 1

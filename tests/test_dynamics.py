@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from eitgate import basis, dynamics, ladder, mscheme
+from eitgate import basis, dynamics, ladder, mscheme, observables
 
 from _support import CLOSED_PARAMS, RICH_PARAMS, random_density
 
@@ -134,10 +134,11 @@ def test_exponential_engine_rejects_nonuniform_grid():
     assert out.shape == (3, 18, 18)
 
 
-def test_unknown_method_rejected():
+@pytest.mark.parametrize("times", [[0.0], [0.0, 0.1]])
+def test_unknown_method_rejected(times):
     L = dynamics.build_liouvillian_for(BARE)
-    with pytest.raises(ValueError):
-        dynamics.evolve_superoperator(L, np.eye(18) / 18.0, np.array([0.0, 0.1]), method="euler")
+    with pytest.raises(ValueError, match="euler"):
+        dynamics.evolve_superoperator(L, np.eye(18) / 18.0, np.array(times), method="euler")
 
 
 def test_mismatched_superoperator_dimension_rejected():
@@ -209,6 +210,53 @@ def test_gate_trajectories_reconstruct_superposition_by_linearity():
     gt = dynamics.evolve_gate_inputs(RICH_PARAMS, times, amps)
     direct = dynamics.evolve(RICH_PARAMS, dynamics.superposition_input(amps), times)
     assert np.max(np.abs(gt.superposition - direct)) < 1e-10
+
+
+def _field_blocks(rho):
+    return observables.qubit_block(observables.reduce_to_fields(rho))
+
+
+def _photon_blocks(rho):
+    return ladder.photon_qubit_block(ladder.reduce_to_photons(rho, 2), 2)
+
+
+def _trace(rho):
+    return np.trace(rho, axis1=-2, axis2=-1)
+
+
+_LADDER_REF = ladder.LadderParams(N_a=9, g_p=0.4, g_t=0.5, delta_p=1.2, delta_t=0.7, n_max=2)
+
+
+@pytest.mark.parametrize("method", ["exponential", "adaptive-rk"])
+@pytest.mark.parametrize("model", ["five-level", "ladder"])
+def test_image_equals_readout_of_the_dense_states(model, method):
+    times = np.linspace(0.0, 0.3, 7)
+    amps = [0.5, -0.5j, 0.5, 0.5j]
+    if model == "five-level":
+        gt = dynamics.evolve_gate_inputs(RICH_PARAMS, times, amps, method=method)
+        readouts = [_field_blocks]
+    else:
+        gt = ladder.evolve_ladder_gate(_LADDER_REF, times, amps, method=method)
+        readouts = [_photon_blocks, lambda rho: ladder.boundary_population(rho, 2)]
+    readouts += [_trace, observables.populations]
+    # Several chunks of matrix units, the last one partly filled.
+    assert gt.reached.size > dynamics._IMAGE_CHUNK
+    assert gt.reached.size % dynamics._IMAGE_CHUNK
+    dense = gt.unit_inputs
+    assert dense.shape == (7, 16, gt.dim, gt.dim)
+    for f in readouts:
+        want, got = f(dense), gt.image(f)
+        if np.isrealobj(want):  # a readout taking .real is only real-linear
+            got = got.real
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-14
+
+
+def test_superposed_image_matches_the_superposition_readout():
+    times = np.linspace(0.0, 0.6, 13)
+    gt = dynamics.evolve_gate_inputs(RICH_PARAMS, times, [0.8, -0.2j, 0.4, 0.3])
+    via_image = np.einsum("k,tkab->tab", gt.weights, gt.image(_field_blocks))
+    assert np.max(np.abs(via_image - _field_blocks(gt.superposition))) < 1e-14
 
 
 def test_steady_state_of_cascading_model_is_photon_vacuum():
