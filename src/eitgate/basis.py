@@ -77,7 +77,7 @@ QUBIT_BLOCK = (0, 1, 2, 3)
 
 # Positions of the four qubit product states (atoms unexcited, photon
 # numbers in the qubit block) inside the 18-state ordering.
-QUBIT_M_INDICES = (0, 4, 1, 7)
+QUBIT_M_INDICES = tuple(_M_INDEX[("G", *pair)] for pair in FIELD_BASIS[:4])
 
 _FIELD_INDEX = {pair: i for i, pair in enumerate(FIELD_BASIS)}
 

@@ -338,12 +338,19 @@ def _gate_columns(res: dict) -> dict:
     }
 
 
+def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """One row per sample of the stacked (T,) or (T, k) columns."""
+    rows = np.column_stack(columns).tolist()
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    _atomic_write(path, "\n".join(lines) + "\n")
+
+
 def _write_timeseries(outdir: Path, res: dict) -> None:
     columns = _gate_columns(res)
     header = ["time", *columns] + [f"pop_{n}" for n in res["pop_names"]]
-    table = np.column_stack([res["times"], *columns.values(), res["populations"]])
-    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in table]
-    _atomic_write(outdir / "timeseries.csv", "\n".join(lines) + "\n")
+    _write_csv(
+        outdir / "timeseries.csv", header, [res["times"], *columns.values(), res["populations"]]
+    )
 
 
 def _values_at(res: dict, t: float) -> dict:
@@ -417,6 +424,9 @@ def cmd_scan(args) -> int:
         raise ValueError(f"scan parameter {args.param!r} is not numeric")
     if args.steps < 1:
         raise ValueError("steps must be at least 1")
+    for flag, bound in (("--from", args.from_), ("--to", args.to)):
+        if not math.isfinite(bound):
+            raise ValueError(f"{flag} must be finite")
     values = np.linspace(args.from_, args.to, args.steps)
     lines = ["value,pi_time,fidelity,cond_fidelity,error"]
     for value in values:
@@ -467,16 +477,12 @@ def cmd_groupvel(args) -> int:
     print(json.dumps(out, indent=2, sort_keys=True))
     if args.out is not None:
         offsets = np.linspace(-1.0, 1.0, 201)
-        lines = ["offset,chi_real,chi_imag"]
-        for off in offsets:
-            chi = groupvel.steady_susceptibility(
-                params,
-                float(off),
-                probe_rabi_classical=float(cfg["probe_rabi_classical"]),
-                constants=constants,
-            )
-            lines.append(f"{_fmt(off)},{_fmt(chi.real)},{_fmt(chi.imag)}")
-        _atomic_write(_outdir(args) / "chi.csv", "\n".join(lines) + "\n")
+        chi = groupvel.steady_susceptibility(
+            params, offsets, probe_rabi_classical=common["probe_rabi_classical"],
+            constants=constants,
+        )
+        header = ["offset", "chi_real", "chi_imag"]
+        _write_csv(_outdir(args) / "chi.csv", header, [offsets, chi.real, chi.imag])
     return 0
 
 
@@ -523,10 +529,7 @@ def cmd_fringes(args) -> int:
     table = load_phase_table(args.phases)
     Phi = np.linspace(0.0, 4.0 * math.pi, 256, endpoint=False)
     p1, p2 = interferometer.fock_coincidences(Phi, **table)
-    lines = ["Phi,P_RB1,P_RB2"]
-    for m in range(Phi.size):
-        lines.append(f"{_fmt(Phi[m])},{_fmt(p1[m])},{_fmt(p2[m])}")
-    _atomic_write(_outdir(args) / "fringes.csv", "\n".join(lines) + "\n")
+    _write_csv(_outdir(args) / "fringes.csv", ["Phi", "P_RB1", "P_RB2"], [Phi, p1, p2])
     return 0
 
 

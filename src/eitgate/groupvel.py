@@ -13,11 +13,10 @@ relation together with the slow-light compression of the pulse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import m_index
 from .dynamics import evolve_superoperator, steady_state
 from .mscheme import (
     JumpChannel, MSchemeParams, Superoperator, build_hamiltonian, build_jump_channels,
@@ -25,9 +24,8 @@ from .mscheme import (
 )
 
 # Atomic levels 1..5 at indices 0..4; the ground level is 3. They are the
-# photon-free collective states, at these positions of the 18-state basis.
+# photon-free collective states, on which the single atom is built.
 _LEVELS = tuple((label, 0, 0) for label in ("E1", "E2", "G", "E4", "E5"))
-_LEVEL_INDICES = tuple(m_index(*state) for state in _LEVELS)
 _N_LEVELS = len(_LEVELS)
 _GROUND = 2
 
@@ -62,7 +60,7 @@ def semiclassical_hamiltonian(
     """
     omega_p = _probe_rabi(params, probe_rabi_classical)
     omega_t = probe_rabi_classical * params.g_t * math.sqrt(params.N_a)
-    H = build_hamiltonian(params)[np.ix_(_LEVEL_INDICES, _LEVEL_INDICES)]
+    H = build_hamiltonian(params, states=_LEVELS)
     H[0, 0] += offset
     H[1, 1] -= offset
     for strength, level in ((omega_p, "E2"), (omega_t, "E4")):
@@ -73,9 +71,8 @@ def semiclassical_hamiltonian(
 
 def semiclassical_channels(params: MSchemeParams) -> list[JumpChannel]:
     """Single-atom decay and dephasing channels on the five levels: the
-    collective channels restricted to the photon-free states."""
-    idx = np.ix_(_LEVEL_INDICES, _LEVEL_INDICES)
-    return [replace(ch, op=ch.op[idx]) for ch in build_jump_channels(params)]
+    collective channels built on the photon-free states."""
+    return build_jump_channels(params, states=_LEVELS)
 
 
 def semiclassical_liouvillian(
@@ -93,34 +90,41 @@ def susceptibility_from_state(
     params: MSchemeParams,
     probe_rabi_classical: float = 1e-3,
     constants: OpticalConstants = OpticalConstants(),
-) -> complex:
-    """Dimensionless probe susceptibility read off a 5x5 atomic state."""
+) -> complex | np.ndarray:
+    """Dimensionless probe susceptibility read off (..., 5, 5) atomic states."""
     omega_p = _probe_rabi(params, probe_rabi_classical)
     gN2 = params.g_p**2 * params.N_a
-    return complex(
-        2.0 * gN2 * params.gamma_SI * rho[1, _GROUND] / (constants.omega_p * omega_p)
-    )
+    return 2.0 * gN2 * params.gamma_SI * rho[..., 1, _GROUND] / (constants.omega_p * omega_p)
 
 
 def steady_susceptibility(
     params: MSchemeParams,
-    offset: float = 0.0,
+    offset: float | np.ndarray = 0.0,
     *,
     probe_rabi_classical: float = 1e-3,
     constants: OpticalConstants = OpticalConstants(),
-) -> complex:
-    """Probe susceptibility of the stationary driven atom."""
-    L = semiclassical_liouvillian(params, probe_rabi_classical, offset)
-    rho = steady_state(L)
+) -> complex | np.ndarray:
+    """Probe susceptibility of the stationary driven atom at each probe
+    offset; an array of offsets gives an array of its shape."""
+    offset = np.asarray(offset, dtype=float)
+    L = (semiclassical_liouvillian(params, probe_rabi_classical, d) for d in offset.ravel())
+    rho = np.reshape([steady_state(Ld) for Ld in L], (*offset.shape, _N_LEVELS, _N_LEVELS))
     return susceptibility_from_state(rho, params, probe_rabi_classical, constants)
 
 
+def _fd_offsets(offset: float, fd_step: float) -> np.ndarray:
+    """Probe offsets offset, offset + fd_step and offset - fd_step."""
+    if fd_step <= 0:
+        raise ValueError("fd_step must be positive")
+    return offset + np.array([0.0, fd_step, -fd_step])
+
+
 def _velocity_from_chi(
-    chi0: np.ndarray, chi_plus: np.ndarray, chi_minus: np.ndarray,
-    fd_step: float, params: MSchemeParams, constants: OpticalConstants,
+    chi: np.ndarray, fd_step: float, params: MSchemeParams, constants: OpticalConstants
 ) -> np.ndarray:
-    slope = (np.real(chi_plus) - np.real(chi_minus)) / (2.0 * fd_step)
-    n_g = 1.0 + np.real(chi0) / 2.0 + constants.omega_p / (2.0 * params.gamma_SI) * slope
+    """Group velocity from χ at the three _fd_offsets, along axis 0."""
+    slope = (np.real(chi[1]) - np.real(chi[2])) / (2.0 * fd_step)
+    n_g = 1.0 + np.real(chi[0]) / 2.0 + constants.omega_p / (2.0 * params.gamma_SI) * slope
     return constants.c / n_g
 
 
@@ -137,16 +141,11 @@ def group_velocity_steady(
     The frequency derivative of Re χ is taken by central differences
     over the probe offset, fd_step in γ units.
     """
-    if fd_step <= 0:
-        raise ValueError("fd_step must be positive")
-    chis = [
-        steady_susceptibility(
-            params, offset + d, probe_rabi_classical=probe_rabi_classical,
-            constants=constants,
-        )
-        for d in (0.0, fd_step, -fd_step)
-    ]
-    return float(_velocity_from_chi(chis[0], chis[1], chis[2], fd_step, params, constants))
+    chi = steady_susceptibility(
+        params, _fd_offsets(offset, fd_step), probe_rabi_classical=probe_rabi_classical,
+        constants=constants,
+    )
+    return float(_velocity_from_chi(chi, fd_step, params, constants))
 
 
 def group_velocity_transient(
@@ -171,24 +170,14 @@ def group_velocity_transient(
         raise ValueError("avg_grid must be at least 2")
     if t_int <= 0:
         raise ValueError("t_int must be positive")
-    if fd_step <= 0:
-        raise ValueError("fd_step must be positive")
+    offsets = _fd_offsets(offset, fd_step)
     times = np.linspace(0.0, t_int, avg_grid)
     rho0 = np.zeros((_N_LEVELS, _N_LEVELS), dtype=complex)
     rho0[_GROUND, _GROUND] = 1.0
-    chi = []
-    for d in (0.0, fd_step, -fd_step):
-        L = semiclassical_liouvillian(params, probe_rabi_classical, offset + d)
-        traj = evolve_superoperator(L, rho0, times, method=method, **kw)
-        chi.append(
-            np.array(
-                [
-                    susceptibility_from_state(r, params, probe_rabi_classical, constants)
-                    for r in traj
-                ]
-            )
-        )
-    v = _velocity_from_chi(chi[0], chi[1], chi[2], fd_step, params, constants)
+    L = (semiclassical_liouvillian(params, probe_rabi_classical, d) for d in offsets)
+    traj = np.array([evolve_superoperator(Ld, rho0, times, method=method, **kw) for Ld in L])
+    chi = susceptibility_from_state(traj, params, probe_rabi_classical, constants)
+    v = _velocity_from_chi(chi, fd_step, params, constants)
     return float(np.trapezoid(v, times) / (times[-1] - times[0]))
 
 

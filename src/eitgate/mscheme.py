@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import M_DIM, M_STATES
+from .basis import M_STATES
 
 # Type aliases: operators are dense arrays; superoperators are
 # scipy.sparse.csr_array (scipy.sparse loads with the first build).
@@ -117,12 +117,14 @@ def transition_operator(states, src, dst, shift=(0, 0), weight=None) -> Operator
     return op
 
 
-def build_hamiltonian(params: MSchemeParams) -> OperatorMatrix:
-    """18x18 Hermitian Hamiltonian in the canonical basis, units of γ.
+def build_hamiltonian(params: MSchemeParams, states=M_STATES) -> OperatorMatrix:
+    """Hermitian Hamiltonian on the (label, n_p, n_t) states, units of γ.
 
     Classical fields swap the excited label at fixed photon numbers.
     Quantized fields turn an excitation into a photon of the matching
-    mode, with the bosonic √(n+1) factor of the created photon.
+    mode, with the bosonic √(n+1) factor of the created photon. Terms
+    leaving the states are dropped, so a subset of the 18-state basis
+    gives the slice of the full Hamiltonian.
     """
     energy = {
         "G": 0.0,
@@ -139,15 +141,15 @@ def build_hamiltonian(params: MSchemeParams) -> OperatorMatrix:
         (gp, "E2", "G", (1, 0), lambda n_p, n_t: math.sqrt(n_p + 1)),
         (gt, "E4", "G", (0, 1), lambda n_p, n_t: math.sqrt(n_t + 1)),
     )
-    H = np.zeros((M_DIM, M_DIM), dtype=complex)
+    H = np.zeros((len(states), len(states)), dtype=complex)
     for strength, src, dst, shift, weight in couplings:
-        T = transition_operator(M_STATES, src, dst, shift, weight)
+        T = transition_operator(states, src, dst, shift, weight)
         H += strength * (T + T.conj().T)
-    np.fill_diagonal(H, [energy[label] for label, _, _ in M_STATES])
+    np.fill_diagonal(H, [energy[label] for label, _, _ in states])
     return H
 
 
-def build_jump_channels(params: MSchemeParams) -> list[JumpChannel]:
+def build_jump_channels(params: MSchemeParams, states=M_STATES) -> list[JumpChannel]:
     """Decay and dephasing channels of the effective master equation.
 
     Decay operators map every upper-label state to the matching
@@ -156,13 +158,13 @@ def build_jump_channels(params: MSchemeParams) -> list[JumpChannel]:
     2->1, 2->5, 4->1, 4->5 carry the same unit amplitude as the channels
     back to the ground level). Dephasing operators are 0/1 projectors on
     the states carrying a given excited label. Zero-rate channels are
-    omitted.
+    omitted. The operators act on states, as in build_hamiltonian.
     """
     channels = []
     for src, dst, attr in _DECAYS + _DEPHASINGS:
         rate = getattr(params, attr)
         if rate != 0.0:
-            op = transition_operator(M_STATES, src, dst)
+            op = transition_operator(states, src, dst)
             channels.append(JumpChannel(rate, op, "dephasing" if src == dst else "decay"))
     return channels
 
@@ -223,12 +225,12 @@ def unvec(v: np.ndarray, n: int | None = None) -> np.ndarray:
     return v.reshape((n, n), order="F")
 
 
-# Index sets of the reduced one- and two-photon sectors in the canonical
-# basis: {(G,1,0),(E2,0,0),(E1,0,0)}, {(G,0,1),(E4,0,0),(E5,0,0)} and
-# {(E1,0,1),(E2,0,1),(G,1,1),(E4,1,0),(E5,1,0)}.
-_P_SECTOR = (1, 2, 3)
-_T_SECTOR = (4, 5, 6)
-_PT_SECTOR = (9, 8, 7, 10, 11)
+# The probe, trigger and probe+trigger sectors of one and two photons.
+_SECTORS = (
+    (("G", 1, 0), ("E2", 0, 0), ("E1", 0, 0)),
+    (("G", 0, 1), ("E4", 0, 0), ("E5", 0, 0)),
+    (("E1", 0, 1), ("E2", 0, 1), ("G", 1, 1), ("E4", 1, 0), ("E5", 1, 0)),
+)
 
 
 def reduced_hamiltonians(
@@ -236,11 +238,7 @@ def reduced_hamiltonians(
 ) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
     """The 3x3, 3x3 and 5x5 single- and two-photon sector Hamiltonians.
 
-    Slices of the full Hamiltonian over the probe sector, the trigger
-    sector, and the probe+trigger sector (ordered E1, E2, ground, E4, E5).
+    Built on the probe sector, the trigger sector, and the probe+trigger
+    sector (ordered E1, E2, ground, E4, E5).
     """
-    H = build_hamiltonian(params)
-    H_p = H[np.ix_(_P_SECTOR, _P_SECTOR)]
-    H_t = H[np.ix_(_T_SECTOR, _T_SECTOR)]
-    H_pt = H[np.ix_(_PT_SECTOR, _PT_SECTOR)]
-    return H_p, H_t, H_pt
+    return tuple(build_hamiltonian(params, states=states) for states in _SECTORS)

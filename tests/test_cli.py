@@ -347,17 +347,28 @@ def test_scan_propagates_programming_errors(tmp_path, monkeypatch):
         ])
 
 
-def test_scan_rejects_bad_parameters(tmp_path, capsys):
+def test_scan_rejects_bad_parameters(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("propagated before validating the scan range")
+
+    monkeypatch.setattr(dynamics, "propagate_reached", never)
     cfg_path = write_cfg(tmp_path, **SMALL_GATE)
-    base = ["scan", "--config", cfg_path, "--out", str(tmp_path / "x")]
-    for extra in (
-        ["--param", "method", "--from", "0", "--to", "1", "--steps", "2"],
-        ["--param", "bogus", "--from", "0", "--to", "1", "--steps", "2"],
-        ["--param", "c00", "--from", "0", "--to", "1", "--steps", "2"],
-        ["--param", "g_p", "--from", "0", "--to", "1", "--steps", "0"],
+    out = tmp_path / "x"
+    base = ["scan", "--config", cfg_path, "--out", str(out)]
+    for extra, named in (
+        (["--param", "method", "--from", "0", "--to", "1", "--steps", "2"], "method"),
+        (["--param", "bogus", "--from", "0", "--to", "1", "--steps", "2"], "bogus"),
+        (["--param", "c00", "--from", "0", "--to", "1", "--steps", "2"], "c00"),
+        (["--param", "g_p", "--from", "0", "--to", "1", "--steps", "0"], "steps"),
+        (["--param", "g_p", "--from", "nan", "--to", "0.003", "--steps", "2"], "--from"),
+        (["--param", "g_p", "--from", "inf", "--to", "inf", "--steps", "2"], "--from"),
+        (["--param", "g_p", "--from", "0.002", "--to=-inf", "--steps", "2"], "--to"),
+        (["--param", "n_samples", "--from", "2", "--to", "nan", "--steps", "1"], "--to"),
     ):
         assert cli.main(base + extra) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert not out.exists()
 
 
 def test_mismatch_correction_is_odd_in_the_probe_mismatch():
@@ -478,6 +489,14 @@ def test_fringes_output_round_trip(tmp_path):
         interferometer.fit_fringe(grid, p1), interferometer.fit_fringe(grid, p2)
     )
     assert got == pytest.approx(2.9, abs=1e-9)
+    # Byte for byte: LF rows of 17 significant digits, phases absent from
+    # the table entering as zero.
+    Phi = np.linspace(0.0, 4.0 * math.pi, 256, endpoint=False)
+    q1, q2 = interferometer.fock_coincidences(Phi, cps=2.9, phi10=0.3, phi00=0.0, phi_plus0=0.0)
+    text = "Phi,P_RB1,P_RB2\n" + "".join(
+        f"{x:.16e},{a:.16e},{b:.16e}\n" for x, a, b in zip(Phi, q1, q2)
+    )
+    assert (out / "fringes.csv").read_bytes() == text.encode("utf-8")
 
 
 def test_fringes_rejects_bad_tables(tmp_path, capsys):

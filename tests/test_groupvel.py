@@ -113,6 +113,31 @@ def test_susceptibility_reads_probe_coherence():
     )
 
 
+def test_steady_susceptibility_sweeps_arrays_of_offsets():
+    scalar = groupvel.steady_susceptibility(EIT_SET, 0.25)
+    assert isinstance(scalar, complex)
+    for offsets in (np.linspace(-1.0, 1.0, 7), np.array([[0.0, 0.3, -0.5], [1e-3, 2.0, -1e-3]])):
+        chi = groupvel.steady_susceptibility(EIT_SET, offsets, probe_rabi_classical=2e-3)
+        assert chi.shape == offsets.shape and chi.dtype == complex
+        each = [
+            groupvel.steady_susceptibility(EIT_SET, float(d), probe_rabi_classical=2e-3)
+            for d in offsets.ravel()
+        ]
+        assert chi.tobytes() == np.array(each).reshape(offsets.shape).tobytes()
+
+
+def test_susceptibility_of_a_trajectory_is_bitwise_the_per_state_reads():
+    rng = np.random.default_rng(5)
+    traj = rng.normal(size=(9, 5, 5)) + 1j * rng.normal(size=(9, 5, 5))
+    chi = groupvel.susceptibility_from_state(traj, EIT_SET, 1e-3)
+    assert chi.shape == (9,)
+    # Reference: the scalar read of the probe coherence, one state at a time.
+    scale = 2.0 * EIT_SET.g_p**2 * EIT_SET.N_a * EIT_SET.gamma_SI
+    omega = 1e-3 * EIT_SET.g_p * math.sqrt(EIT_SET.N_a)
+    each = [complex(scale * r[1, 2] / (OpticalConstants().omega_p * omega)) for r in traj]
+    assert chi.tobytes() == np.array(each).tobytes()
+
+
 def test_steady_velocity_subluminal_and_frozen():
     v = groupvel.group_velocity_steady(EIT_SET)
     assert 0.0 < v < C_LIGHT

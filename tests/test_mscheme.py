@@ -290,6 +290,34 @@ def test_reduced_sector_hamiltonians_are_slices():
     assert np.array_equal(H_pt, H[np.ix_(pt_idx, pt_idx)])
 
 
+_SUBSETS = {
+    "levels": [("E1", 0, 0), ("E2", 0, 0), ("G", 0, 0), ("E4", 0, 0), ("E5", 0, 0)],
+    "probe": [("G", 1, 0), ("E2", 0, 0), ("E1", 0, 0)],
+    "trigger": [("G", 0, 1), ("E4", 0, 0), ("E5", 0, 0)],
+    "pair": [("E1", 0, 1), ("E2", 0, 1), ("G", 1, 1), ("E4", 1, 0), ("E5", 1, 0)],
+}
+
+
+@pytest.mark.parametrize("subset", list(_SUBSETS))
+def test_builders_on_a_subset_are_bitwise_slices_of_the_full_build(subset):
+    states = _SUBSETS[subset]
+    idx = np.ix_(*[[basis.M_STATES.index(s) for s in states]] * 2)
+    rng = np.random.default_rng(23)
+    names = ("g_p", "g_t", "Omega1", "Omega4", "delta2", "delta3", "eps12", "eps34")
+    rates = [a for _, _, a in mscheme._DECAYS + mscheme._DEPHASINGS]
+    for _ in range(50):
+        values = {k: float(rng.normal() * rng.choice([0.0, 1e-3, 1.0, 10.0])) for k in names}
+        values.update({k: float(rng.choice([0.0, rng.uniform(0, 1)])) for k in rates})
+        params = mscheme.MSchemeParams(N_a=float(10 ** rng.uniform(0, 8)), **values)
+        H = mscheme.build_hamiltonian(params, states=states)
+        assert H.tobytes() == mscheme.build_hamiltonian(params)[idx].tobytes()
+        sub = mscheme.build_jump_channels(params, states=states)
+        full = mscheme.build_jump_channels(params)
+        assert [(c.rate, c.kind) for c in sub] == [(c.rate, c.kind) for c in full]
+        for c, f in zip(sub, full):
+            assert c.op.tobytes() == f.op[idx].tobytes()
+
+
 def test_single_photon_sector_has_dark_state_at_zero_mismatch():
     p = replace(RICH_PARAMS, eps12=0.0)
     H_p, _, _ = mscheme.reduced_hamiltonians(p)
