@@ -3,11 +3,11 @@
 Two engines integrate vec(ρ̇) = L vec(ρ): "exponential" builds the matrix
 exponential of one uniform step and iterates it (exactly reproducible),
 "adaptive-rk" delegates to an adaptive Runge-Kutta integrator. Both act
-on batches of initial states at once so the sixteen qubit-block matrix
-units evolve in a single pass; arbitrary superposition inputs follow by
-linearity. Conditional (null-measurement) evolution replaces the decay
-dissipators by the non-Hermitian drift term, which makes the trace decay
-with the accumulated jump probability.
+on batches of initial states (the exponential one per connected block of
+L), so the sixteen qubit units evolve in one call; arbitrary superposition
+inputs follow by linearity. Conditional (null-measurement) evolution
+replaces the decay dissipators by the non-Hermitian drift term, which
+makes the trace decay with the accumulated jump probability.
 """
 
 from __future__ import annotations
@@ -74,48 +74,65 @@ def reachable(L: Superoperator, seeds) -> np.ndarray:
 def propagate_reached(
     L: Superoperator, V: np.ndarray, times: np.ndarray, *, method: str = "exponential",
     rel_tol: float = 1e-8, abs_tol: float = 1e-12,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, tuple, np.ndarray]:
     """Propagate the k columns of V (n²,k) along times under the sparse L.
 
-    Returns the sorted indices R reachable from the nonzero rows of V and
-    Y (T,k,|R|) with Y[m, i] = vec(ρ_i(t_m))[R]; entries outside R stay 0.
-    Both engines run on the dense block L[R, R].
+    Returns the sorted indices R reachable from the nonzero rows of V,
+    the blocks (units, positions, Y) and the columns that pack every Y:
+    the columns of V touching the block, its positions in R and the view
+    Y (T,units,positions), Y[m, i] = vec(ρ_i(t_m)) there; all else stays
+    0. The exponential engine runs each connected component of L[R, R]
+    as a block; adaptive-rk runs R as one, as its step control couples
+    the blocks through one error norm.
     """
     if method not in ("exponential", "adaptive-rk"):
         raise ValueError(f"unknown evolution method {method!r}")
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:
         raise ValueError("times must be a non-empty 1-d array")
-    k = V.shape[1]
+    T = times.size
     R = reachable(L, np.flatnonzero(V.any(axis=1)))
-    LR, V = L[R][:, R].toarray(), V[R]
-    Y = np.empty((times.size, k, R.size), dtype=complex)
-    Y[0] = V.T
-    if times.size > 1 and method == "exponential":
-        P = expm(LR * _uniform_step(times))
-        for m in range(1, times.size):
-            V = P @ V
-            Y[m] = V.T
-    elif times.size > 1:
-        # Imported here: scipy.integrate adds ~0.3 s to every start-up.
-        from scipy.integrate import solve_ivp
+    LR, V, parts = L[R][:, R], V[R], [np.arange(R.size)]
+    if method == "exponential":  # the undirected components; L[R, R] is block-diagonal
+        G, free, parts = abs(LR) + abs(LR).T, np.ones(R.size, dtype=bool), []
+        while free.any():
+            parts.append(reachable(G, np.argmax(free)))
+            free[parts[-1]] = False
+    units = [np.flatnonzero(V[pos].any(axis=0)) for pos in parts]
+    sizes = [T * u.size * pos.size for u, pos in zip(units, parts)]
+    columns = np.empty(sum(sizes), dtype=complex)
+    chunks = np.split(columns, np.cumsum(sizes, dtype=int)[:-1])
+    blocks = tuple((u, p, c.reshape(T, u.size, p.size)) for u, p, c in zip(units, parts, chunks))
+    for u, pos, Y in blocks:
+        A, Vb = LR[pos][:, pos].toarray(), V[np.ix_(pos, u)]
+        Y[0] = Vb.T
+        if T > 1 and method == "exponential":
+            P = expm(A * _uniform_step(times))
+            for m in range(1, T):
+                Vb = P @ Vb
+                Y[m] = Vb.T
+        elif T > 1:
+            # Imported here: scipy.integrate adds ~0.3 s to every start-up.
+            from scipy.integrate import solve_ivp
 
-        def rhs(_t, y):
-            return (LR @ y.reshape(R.size, k, order="F")).reshape(-1, order="F")
+            def rhs(_t, y):
+                return (A @ y.reshape(Vb.shape, order="F")).reshape(-1, order="F")
 
-        sol = solve_ivp(rhs, times[[0, -1]], V.reshape(-1, order="F"), method="RK45",
-                        t_eval=times, rtol=rel_tol, atol=abs_tol)
-        if not sol.success:
-            raise RuntimeError(f"adaptive integration failed: {sol.message}")
-        Y[1:] = sol.y[:, 1:].reshape(R.size, k, -1, order="F").transpose(2, 1, 0)
-    return R, Y
+            sol = solve_ivp(rhs, times[[0, -1]], Vb.reshape(-1, order="F"), method="RK45",
+                            t_eval=times, rtol=rel_tol, atol=abs_tol)
+            if not sol.success:
+                raise RuntimeError(f"adaptive integration failed: {sol.message}")
+            Y[1:] = sol.y[:, 1:].reshape(*Vb.shape, -1, order="F").transpose(2, 1, 0)
+    return R, blocks, columns
 
 
-def _scatter(R: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray:
-    """Columns Y (...,|R|) -> zero-filled states (...,n,n). The reached
-    vec(ρ) entries ρ[a, b], at a + n*b, sit at row-major a*n + b."""
-    out = np.zeros(Y.shape[:-1] + (n, n), dtype=complex)
-    out.reshape(Y.shape[:-1] + (n * n,))[..., (R % n) * n + R // n] = Y
+def _scatter(R: np.ndarray, blocks, T: int, k: int, n: int) -> np.ndarray:
+    """Blocks (units, positions, Y) of k columns -> zero-filled states (T,k,n,n);
+    the vec(ρ) entry ρ[a, b], at a + n*b, sits at row-major a*n + b."""
+    out = np.zeros((T, k, n, n), dtype=complex)
+    flat, at = out.reshape(T, k, n * n), (R % n) * n + R // n
+    for units, pos, Y in blocks:
+        flat[:, units[:, None], at[pos]] = Y
     return out
 
 
@@ -138,7 +155,8 @@ def evolve_superoperator(
     if L.shape != (n * n, n * n):
         raise ValueError("superoperator does not match the state dimension")
     kw = {"method": method, "rel_tol": rel_tol, "abs_tol": abs_tol}
-    out = _scatter(*propagate_reached(L, _stack(rho0), times, **kw), n)
+    R, blocks, _ = propagate_reached(L, _stack(rho0), times, **kw)
+    out = _scatter(R, blocks, np.asarray(times).size, len(rho0), n)
     return out[:, 0] if single else out
 
 
@@ -213,14 +231,15 @@ _IMAGE_CHUNK = 64
 class GateTrajectories:
     """Evolution of the sixteen qubit-block matrix units.
 
-    columns[t, 4*i+j] is the propagated image of |q_i><q_j| on the
-    reached vec indices (a + dim*b for ρ[a, b]); all else is exactly 0.
-    Any superposition input follows by linearity without re-integrating.
+    blocks and columns, as propagate_reached returns them, hold the units'
+    images on the reached vec indices (a + dim*b for ρ[a, b]); all else is
+    exactly 0. Any superposition input follows by linearity.
     """
 
     times: np.ndarray
     reached: np.ndarray  # (|R|,) sorted vec-space indices
-    columns: np.ndarray  # (T, 16, |R|)
+    blocks: tuple  # (units, positions in reached, (T,units,positions) view of columns)
+    columns: np.ndarray  # every propagated entry, packed block after block
     dim: int
     amplitudes: np.ndarray  # (4,) normalized
 
@@ -232,18 +251,20 @@ class GateTrajectories:
     @property
     def unit_inputs(self) -> np.ndarray:
         """Zero-filled states (T,16,n,n) of the sixteen units."""
-        return _scatter(self.reached, self.columns, self.dim)
+        return _scatter(self.reached, self.blocks, self.times.size, 16, self.dim)
 
     @property
     def superposition(self) -> np.ndarray:
         """Trajectory (T,n,n) of the pure superposition input."""
-        return _scatter(self.reached, np.einsum("k,tkr->tr", self.weights, self.columns), self.dim)
+        w, one = self.weights, np.zeros(1, dtype=int)
+        parts = [(one, p, np.einsum("k,tkr->tr", w[u], Y)[:, None]) for u, p, Y in self.blocks]
+        return _scatter(self.reached, parts, self.times.size, 1, self.dim)[:, 0]
 
     def image(self, f) -> np.ndarray:
         """Linear readout f of (...,n,n) states applied to every unit,
         (T,16,...), from f on the reached matrix units |a><b| and one
-        product with the columns. Take .real of a readout's image if it
-        takes .real itself (populations, edge leakage)."""
+        product per block with its columns. Take .real of a readout's
+        image if it takes .real itself (populations, edge leakage)."""
         n, R = self.dim, self.reached
         parts = []
         for s in range(0, R.size, _IMAGE_CHUNK):
@@ -254,9 +275,11 @@ class GateTrajectories:
             parts.append(np.array(f(E), dtype=complex))
             del E
         F = np.concatenate(parts)
-        T, k = self.columns.shape[:2]
-        out = self.columns.reshape(T * k, R.size) @ F.reshape(R.size, -1)
-        return out.reshape((T, k) + F.shape[1:])
+        out = np.zeros((self.times.size, 16) + F.shape[1:], dtype=complex)
+        for units, pos, Y in self.blocks:
+            img = Y.reshape(-1, pos.size) @ F[pos].reshape(pos.size, -1)
+            out[:, units] += img.reshape(Y.shape[:2] + F.shape[1:])
+        return out
 
 
 def evolve_qubit_units(
@@ -266,10 +289,8 @@ def evolve_qubit_units(
     given positions under the generator L, in one batch."""
     c = normalized_amplitudes(amplitudes)
     n = math.isqrt(L.shape[0])
-    R, Y = propagate_reached(L, _stack(matrix_units(positions, n)), times, **kw)
-    return GateTrajectories(
-        times=np.asarray(times, dtype=float), reached=R, columns=Y, dim=n, amplitudes=c
-    )
+    reached = propagate_reached(L, _stack(matrix_units(positions, n)), times, **kw)
+    return GateTrajectories(np.asarray(times, dtype=float), *reached, n, c)
 
 
 def evolve_gate_inputs(

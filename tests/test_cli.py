@@ -363,12 +363,28 @@ def test_scan_rejects_bad_parameters(tmp_path, capsys, monkeypatch):
         (["--param", "g_p", "--from", "nan", "--to", "0.003", "--steps", "2"], "--from"),
         (["--param", "g_p", "--from", "inf", "--to", "inf", "--steps", "2"], "--from"),
         (["--param", "g_p", "--from", "0.002", "--to=-inf", "--steps", "2"], "--to"),
+        (["--param", "g_p", "--from", "0.002", "--to", "-inf", "--steps", "2"],
+         "--to must be finite"),
         (["--param", "n_samples", "--from", "2", "--to", "nan", "--steps", "1"], "--to"),
     ):
         assert cli.main(base + extra) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("start, stop", [("-1e-3", "1e-3"), ("-5E-2", "-0.5")])
+def test_scan_bounds_take_any_float_token(tmp_path, start, stop):
+    # argparse alone reads "-1e-3" or "-5E-2" after a flag as another flag.
+    cfg_path = write_cfg(tmp_path, **SMALL_GATE)
+    out = tmp_path / "scan"
+    assert cli.main([
+        "scan", "--config", cfg_path, "--out", str(out),
+        "--param", "eps34", "--from", start, "--to", stop, "--steps", "2",
+    ]) == 0
+    _, rows = _read_csv(out / "scan.csv")
+    assert [float(r[0]) for r in rows] == [float(start), float(stop)]
+    assert all(r[4] == "" for r in rows)
 
 
 def test_mismatch_correction_is_odd_in_the_probe_mismatch():

@@ -343,3 +343,111 @@ def test_reachable_set_is_closed_under_the_generator():
     outside = np.setdiff1d(np.arange(L.shape[0]), R)
     assert R[0] == 0 and outside.size > 0
     assert L[outside][:, R].count_nonzero() == 0
+
+
+# The benchmark's gate-transient point (the config defaults plus the
+# criterion-1 couplings) and its absorptive ladder at n_max 3.
+TRANSIENT_CFG = dict(
+    n_atoms=1e8, g_p=0.0022, g_t=0.0022, omega1=4.0, omega4=4.0,
+    delta2=15.0, delta3=15.0, eps12=0.01, eps34=0.01,
+)
+LADDER_ABSORPTIVE = ladder.LadderParams(
+    **LADDER_POINT, gamma21=1.0, gamma32=1.0, n_max=3, convention="absorptive"
+)
+
+
+def _transient_params():
+    from eitgate import cli
+
+    return cli.params_from_config({**cli.DEFAULTS, **TRANSIENT_CFG})
+
+
+def _unit_generator(model):
+    """(generator, qubit positions, times) of the three pinned maps."""
+    if model == "ladder":
+        L = ladder.build_ladder_liouvillian(LADDER_ABSORPTIVE)
+        return L, ladder.qubit_positions(3), np.linspace(0.0, 0.25, 126)
+    p = _transient_params()
+    if model == "conditional":
+        L = dynamics.conditional_generator(
+            mscheme.build_hamiltonian(p), mscheme.build_jump_channels(p)
+        )
+    else:
+        L = dynamics.build_liouvillian_for(p)
+    return L, basis.QUBIT_M_INDICES, np.linspace(0.0, 1.0, 401)
+
+
+def _union_reference(L, V, times):
+    # The whole reached block L[R, R] exponentiated densely and stepped:
+    # Y (T,k,|R|) with every column on every reached entry.
+    import scipy.linalg
+
+    R = dynamics.reachable(L, np.flatnonzero(V.any(axis=1)))
+    P = scipy.linalg.expm(L[R][:, R].toarray() * (times[1] - times[0]))
+    Y = [V[R]]
+    for _ in times[1:]:
+        Y.append(P @ Y[-1])
+    return R, np.stack(Y).transpose(0, 2, 1)
+
+
+def _units_as_columns(positions, n):
+    return np.stack([mscheme.vec(E) for E in dynamics.matrix_units(positions, n)], axis=1)
+
+
+@pytest.mark.parametrize("model", ["unconditional", "conditional", "ladder"])
+def test_blocks_match_the_union_propagation(model):
+    L, positions, times = _unit_generator(model)
+    V = _units_as_columns(positions, math.isqrt(L.shape[0]))
+    R_ref, Y_ref = _union_reference(L, V, times)
+    R, blocks, columns = dynamics.propagate_reached(L, V, times)
+    assert np.array_equal(R, R_ref)
+    union = np.zeros_like(Y_ref)
+    for units, pos, Y in blocks:
+        assert np.shares_memory(Y, columns)
+        union[:, units[:, None], pos] = Y
+    assert np.max(np.abs(union - Y_ref)) < 1e-14
+
+
+def test_superposition_column_is_split_over_the_blocks_it_touches():
+    L, _, times = _unit_generator("unconditional")
+    rho0 = dynamics.superposition_input([0.5, -0.5j, 0.5, 0.5j])
+    got = dynamics.evolve_superoperator(L, rho0, times)
+    R, Y = _union_reference(L, mscheme.vec(rho0)[:, None], times)
+    want = np.zeros((times.size, basis.M_DIM**2), dtype=complex)
+    want[:, R] = Y[:, 0]
+    want = want.reshape(times.size, basis.M_DIM, basis.M_DIM).transpose(0, 2, 1)
+    assert np.max(np.abs(got - want)) < 1e-14
+    _, blocks, _ = dynamics.propagate_reached(L, mscheme.vec(rho0)[:, None], times[:2])
+    assert len(blocks) > 1 and all(np.array_equal(u, [0]) for u, _, _ in blocks)
+
+
+def test_adaptive_rk_propagates_the_reached_set_as_one_block():
+    L, positions, _ = _unit_generator("unconditional")
+    V = _units_as_columns(positions, basis.M_DIM)
+    R, blocks, columns = dynamics.propagate_reached(
+        L, V, np.linspace(0.0, 0.01, 3), method="adaptive-rk"
+    )
+    [(units, pos, Y)] = blocks
+    assert np.array_equal(units, np.arange(16)) and np.array_equal(pos, np.arange(R.size))
+    assert Y.shape == (3, 16, R.size) and columns.size == Y.size
+
+
+@pytest.mark.parametrize("model, blocks, entries", [
+    # (|block|, units) of every connected component, largest first
+    ("unconditional", [(62, 4)] + [(27, 2)] * 4 + [(9, 1)] * 2 + [(5, 1)] * 2, 492),
+    ("conditional", None, 144),
+    ("ladder", [(28, 4)] + [(18, 2)] * 2 + [(13, 2)] * 2 + [(9, 1)] * 2 + [(8, 1)] * 2, 270),
+])
+def test_component_structure_and_packed_size(model, blocks, entries):
+    L, positions, times = _unit_generator(model)
+    gt = dynamics.evolve_qubit_units(L, positions, times)
+    got = sorted(((pos.size, units.size) for units, pos, _ in gt.blocks), reverse=True)
+    if model == "conditional":  # one component per matrix unit
+        assert len(got) == 16 and {k for _, k in got} == {1}
+    else:
+        assert got == blocks
+    # Each unit lies in exactly one component, and only its columns are kept.
+    held = np.sort(np.concatenate([units for units, _, _ in gt.blocks]))
+    assert np.array_equal(held, np.arange(16))
+    assert sum(pos.size * units.size for units, pos, _ in gt.blocks) == entries
+    assert gt.columns.size == times.size * entries

@@ -267,3 +267,23 @@ def test_qubit_block_is_truncation_insensitive_before_overflow():
     b2 = ladder.photon_qubit_block(ladder.reduce_to_photons(g2.unit_inputs[-1], 2), 2)
     b3 = ladder.photon_qubit_block(ladder.reduce_to_photons(g3.unit_inputs[-1], 3), 3)
     assert np.max(np.abs(b2 - b3)) < 1e-10
+
+
+def test_as_printed_qubit_block_does_not_depend_on_n_max():
+    # Criterion 6's couplings, propagated with no truncation guard. The
+    # as-printed trigger photon piles up at the edge (the guard trips
+    # below n_max 5), but that part never feeds back into the qubit block.
+    times = np.linspace(0.0, 0.25, 126)
+    blocks = []
+    for n_max in (2, 8):
+        p = LadderParams(N_a=1e8, g_p=0.0022, g_t=0.0022, delta_p=10.0, delta_t=0.0,
+                         gamma21=1.0, gamma32=1.0, n_max=n_max, convention="as-printed")
+        gt = ladder.evolve_ladder_gate(p, times)
+        if n_max == 2:
+            leak = gt.image(lambda rho: ladder.boundary_population(rho, 2)).real
+            assert leak.max() > 0.5
+        blocks.append(gt.image(
+            lambda rho, n=n_max: ladder.photon_qubit_block(ladder.reduce_to_photons(rho, n), n)
+        ))
+    assert np.max(np.abs(blocks[1])) > 0.1
+    assert np.max(np.abs(blocks[0] - blocks[1])) < 1e-13
