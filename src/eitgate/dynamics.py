@@ -83,7 +83,8 @@ def propagate_reached(
     Y (T,units,positions), Y[m, i] = vec(ρ_i(t_m)) there; all else stays
     0. The exponential engine runs each connected component of L[R, R]
     as a block; adaptive-rk runs R as one, as its step control couples
-    the blocks through one error norm.
+    the blocks through one error norm. Raises RuntimeError naming the
+    first time sample whose columns are non-finite.
     """
     if method not in ("exponential", "adaptive-rk"):
         raise ValueError(f"unknown evolution method {method!r}")
@@ -123,6 +124,11 @@ def propagate_reached(
             if not sol.success:
                 raise RuntimeError(f"adaptive integration failed: {sol.message}")
             Y[1:] = sol.y[:, 1:].reshape(*Vb.shape, -1, order="F").transpose(2, 1, 0)
+    if not np.isfinite(columns).all():
+        bad = np.zeros(T, dtype=bool)
+        for _, _, Y in blocks:
+            bad |= ~np.isfinite(Y.reshape(T, -1)).all(axis=1)
+        raise RuntimeError(f"propagated columns are non-finite at time sample {np.argmax(bad)}")
     return R, blocks, columns
 
 

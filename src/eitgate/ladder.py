@@ -191,17 +191,21 @@ def check_truncation(
 
 
 def check_leakage(leak: np.ndarray, threshold: float = 1e-3, *, labels=None) -> None:
-    """Raise if any edge population (T,) or (T,k) exceeds threshold.
+    """Raise if any edge population (T,) or (T,k) exceeds threshold or
+    is non-finite.
 
     The message names the time sample and, for a batch, the input of
-    the worst state.
+    the worst state: the first non-finite one if there is any.
     """
-    at = np.unravel_index(int(np.argmax(leak)), leak.shape)
+    bad = ~np.isfinite(leak)
+    at = np.unravel_index(int(np.argmax(bad if bad.any() else leak)), leak.shape)
     worst = float(leak[at])
-    if worst > threshold:
+    if bad[at] or worst > threshold:
         where = f" at time sample {int(at[0])}" if at else ""
         if len(at) == 2:
             where += f" of input {int(at[1]) if labels is None else labels[at[1]]}"
+        if bad[at]:
+            raise RuntimeError(f"truncation leakage is non-finite ({worst}){where}")
         raise RuntimeError(
             f"truncation leakage {worst:.3e}{where} exceeds {threshold:.1e}; raise n_max"
         )

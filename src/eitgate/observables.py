@@ -220,8 +220,10 @@ def check_sampling(mc_samples: int, seed: int) -> None:
             raise ValueError(f"{key} must be at least {low}, got {value}")
 
 
-# Time samples per Monte Carlo product; bounds the (chunk, mc_samples) temporaries.
+# Time samples per Monte Carlo product; bounds the (chunk, tile) temporaries.
 _MC_CHUNK = 32
+# Haar samples per weight tile; bounds the (256, tile) weights whatever mc_samples is.
+_MC_TILE = 250
 
 
 def conditional_fidelity_from_blocks(
@@ -244,10 +246,11 @@ def conditional_fidelity_from_blocks(
     and targets (...,4,4). One Haar set, drawn from (seed, mc_samples),
     serves every time sample, so each sample gets the estimate a call on
     it alone would give. With the target folded into the blocks as
-    U†Λ_ij U, all overlaps come from one product with the per-draw
-    weights conj(ψ_c)ψ_i conj(ψ_j)ψ_d, taken a few time samples at a
-    time. Samples with trace below 1e-12 are skipped; more than 1% of
-    them at any time sample aborts the estimate.
+    U†Λ_ij U, all overlaps come from products with the per-draw weights
+    conj(ψ_c)ψ_i conj(ψ_j)ψ_d, formed one tile of draws at a time and
+    taken a few time samples at a time, so only the drawn set itself
+    grows with mc_samples. Samples with trace below 1e-12 are skipped; more than
+    1% of them at any time sample aborts the estimate.
     """
     check_sampling(mc_samples, seed)
     lam = np.asarray(lam)
@@ -258,32 +261,34 @@ def conditional_fidelity_from_blocks(
 
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((mc_samples, 4)) + 1j * rng.standard_normal((mc_samples, 4))
-    psi = X / np.linalg.norm(X, axis=1, keepdims=True)
-    W = (psi[:, :, None] * psi.conj()[:, None, :]).reshape(mc_samples, 16)  # c_i c_j*
-    Q = (W[:, :, None] * W.conj()[:, None, :]).reshape(mc_samples, 256).T
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
 
-    mean_f = np.empty(T)
-    p_success = np.empty(T)
-    kept = np.empty(T, dtype=int)
-    for a in range(0, T, _MC_CHUNK):
-        b = min(a + _MC_CHUNK, T)
-        num = (rotated[a:b] @ Q).real
-        p = (tr_full[a:b] @ W.T).real
-        keep = p >= 1e-12
-        kept[a:b] = np.count_nonzero(keep, axis=1)
-        skipped = mc_samples - kept[a:b]
-        too_many = skipped > 0.01 * mc_samples
-        if np.any(too_many):
-            flags = np.zeros(T, dtype=bool)
-            flags[a:b] = too_many
-            where = _sample_label(flags.reshape(lead))
-            raise RuntimeError(
-                f"{skipped[np.argmax(too_many)]} of {mc_samples} samples had "
-                f"negligible success probability{where}"
-            )
-        ratio = np.divide(num, p, out=np.zeros_like(num), where=keep)
-        mean_f[a:b] = ratio.sum(axis=1) / kept[a:b]
-        p_success[a:b] = p.mean(axis=1)
+    ratio_sum = np.zeros(T)
+    p_sum = np.zeros(T)
+    kept = np.zeros(T, dtype=int)
+    for s in range(0, mc_samples, _MC_TILE):
+        psi = X[s : s + _MC_TILE]
+        W = (psi[:, :, None] * psi.conj()[:, None, :]).reshape(-1, 16)  # c_i c_j*
+        Q = (W[:, :, None] * W.conj()[:, None, :]).reshape(-1, 256).T
+        for a in range(0, T, _MC_CHUNK):
+            b = min(a + _MC_CHUNK, T)
+            num = (rotated[a:b] @ Q).real
+            p = (tr_full[a:b] @ W.T).real
+            keep = p >= 1e-12
+            kept[a:b] += np.count_nonzero(keep, axis=1)
+            ratio_sum[a:b] += np.divide(num, p, out=np.zeros_like(num), where=keep).sum(axis=1)
+            p_sum[a:b] += p.sum(axis=1)
+        del W, Q  # free this tile's weights before the next tile forms its own
+
+    skipped = mc_samples - kept
+    too_many = skipped > 0.01 * mc_samples
+    if np.any(too_many):
+        raise RuntimeError(
+            f"{skipped[np.argmax(too_many)]} of {mc_samples} samples had "
+            f"negligible success probability{_sample_label(too_many.reshape(lead))}"
+        )
+    mean_f = ratio_sum / kept
+    p_success = p_sum / mc_samples
 
     fid = np.sqrt(np.maximum(mean_f, 0.0)).reshape(lead)
     p_success = p_success.reshape(lead)

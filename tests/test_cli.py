@@ -658,6 +658,17 @@ def test_gate_commands_reject_bad_monte_carlo_settings_before_propagating(
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_simulate_reports_a_non_finite_propagation(tmp_path, capsys):
+    # At N_a = 1e300 the collective couplings overflow the propagator.
+    cfg_path = write_cfg(
+        tmp_path, n_atoms=1e300, g_p=0.0022, g_t=0.0022, omega1=4.0, omega4=4.0, delta2=15.0,
+        delta3=15.0, eps12=0.01, eps34=0.01, t_max=0.1, n_samples=5, mc_samples=50,
+    )
+    assert cli.main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "non-finite at time sample 1" in err and "negligible success" not in err
+
+
 def test_groupvel_rejects_zero_fd_step(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, n_atoms=1e6, g_p=0.0022, g_t=0.0022, fd_step=0.0)
     assert cli.main(["groupvel", "--config", cfg_path]) == 1

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from eitgate import basis, dynamics, ladder, mscheme, observables
 
@@ -257,6 +258,18 @@ def test_superposed_image_matches_the_superposition_readout():
     gt = dynamics.evolve_gate_inputs(RICH_PARAMS, times, [0.8, -0.2j, 0.4, 0.3])
     via_image = np.einsum("k,tkab->tab", gt.weights, gt.image(_field_blocks))
     assert np.max(np.abs(via_image - _field_blocks(gt.superposition))) < 1e-14
+
+
+def test_non_finite_propagation_names_the_first_time_sample():
+    # Three one-entry blocks growing at rates 0, 1000 and 1500 over steps
+    # of 0.25: e^750 overflows, at time sample 3 in the second block and
+    # at 2 in the third.
+    L = sp.csr_matrix(np.diag([0.0, 1000.0, 1500.0]))
+    times = np.linspace(0.0, 1.0, 5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RuntimeError, match="non-finite at time sample 2$"):
+            dynamics.propagate_reached(L, np.eye(3, dtype=complex), times)
+    dynamics.propagate_reached(L, np.eye(3, dtype=complex)[:, :2], times[:3])
 
 
 def test_steady_state_of_cascading_model_is_photon_vacuum():

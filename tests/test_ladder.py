@@ -221,6 +221,17 @@ def test_truncation_error_names_the_worst_state():
         ladder.check_truncation(batch, 2, labels=("|00>", "|01>"))
 
 
+def test_non_finite_leakage_trips_the_guard():
+    # nan > threshold is False: the guard must test for it on its own.
+    with pytest.raises(RuntimeError, match=r"non-finite \(nan\) at time sample 0 of input 1$"):
+        ladder.check_leakage(np.array([[0.0, np.nan], [0.0, 0.0]]))
+    leak = np.array([[0.0, 0.0], [2e-3, 0.0], [0.0, np.inf]])
+    with pytest.raises(RuntimeError, match=r"non-finite \(inf\) at time sample 2 of input \|01>$"):
+        ladder.check_leakage(leak, labels=("|00>", "|01>"))
+    with pytest.raises(RuntimeError, match="non-finite .* at time sample 1$"):
+        ladder.check_leakage(np.array([0.0, -np.inf, 0.0]))
+
+
 def test_gate_without_couplings_or_decay_is_static():
     quiet = LadderParams(N_a=1, delta_p=2.0, delta_t=-1.0, gamma21=0.0, gamma32=0.0, n_max=1)
     times = np.linspace(0.0, 3.0, 4)

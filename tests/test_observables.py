@@ -1,5 +1,6 @@
 """Field reduction, phase extraction and fidelity measures."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -408,6 +409,109 @@ def test_negligible_success_error_names_the_time_sample():
     traces[4] = 0.0
     with pytest.raises(RuntimeError, match="negligible success probability at time sample 4"):
         observables.conditional_fidelity_from_blocks(lam, traces, np.eye(4), mc_samples=200)
+
+
+def _unblocked_conditional_fidelity(lam, traces, U, mc_samples, seed):
+    """The estimator as one product with the whole (256, mc_samples) weight
+    matrix Q: returns (fidelity, p_success, samples_used) or raises."""
+    lam = np.asarray(lam)
+    lead = lam.shape[:-3]
+    T = math.prod(lead)
+    U = np.broadcast_to(U, lead + (4, 4))[..., None, :, :]
+    rotated = (U.conj().swapaxes(-1, -2) @ lam @ U).reshape(T, 256)
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((mc_samples, 4)) + 1j * rng.standard_normal((mc_samples, 4))
+    psi = X / np.linalg.norm(X, axis=1, keepdims=True)
+    W = (psi[:, :, None] * psi.conj()[:, None, :]).reshape(mc_samples, 16)
+    Q = (W[:, :, None] * W.conj()[:, None, :]).reshape(mc_samples, 256).T
+    num = (rotated @ Q).real
+    p = (np.asarray(traces).reshape(T, 16) @ W.T).real
+    keep = p >= 1e-12
+    kept = np.count_nonzero(keep, axis=1)
+    too_many = mc_samples - kept > 0.01 * mc_samples
+    if np.any(too_many):
+        m = int(np.argmax(too_many))
+        where = f" at time sample {m}" if lead else ""
+        raise RuntimeError(
+            f"{mc_samples - kept[m]} of {mc_samples} samples had "
+            f"negligible success probability{where}"
+        )
+    mean_f = np.divide(num, p, out=np.zeros_like(num), where=keep).sum(axis=1) / kept
+    return np.sqrt(np.maximum(mean_f, 0.0)).reshape(lead), p.mean(axis=1).reshape(lead), kept.min()
+
+
+_TILE = observables._MC_TILE
+
+
+@pytest.mark.parametrize("mc_samples", [1, _TILE - 1, _TILE, _TILE + 1, 2000])
+@pytest.mark.parametrize("lead", [(), (1,), (33,)])
+def test_streamed_estimate_matches_the_unblocked_weight_matrix(mc_samples, lead):
+    # T = 33 leaves a ragged last time chunk; the sample counts a ragged last tile.
+    T = math.prod(lead)
+    rng = np.random.default_rng(24)
+    lam, traces = _random_lossy_blocks(rng, T)
+    U = np.stack([_random_unitary(rng) for _ in range(T)])
+    lam, traces = lam.reshape(lead + (16, 4, 4)), traces.reshape(lead + (16,))
+    U = U.reshape(lead + (4, 4))
+    r = observables.conditional_fidelity_from_blocks(lam, traces, U, mc_samples=mc_samples, seed=9)
+    f, p, used = _unblocked_conditional_fidelity(lam, traces, U, mc_samples, 9)
+    assert np.shape(r.fidelity) == np.shape(r.p_success) == lead
+    assert np.allclose(r.fidelity, f, rtol=1e-13, atol=0.0)
+    assert np.allclose(r.p_success, p, rtol=1e-13, atol=0.0)
+    assert r.samples_used == used == mc_samples
+
+
+def _blind_trace(X):
+    """Full traces (16,) of |<v|ψ>|², with v orthogonal to every row of X."""
+    v = np.linalg.svd(X)[2][-1].conj()
+    return np.outer(v, v.conj()).reshape(16)
+
+
+def test_skipped_samples_in_a_later_tile_give_the_same_error():
+    # At time sample 1 the success probability vanishes on three draws of the
+    # second tile only: above 1% of 260 draws.
+    mc_samples, bad = _TILE + 10, [_TILE + 1, _TILE + 4, _TILE + 9]
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((mc_samples, 4)) + 1j * rng.standard_normal((mc_samples, 4))
+    lam = np.stack([_units(), _units()])
+    traces = np.stack([np.eye(4, dtype=complex).reshape(16), _blind_trace(X[bad])])
+    with pytest.raises(RuntimeError) as want:
+        _unblocked_conditional_fidelity(lam, traces, np.eye(4), mc_samples, 7)
+    assert str(want.value) == (
+        "3 of 260 samples had negligible success probability at time sample 1"
+    )
+    with pytest.raises(RuntimeError) as got:
+        observables.conditional_fidelity_from_blocks(
+            lam, traces, np.eye(4), mc_samples=mc_samples, seed=7
+        )
+    assert str(got.value) == str(want.value)
+    # Two vanishing draws are within 1%: the estimate skips them.
+    traces[1] = _blind_trace(X[bad[:2]])
+    r = observables.conditional_fidelity_from_blocks(
+        lam, traces, np.eye(4), mc_samples=mc_samples, seed=7
+    )
+    assert r.samples_used == mc_samples - 2
+
+
+def _traced_peak(mc_samples, lam, traces):
+    tracemalloc.start()
+    try:
+        observables.conditional_fidelity_from_blocks(lam, traces, np.eye(4), mc_samples=mc_samples)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_conditional_fidelity_memory_does_not_grow_with_the_sample_count():
+    # Only the Haar set itself (64 B per draw, a few times that while it is
+    # drawn) grows with mc_samples; a (256, mc_samples) complex weight matrix
+    # would add 74 MB between these two calls.
+    rng = np.random.default_rng(25)
+    lam, traces = _random_lossy_blocks(rng, 1)
+    observables.conditional_fidelity_from_blocks(lam, traces, np.eye(4), mc_samples=10)
+    small = _traced_peak(2000, lam, traces)
+    large = _traced_peak(20000, lam, traces)
+    assert large - small < 3e6, f"traced peak {small / 1e6:.2f} -> {large / 1e6:.2f} MB"
 
 
 def test_conditional_fidelity_bounds_unconditional_on_real_evolution():
