@@ -74,17 +74,17 @@ def reachable(L: Superoperator, seeds) -> np.ndarray:
 def propagate_reached(
     L: Superoperator, V: np.ndarray, times: np.ndarray, *, method: str = "exponential",
     rel_tol: float = 1e-8, abs_tol: float = 1e-12,
-) -> tuple[np.ndarray, tuple, np.ndarray]:
+) -> tuple:
     """Propagate the k columns of V (n²,k) along times under the sparse L.
 
-    Returns the sorted indices R reachable from the nonzero rows of V,
-    the blocks (units, positions, Y) and the columns that pack every Y:
-    the columns of V touching the block, its positions in R and the view
-    Y (T,units,positions), Y[m, i] = vec(ρ_i(t_m)) there; all else stays
-    0. The exponential engine runs each connected component of L[R, R]
-    as a block; adaptive-rk runs R as one, as its step control couples
-    the blocks through one error norm. Raises RuntimeError naming the
-    first time sample whose columns are non-finite.
+    Returns the blocks (units, entries, Y) that hold the vec indices R
+    reachable from the nonzero rows of V: the columns of V touching the
+    block, its sorted vec indices and its own array Y (T,units,entries),
+    Y[m, i] = vec(ρ_i(t_m)) there; all else stays 0. The exponential
+    engine runs each connected component of L[R, R] as a block;
+    adaptive-rk runs R as one, as its step control couples the blocks
+    through one error norm. Raises RuntimeError naming the first time
+    sample whose columns are non-finite.
     """
     if method not in ("exponential", "adaptive-rk"):
         raise ValueError(f"unknown evolution method {method!r}")
@@ -93,19 +93,18 @@ def propagate_reached(
         raise ValueError("times must be a non-empty 1-d array")
     T = times.size
     R = reachable(L, np.flatnonzero(V.any(axis=1)))
-    LR, V, parts = L[R][:, R], V[R], [np.arange(R.size)]
+    parts = [R]
     if method == "exponential":  # the undirected components; L[R, R] is block-diagonal
-        G, free, parts = abs(LR) + abs(LR).T, np.ones(R.size, dtype=bool), []
+        G, free, parts = abs(L[R][:, R]), np.ones(R.size, dtype=bool), []
+        G = G + G.T
         while free.any():
-            parts.append(reachable(G, np.argmax(free)))
-            free[parts[-1]] = False
-    units = [np.flatnonzero(V[pos].any(axis=0)) for pos in parts]
-    sizes = [T * u.size * pos.size for u, pos in zip(units, parts)]
-    columns = np.empty(sum(sizes), dtype=complex)
-    chunks = np.split(columns, np.cumsum(sizes, dtype=int)[:-1])
-    blocks = tuple((u, p, c.reshape(T, u.size, p.size)) for u, p, c in zip(units, parts, chunks))
-    for u, pos, Y in blocks:
-        A, Vb = LR[pos][:, pos].toarray(), V[np.ix_(pos, u)]
+            pos = reachable(G, np.argmax(free))
+            free[pos] = False
+            parts.append(R[pos])
+    blocks, bad = [], np.zeros(T, dtype=bool)
+    for e in parts:
+        u = np.flatnonzero(V[e].any(axis=0))
+        A, Vb, Y = L[e][:, e].toarray(), V[np.ix_(e, u)], np.empty((T, u.size, e.size), complex)
         Y[0] = Vb.T
         if T > 1 and method == "exponential":
             P = expm(A * _uniform_step(times))
@@ -124,21 +123,20 @@ def propagate_reached(
             if not sol.success:
                 raise RuntimeError(f"adaptive integration failed: {sol.message}")
             Y[1:] = sol.y[:, 1:].reshape(*Vb.shape, -1, order="F").transpose(2, 1, 0)
-    if not np.isfinite(columns).all():
-        bad = np.zeros(T, dtype=bool)
-        for _, _, Y in blocks:
-            bad |= ~np.isfinite(Y.reshape(T, -1)).all(axis=1)
+        bad |= ~np.isfinite(Y.reshape(T, -1)).all(axis=1)
+        blocks.append((u, e, Y))
+    if bad.any():
         raise RuntimeError(f"propagated columns are non-finite at time sample {np.argmax(bad)}")
-    return R, blocks, columns
+    return tuple(blocks)
 
 
-def _scatter(R: np.ndarray, blocks, T: int, k: int, n: int) -> np.ndarray:
-    """Blocks (units, positions, Y) of k columns -> zero-filled states (T,k,n,n);
+def _scatter(blocks, T: int, k: int, n: int) -> np.ndarray:
+    """Blocks (units, entries, Y) of k columns -> zero-filled states (T,k,n,n);
     the vec(ρ) entry ρ[a, b], at a + n*b, sits at row-major a*n + b."""
     out = np.zeros((T, k, n, n), dtype=complex)
-    flat, at = out.reshape(T, k, n * n), (R % n) * n + R // n
-    for units, pos, Y in blocks:
-        flat[:, units[:, None], at[pos]] = Y
+    flat = out.reshape(T, k, n * n)
+    for units, e, Y in blocks:
+        flat[:, units[:, None], (e % n) * n + e // n] = Y
     return out
 
 
@@ -161,8 +159,8 @@ def evolve_superoperator(
     if L.shape != (n * n, n * n):
         raise ValueError("superoperator does not match the state dimension")
     kw = {"method": method, "rel_tol": rel_tol, "abs_tol": abs_tol}
-    R, blocks, _ = propagate_reached(L, _stack(rho0), times, **kw)
-    out = _scatter(R, blocks, np.asarray(times).size, len(rho0), n)
+    blocks = propagate_reached(L, _stack(rho0), times, **kw)
+    out = _scatter(blocks, np.asarray(times).size, len(rho0), n)
     return out[:, 0] if single else out
 
 
@@ -237,15 +235,13 @@ _IMAGE_CHUNK = 64
 class GateTrajectories:
     """Evolution of the sixteen qubit-block matrix units.
 
-    blocks and columns, as propagate_reached returns them, hold the units'
-    images on the reached vec indices (a + dim*b for ρ[a, b]); all else is
+    blocks, as propagate_reached returns them, hold the units' images on
+    their entries, the vec indices a + dim*b of ρ[a, b]; all else is
     exactly 0. Any superposition input follows by linearity.
     """
 
     times: np.ndarray
-    reached: np.ndarray  # (|R|,) sorted vec-space indices
-    blocks: tuple  # (units, positions in reached, (T,units,positions) view of columns)
-    columns: np.ndarray  # every propagated entry, packed block after block
+    blocks: tuple  # (units, entries, (T,units,entries) array)
     dim: int
     amplitudes: np.ndarray  # (4,) normalized
 
@@ -257,34 +253,35 @@ class GateTrajectories:
     @property
     def unit_inputs(self) -> np.ndarray:
         """Zero-filled states (T,16,n,n) of the sixteen units."""
-        return _scatter(self.reached, self.blocks, self.times.size, 16, self.dim)
+        return _scatter(self.blocks, self.times.size, 16, self.dim)
 
     @property
     def superposition(self) -> np.ndarray:
         """Trajectory (T,n,n) of the pure superposition input."""
         w, one = self.weights, np.zeros(1, dtype=int)
-        parts = [(one, p, np.einsum("k,tkr->tr", w[u], Y)[:, None]) for u, p, Y in self.blocks]
-        return _scatter(self.reached, parts, self.times.size, 1, self.dim)[:, 0]
+        parts = [(one, e, np.einsum("k,tkr->tr", w[u], Y)[:, None]) for u, e, Y in self.blocks]
+        return _scatter(parts, self.times.size, 1, self.dim)[:, 0]
 
     def image(self, f) -> np.ndarray:
         """Linear readout f of (...,n,n) states applied to every unit,
-        (T,16,...), from f on the reached matrix units |a><b| and one
-        product per block with its columns. Take .real of a readout's
-        image if it takes .real itself (populations, edge leakage)."""
-        n, R = self.dim, self.reached
+        (T,16,...), from f on the blocks' matrix units |a><b| and one
+        product per block. Take .real of a readout's image if it takes
+        .real itself (populations, edge leakage)."""
+        n, entries = self.dim, np.concatenate([e for _, e, _ in self.blocks])
         parts = []
-        for s in range(0, R.size, _IMAGE_CHUNK):
-            idx = R[s : s + _IMAGE_CHUNK]
+        for s in range(0, entries.size, _IMAGE_CHUNK):
+            idx = entries[s : s + _IMAGE_CHUNK]
             E = np.zeros((idx.size, n, n), dtype=complex)
             E[np.arange(idx.size), idx % n, idx // n] = 1.0
             # Keep a copy, not a view, and free E before the next chunk.
             parts.append(np.array(f(E), dtype=complex))
             del E
-        F = np.concatenate(parts)
+        F, at = np.concatenate(parts), 0
         out = np.zeros((self.times.size, 16) + F.shape[1:], dtype=complex)
-        for units, pos, Y in self.blocks:
-            img = Y.reshape(-1, pos.size) @ F[pos].reshape(pos.size, -1)
+        for units, e, Y in self.blocks:
+            img = Y.reshape(-1, e.size) @ F[at : at + e.size].reshape(e.size, -1)
             out[:, units] += img.reshape(Y.shape[:2] + F.shape[1:])
+            at += e.size
         return out
 
 
@@ -295,8 +292,8 @@ def evolve_qubit_units(
     given positions under the generator L, in one batch."""
     c = normalized_amplitudes(amplitudes)
     n = math.isqrt(L.shape[0])
-    reached = propagate_reached(L, _stack(matrix_units(positions, n)), times, **kw)
-    return GateTrajectories(np.asarray(times, dtype=float), *reached, n, c)
+    blocks = propagate_reached(L, _stack(matrix_units(positions, n)), times, **kw)
+    return GateTrajectories(np.asarray(times, dtype=float), blocks, n, c)
 
 
 def evolve_gate_inputs(

@@ -112,11 +112,11 @@ def steady_susceptibility(
     return susceptibility_from_state(rho, params, probe_rabi_classical, constants)
 
 
-def _fd_offsets(offset: float, fd_step: float) -> np.ndarray:
-    """Probe offsets offset, offset + fd_step and offset - fd_step."""
+def _fd_offsets(fd_step: float) -> np.ndarray:
+    """Probe offsets 0, +fd_step and -fd_step."""
     if fd_step <= 0:
         raise ValueError("fd_step must be positive")
-    return offset + np.array([0.0, fd_step, -fd_step])
+    return np.array([0.0, fd_step, -fd_step])
 
 
 def _velocity_from_chi(
@@ -130,7 +130,6 @@ def _velocity_from_chi(
 
 def group_velocity_steady(
     params: MSchemeParams,
-    offset: float = 0.0,
     *,
     fd_step: float = 1e-3,
     probe_rabi_classical: float = 1e-3,
@@ -142,7 +141,7 @@ def group_velocity_steady(
     over the probe offset, fd_step in γ units.
     """
     chi = steady_susceptibility(
-        params, _fd_offsets(offset, fd_step), probe_rabi_classical=probe_rabi_classical,
+        params, _fd_offsets(fd_step), probe_rabi_classical=probe_rabi_classical,
         constants=constants,
     )
     return float(_velocity_from_chi(chi, fd_step, params, constants))
@@ -152,7 +151,6 @@ def group_velocity_transient(
     params: MSchemeParams,
     t_int: float,
     *,
-    offset: float = 0.0,
     avg_grid: int = 200,
     fd_step: float = 1e-3,
     probe_rabi_classical: float = 1e-3,
@@ -170,7 +168,7 @@ def group_velocity_transient(
         raise ValueError("avg_grid must be at least 2")
     if t_int <= 0:
         raise ValueError("t_int must be positive")
-    offsets = _fd_offsets(offset, fd_step)
+    offsets = _fd_offsets(fd_step)
     times = np.linspace(0.0, t_int, avg_grid)
     rho0 = np.zeros((_N_LEVELS, _N_LEVELS), dtype=complex)
     rho0[_GROUND, _GROUND] = 1.0

@@ -85,9 +85,9 @@ def phases_from_coherences(coherences: np.ndarray, amplitudes=None) -> np.ndarra
 
     coherences[t] holds <q_k|ρ(t)|q_0> for k = 1, 2, 3. The phase
     already present in the input amplitudes is removed, then each time
-    step is moved to the nearest 2π branch. Steps of magnitude π or more
-    are ambiguous and raise; vanishing coherences raise
-    UndefinedPhaseError. Both errors name the time sample that tripped.
+    step is moved to the nearest 2π branch. Non-finite coherences and
+    steps of magnitude π or more raise ValueError; vanishing coherences
+    raise UndefinedPhaseError. All three name the time sample that tripped.
     """
     coh = np.asarray(coherences, dtype=complex)
     single = coh.ndim == 1
@@ -101,6 +101,9 @@ def phases_from_coherences(coherences: np.ndarray, amplitudes=None) -> np.ndarra
     nrm = np.linalg.norm(c)
     if nrm == 0 or abs(c[0]) < 1e-12 * nrm:
         raise UndefinedPhaseError("vacuum amplitude below 1e-12 of the norm; phases undefined")
+    if not np.isfinite(coh).all():
+        where = "" if single else _sample_label(~np.isfinite(coh).all(axis=-1))
+        raise ValueError(f"non-finite qubit coherence{where}")
     vanishing = np.abs(coh) < 1e-12
     if np.any(vanishing):
         where = "" if single else _sample_label(np.any(vanishing, axis=-1))
@@ -123,13 +126,9 @@ def phases_from_coherences(coherences: np.ndarray, amplitudes=None) -> np.ndarra
 def extract_phases(field_rhos: np.ndarray, amplitudes=None) -> np.ndarray:
     """Accumulated phases of |01>, |10>, |11> along a field trajectory."""
     field_rhos = np.asarray(field_rhos)
-    single = field_rhos.ndim == 2
-    if single:
-        field_rhos = field_rhos[None]
     if field_rhos.shape[-2:] != (FIELD_DIM, FIELD_DIM):
         raise ValueError("expected reduced field states")
-    out = phases_from_coherences(field_rhos[:, 1:4, 0], amplitudes)
-    return out[0] if single else out
+    return phases_from_coherences(field_rhos[..., 1:4, 0], amplitudes)
 
 
 def conditional_phase_shift(phases: np.ndarray) -> np.ndarray:
@@ -153,9 +152,13 @@ def ideal_phase_unitary(phases) -> np.ndarray:
 
 
 def _check_blocks(lam: np.ndarray) -> tuple[int, ...]:
-    """Leading (time) shape of (...,16,4,4) qubit-block images."""
+    """Leading (time) shape of (...,16,4,4) qubit-block images; raises
+    ValueError naming the first time sample with a non-finite one."""
     if lam.shape[-3:] != (16, 4, 4):
         raise ValueError("expected 16 qubit-block images")
+    nonfinite = ~np.isfinite(lam).reshape(lam.shape[:-3] + (-1,)).all(axis=-1)
+    if np.any(nonfinite):
+        raise ValueError(f"non-finite qubit-block image{_sample_label(nonfinite)}")
     return lam.shape[:-3]
 
 
@@ -260,14 +263,14 @@ def conditional_fidelity_from_blocks(
     tr_full = np.asarray(full_traces).reshape(T, 16)
 
     rng = np.random.default_rng(seed)
-    X = rng.standard_normal((mc_samples, 4)) + 1j * rng.standard_normal((mc_samples, 4))
-    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    Z = rng.standard_normal((2, mc_samples, 4))  # the real, then the imaginary parts
 
     ratio_sum = np.zeros(T)
     p_sum = np.zeros(T)
     kept = np.zeros(T, dtype=int)
     for s in range(0, mc_samples, _MC_TILE):
-        psi = X[s : s + _MC_TILE]
+        psi = Z[0, s : s + _MC_TILE] + 1j * Z[1, s : s + _MC_TILE]
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
         W = (psi[:, :, None] * psi.conj()[:, None, :]).reshape(-1, 16)  # c_i c_j*
         Q = (W[:, :, None] * W.conj()[:, None, :]).reshape(-1, 256).T
         for a in range(0, T, _MC_CHUNK):

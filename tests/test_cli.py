@@ -574,15 +574,17 @@ def test_unconditional_map_is_freed_before_the_conditional_one(
     def spy(*args, conditional=False, **kwargs):
         if conditional:
             gc.collect()
-            alive = maps[False][-1]() is not None
+            alive = any(ref() is not None for ref in maps[False][-1])
             assert not alive, "the unconditional map outlived its readout"
         traj = evolve(*args, conditional=conditional, **kwargs)
-        maps.setdefault(conditional, []).append(weakref.ref(traj.columns))
+        refs = [weakref.ref(Y) for _, _, Y in traj.blocks]
+        maps.setdefault(conditional, []).append(refs)
         return traj
 
     def scoring(*args, **kwargs):
         gc.collect()
-        assert maps[True][-1]() is None, "the conditional map outlived its readout"
+        alive = any(ref() is not None for ref in maps[True][-1])
+        assert not alive, "the conditional map outlived its readout"
         return score(*args, **kwargs)
 
     monkeypatch.setattr(module, name, spy)

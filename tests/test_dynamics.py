@@ -241,8 +241,9 @@ def test_image_equals_readout_of_the_dense_states(model, method):
         readouts = [_photon_blocks, lambda rho: ladder.boundary_population(rho, 2)]
     readouts += [_trace, observables.populations]
     # Several chunks of matrix units, the last one partly filled.
-    assert gt.reached.size > dynamics._IMAGE_CHUNK
-    assert gt.reached.size % dynamics._IMAGE_CHUNK
+    entries = sum(e.size for _, e, _ in gt.blocks)
+    assert entries > dynamics._IMAGE_CHUNK
+    assert entries % dynamics._IMAGE_CHUNK
     dense = gt.unit_inputs
     assert dense.shape == (7, 16, gt.dim, gt.dim)
     for f in readouts:
@@ -412,12 +413,12 @@ def test_blocks_match_the_union_propagation(model):
     L, positions, times = _unit_generator(model)
     V = _units_as_columns(positions, math.isqrt(L.shape[0]))
     R_ref, Y_ref = _union_reference(L, V, times)
-    R, blocks, columns = dynamics.propagate_reached(L, V, times)
-    assert np.array_equal(R, R_ref)
+    blocks = dynamics.propagate_reached(L, V, times)
+    assert np.array_equal(np.sort(np.concatenate([e for _, e, _ in blocks])), R_ref)
     union = np.zeros_like(Y_ref)
-    for units, pos, Y in blocks:
-        assert np.shares_memory(Y, columns)
-        union[:, units[:, None], pos] = Y
+    for units, entries, Y in blocks:
+        assert Y.flags.owndata
+        union[:, units[:, None], np.searchsorted(R_ref, entries)] = Y
     assert np.max(np.abs(union - Y_ref)) < 1e-14
 
 
@@ -430,19 +431,19 @@ def test_superposition_column_is_split_over_the_blocks_it_touches():
     want[:, R] = Y[:, 0]
     want = want.reshape(times.size, basis.M_DIM, basis.M_DIM).transpose(0, 2, 1)
     assert np.max(np.abs(got - want)) < 1e-14
-    _, blocks, _ = dynamics.propagate_reached(L, mscheme.vec(rho0)[:, None], times[:2])
+    blocks = dynamics.propagate_reached(L, mscheme.vec(rho0)[:, None], times[:2])
     assert len(blocks) > 1 and all(np.array_equal(u, [0]) for u, _, _ in blocks)
 
 
 def test_adaptive_rk_propagates_the_reached_set_as_one_block():
     L, positions, _ = _unit_generator("unconditional")
     V = _units_as_columns(positions, basis.M_DIM)
-    R, blocks, columns = dynamics.propagate_reached(
+    R = dynamics.reachable(L, np.flatnonzero(V.any(axis=1)))
+    [(units, entries, Y)] = dynamics.propagate_reached(
         L, V, np.linspace(0.0, 0.01, 3), method="adaptive-rk"
     )
-    [(units, pos, Y)] = blocks
-    assert np.array_equal(units, np.arange(16)) and np.array_equal(pos, np.arange(R.size))
-    assert Y.shape == (3, 16, R.size) and columns.size == Y.size
+    assert np.array_equal(units, np.arange(16)) and np.array_equal(entries, R)
+    assert Y.shape == (3, 16, R.size) and Y.flags.owndata
 
 
 @pytest.mark.parametrize("model, blocks, entries", [
@@ -454,13 +455,16 @@ def test_adaptive_rk_propagates_the_reached_set_as_one_block():
 def test_component_structure_and_packed_size(model, blocks, entries):
     L, positions, times = _unit_generator(model)
     gt = dynamics.evolve_qubit_units(L, positions, times)
-    got = sorted(((pos.size, units.size) for units, pos, _ in gt.blocks), reverse=True)
+    got = sorted(((e.size, units.size) for units, e, _ in gt.blocks), reverse=True)
     if model == "conditional":  # one component per matrix unit
         assert len(got) == 16 and {k for _, k in got} == {1}
     else:
         assert got == blocks
-    # Each unit lies in exactly one component, and only its columns are kept.
+    # Each unit and each reached entry lies in exactly one component, and
+    # only the columns of its units are kept.
     held = np.sort(np.concatenate([units for units, _, _ in gt.blocks]))
     assert np.array_equal(held, np.arange(16))
-    assert sum(pos.size * units.size for units, pos, _ in gt.blocks) == entries
-    assert gt.columns.size == times.size * entries
+    R = dynamics.reachable(L, _qubit_unit_seeds(positions, gt.dim))
+    assert np.array_equal(np.sort(np.concatenate([e for _, e, _ in gt.blocks])), R)
+    assert sum(e.size * units.size for units, e, _ in gt.blocks) == entries
+    assert sum(Y.size for _, _, Y in gt.blocks) == times.size * entries

@@ -157,6 +157,18 @@ def test_vanishing_coherence_raises_undefined_phase():
         observables.phases_from_coherences(good, [0.0, 1.0, 1.0, 1.0])
 
 
+def test_non_finite_coherences_raise_naming_the_time_sample():
+    with pytest.raises(ValueError, match="non-finite qubit coherence$"):
+        observables.phases_from_coherences(np.array([0.5, np.nan, 0.5]))
+    with pytest.raises(ValueError, match="non-finite qubit coherence at time sample 0$"):
+        observables.phases_from_coherences(np.full((2, 3), np.nan))
+    coh = np.full((5, 3), 0.5, dtype=complex)
+    coh[3, 1] = np.inf
+    coh[4, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite qubit coherence at time sample 3$"):
+        observables.phases_from_coherences(coh)
+
+
 def test_extract_phases_single_state_and_trajectory():
     f = np.zeros((6, 6), dtype=complex)
     f[1:4, 0] = 0.25 * np.exp(1j * np.array([0.1, 0.2, 0.3]))
@@ -248,6 +260,21 @@ def test_average_fidelity_rejects_malformed_blocks():
     skew[0] *= 1j
     with pytest.raises(ValueError, match="non-real"):
         observables.average_fidelity_from_blocks(skew, np.eye(4))
+
+
+def test_non_finite_blocks_raise_naming_the_time_sample():
+    # The NaN sits in an entry that neither F_e nor Tr Λ(I) reads.
+    one = _units()
+    one[3, 1, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite qubit-block image$"):
+        observables.average_fidelity_from_blocks(one, np.eye(4))
+    series = np.repeat(_units()[None], 3, axis=0)
+    series[1:] = np.nan
+    with pytest.raises(ValueError, match="non-finite qubit-block image at time sample 1$"):
+        observables.average_fidelity_from_blocks(series, np.eye(4))
+    traces = np.full((3, 16), 0.25, dtype=complex)
+    with pytest.raises(ValueError, match="non-finite qubit-block image at time sample 1$"):
+        observables.conditional_fidelity_from_blocks(series, traces, np.eye(4))
 
 
 def test_conditional_fidelity_of_identity_map():
@@ -512,6 +539,17 @@ def test_conditional_fidelity_memory_does_not_grow_with_the_sample_count():
     small = _traced_peak(2000, lam, traces)
     large = _traced_peak(20000, lam, traces)
     assert large - small < 3e6, f"traced peak {small / 1e6:.2f} -> {large / 1e6:.2f} MB"
+
+
+def test_haar_set_is_the_only_memory_that_grows_with_the_draws():
+    # The drawn parts take 64 B per draw and each tile forms and normalizes
+    # its own states, so the call peaks near 14 MB here. Complex draws
+    # a + 1j*b normalized as one set would hold 144 B per draw (28.8 MB).
+    rng = np.random.default_rng(25)
+    lam, traces = _random_lossy_blocks(rng, 1)
+    observables.conditional_fidelity_from_blocks(lam, traces, np.eye(4), mc_samples=10)
+    peak = _traced_peak(200000, lam, traces)
+    assert peak < 23e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def test_conditional_fidelity_bounds_unconditional_on_real_evolution():
