@@ -2,7 +2,9 @@
 
 Two engines integrate vec(ρ̇) = L vec(ρ): "exponential" builds the matrix
 exponential of one uniform step and iterates it (exactly reproducible),
-"adaptive-rk" delegates to an adaptive Runge-Kutta integrator. Both act
+"adaptive-rk" delegates to scipy's adaptive Runge-Kutta integrator. The
+exponential is a numpy Padé scaling and squaring (expm), so the default
+engine loads no scipy.linalg and no second BLAS with it. Both act
 on batches of initial states (the exponential one per connected block of
 L), so the sixteen qubit units evolve in one call; arbitrary superposition
 inputs follow by linearity. Conditional (null-measurement) evolution
@@ -32,11 +34,64 @@ _UNIFORM_RTOL = 1e-9
 _KERNEL_RTOL = 1e-10
 
 
-def expm(A: np.ndarray) -> np.ndarray:
-    """Matrix exponential; scipy.linalg (~0.3 s to import) loads on first use."""
-    from scipy.linalg import expm as _expm
+# Higham (2005), Table 2.3: the [m/m] Padé orders with the largest 1-norm
+# θ_m at which each meets double precision, and their coefficients b_0..b_m.
+_PADE = (
+    (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0,
+                            56.0, 1.0)),
+    (2.097847961257068, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
+                         30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
+)
+_THETA13 = 5.371920351148152
+_B13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+        129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+        40840800.0, 960960.0, 16380.0, 182.0, 1.0)
 
-    return _expm(A)
+
+def expm(A: np.ndarray) -> np.ndarray:
+    """Matrix exponential by Padé scaling and squaring, in numpy alone.
+
+    Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005): the lowest order
+    m in 3, 5, 7, 9 with ||A||_1 <= θ_m, else order 13 on A / 2^s with
+    s = ceil(log2(||A||_1 / θ_13)), squared s times. The approximant
+    (V - U)^-1 (V + U) is formed as I + 2 (V - U)^-1 U, which rounds less.
+    A diagonal A (every 1x1 block) gives exp of its diagonal exactly. An A
+    with a NaN or inf entry, or whose 1-norm overflows, gives an all-NaN
+    result, which propagate_reached reports as a non-finite time sample.
+    """
+    A = np.asarray(A)
+    with np.errstate(over="ignore"):
+        norm = np.abs(A).sum(axis=0).max()
+    if not np.isfinite(norm):
+        return np.full_like(A, np.nan)
+    d = np.diagonal(A)
+    if not np.count_nonzero(A - np.diag(d)):
+        return np.diag(np.exp(d))
+    ident = np.eye(A.shape[0], dtype=A.dtype)
+    if norm <= _PADE[-1][0]:
+        b = next(b for theta, b in _PADE if norm <= theta)
+        powers = [ident, A @ A]  # A^0, A^2, A^4, ...
+        while len(powers) < len(b) // 2:
+            powers.append(powers[-1] @ powers[1])
+        U = A @ sum(b[2 * j + 1] * P for j, P in enumerate(powers))
+        V = sum(b[2 * j] * P for j, P in enumerate(powers))
+        return ident + 2.0 * np.linalg.solve(V - U, U)
+    s = max(0, math.ceil(math.log2(norm / _THETA13)))
+    A, b = A * 2.0**-s, _B13
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2
+             + b[1] * ident)
+    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2
+         + b[0] * ident)
+    r = ident + 2.0 * np.linalg.solve(V - U, U)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends in inf/NaN, reported
+        for _ in range(s):
+            r = r @ r
+    return r
 
 
 def _uniform_step(times: np.ndarray) -> float:
@@ -73,7 +128,7 @@ def reachable(L: Superoperator, seeds) -> np.ndarray:
 
 def propagate_reached(
     L: Superoperator, V: np.ndarray, times: np.ndarray, *, method: str = "exponential",
-    rel_tol: float = 1e-8, abs_tol: float = 1e-12,
+    rel_tol: float = 1e-8, abs_tol: float = 1e-12, exponential=None,
 ) -> tuple:
     """Propagate the k columns of V (n²,k) along times under the sparse L.
 
@@ -85,6 +140,11 @@ def propagate_reached(
     adaptive-rk runs R as one, as its step control couples the blocks
     through one error norm. Raises RuntimeError naming the first time
     sample whose columns are non-finite.
+
+    exponential replaces expm for the step propagator. It is temporary:
+    only groupvel's transient passes one (scipy.linalg.expm), until that
+    average no longer amplifies rounding. None means the module's expm,
+    looked up at call time.
     """
     if method not in ("exponential", "adaptive-rk"):
         raise ValueError(f"unknown evolution method {method!r}")
@@ -107,7 +167,7 @@ def propagate_reached(
         A, Vb, Y = L[e][:, e].toarray(), V[np.ix_(e, u)], np.empty((T, u.size, e.size), complex)
         Y[0] = Vb.T
         if T > 1 and method == "exponential":
-            P = expm(A * _uniform_step(times))
+            P = (exponential or expm)(A * _uniform_step(times))
             for m in range(1, T):
                 Vb = P @ Vb
                 Y[m] = Vb.T
@@ -142,12 +202,13 @@ def _scatter(blocks, T: int, k: int, n: int) -> np.ndarray:
 
 def evolve_superoperator(
     L: Superoperator, rho0: np.ndarray, times: np.ndarray, *, method: str = "exponential",
-    rel_tol: float = 1e-8, abs_tol: float = 1e-12,
+    rel_tol: float = 1e-8, abs_tol: float = 1e-12, exponential=None,
 ) -> np.ndarray:
     """Propagate one state (n,n) or a batch (k,n,n) along a time grid.
 
     Returns (T,n,n) or (T,k,n,n) matching the input rank; rho0 is the
     state at times[0]. Entries outside the reached set are exactly 0.
+    exponential is passed to propagate_reached.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     single = rho0.ndim == 2
@@ -158,7 +219,7 @@ def evolve_superoperator(
     n = rho0.shape[1]
     if L.shape != (n * n, n * n):
         raise ValueError("superoperator does not match the state dimension")
-    kw = {"method": method, "rel_tol": rel_tol, "abs_tol": abs_tol}
+    kw = {"method": method, "rel_tol": rel_tol, "abs_tol": abs_tol, "exponential": exponential}
     blocks = propagate_reached(L, _stack(rho0), times, **kw)
     out = _scatter(blocks, np.asarray(times).size, len(rho0), n)
     return out[:, 0] if single else out

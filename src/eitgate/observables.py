@@ -253,14 +253,21 @@ def conditional_fidelity_from_blocks(
     conj(ψ_c)ψ_i conj(ψ_j)ψ_d, formed one tile of draws at a time and
     taken a few time samples at a time, so only the drawn set itself
     grows with mc_samples. Samples with trace below 1e-12 are skipped; more than
-    1% of them at any time sample aborts the estimate.
+    1% of them at any time sample aborts the estimate. Traces of another
+    shape, or non-finite ones, raise ValueError naming the time sample.
     """
     check_sampling(mc_samples, seed)
     lam = np.asarray(lam)
     lead = _check_blocks(lam)
     T = math.prod(lead)
+    tr_full = np.asarray(full_traces)
+    if tr_full.shape != lead + (16,):
+        raise ValueError(f"full_traces has shape {tr_full.shape}; the blocks need {lead + (16,)}")
+    nonfinite = ~np.isfinite(tr_full).all(axis=-1)
+    if nonfinite.any():
+        raise ValueError(f"non-finite no-jump trace{_sample_label(nonfinite)}")
+    tr_full = tr_full.reshape(T, 16)
     rotated = _rotated_blocks(lam, target_unitary, lead).reshape(T, 256)
-    tr_full = np.asarray(full_traces).reshape(T, 16)
 
     rng = np.random.default_rng(seed)
     Z = rng.standard_normal((2, mc_samples, 4))  # the real, then the imaginary parts

@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -666,9 +667,14 @@ def test_simulate_reports_a_non_finite_propagation(tmp_path, capsys):
         tmp_path, n_atoms=1e300, g_p=0.0022, g_t=0.0022, omega1=4.0, omega4=4.0, delta2=15.0,
         delta3=15.0, eps12=0.01, eps34=0.01, t_max=0.1, n_samples=5, mc_samples=50,
     )
-    assert cli.main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "non-finite at time sample 1" in err and "negligible success" not in err
+    # The overflow is reported once, as the error, not also as numpy warnings.
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_groupvel_rejects_zero_fd_step(tmp_path, capsys):
@@ -734,3 +740,29 @@ def test_cli_import_leaves_scipy_integrate_unloaded(module):
         cwd=Path(cli.__file__).resolve().parents[1],
     )
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command, config, extra, loaded", [
+    ("simulate", SMALL_GATE, [], False),
+    ("scan", SMALL_GATE, ["--param", "g_p", "--from", "0.4", "--to", "0.5", "--steps", "2"], False),
+    ("ladder", SMALL_LADDER, [], False),
+    # groupvel's transient average alone stays on scipy's expm for now.
+    ("groupvel", SMALL_GATE, [], True),
+])
+def test_commands_load_scipy_linalg_only_for_groupvel(tmp_path, command, config, extra, loaded):
+    # The propagation blocks use dynamics.expm, which is numpy alone, so a
+    # run loads neither scipy.linalg nor the second BLAS it brings.
+    cfg_path = write_cfg(tmp_path, **config)
+    code = (
+        "import sys, eitgate.cli; rc = eitgate.cli.main(sys.argv[1:]); "
+        "print(rc, 'scipy.linalg' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, command, "--config", cfg_path, *extra]
+        + ([] if command == "groupvel" else ["--out", str(tmp_path / "out")]),
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=Path(cli.__file__).resolve().parents[1],
+    )
+    assert proc.stdout.splitlines()[-1] == f"0 {loaded}"

@@ -1,5 +1,6 @@
 """Propagation engines, conditional evolution and stationary states."""
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -468,3 +469,90 @@ def test_component_structure_and_packed_size(model, blocks, entries):
     assert np.array_equal(np.sort(np.concatenate([e for _, e, _ in gt.blocks])), R)
     assert sum(e.size * units.size for units, e, _ in gt.blocks) == entries
     assert sum(Y.size for _, _, Y in gt.blocks) == times.size * entries
+
+
+# dynamics.expm against scipy.linalg.expm, relative to the largest entry.
+EXPM_RTOL = 2e-15
+
+
+def _expm_error(A):
+    import scipy.linalg
+
+    want = scipy.linalg.expm(A)
+    return np.max(np.abs(dynamics.expm(A) - want)) / np.max(np.abs(want))
+
+
+def _propagated_blocks(L, V, times, monkeypatch):
+    # The step generators propagate_reached hands to expm, one per block.
+    seen, expm = [], dynamics.expm
+
+    def record(A):
+        seen.append(A)
+        return expm(A)
+
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "expm", record)
+        dynamics.propagate_reached(L, V, times[:2])
+    return seen
+
+
+@pytest.mark.parametrize("model", ["unconditional", "conditional", "ladder"])
+def test_expm_matches_scipy_on_every_propagated_block(model, monkeypatch):
+    L, positions, times = _unit_generator(model)
+    V = _units_as_columns(positions, math.isqrt(L.shape[0]))
+    blocks = _propagated_blocks(L, V, times, monkeypatch)
+    assert len(blocks) == (16 if model == "conditional" else 9)
+    assert max(_expm_error(A) for A in blocks) < EXPM_RTOL
+
+
+def test_expm_matches_scipy_on_the_group_velocity_generators():
+    # The three 25² single-atom generators of the groupvel golden case,
+    # at its step t_max / (avg_grid - 1).
+    from eitgate import cli, groupvel
+
+    from _support import fast_gate_config
+
+    p = cli.params_from_config({**cli.DEFAULTS, **fast_gate_config(), "t_max": 1.0})
+    for offset in (0.0, 1e-3, -1e-3):
+        A = groupvel.semiclassical_liouvillian(p, 1e-3, offset).toarray() / 199
+        assert A.shape == (25, 25) and _expm_error(A) < EXPM_RTOL
+
+
+def test_expm_edge_cases():
+    assert np.array_equal(dynamics.expm(np.array([[-0.3 + 2j]])), np.exp([[-0.3 + 2j]]))
+    assert np.array_equal(dynamics.expm(np.zeros((4, 4), complex)), np.eye(4))
+    d = np.array([1.5, -40.0, 2j, 0.0])
+    assert np.array_equal(dynamics.expm(np.diag(d)), np.diag(np.exp(d)))
+
+
+def test_expm_scaling_branch_matches_scipy(monkeypatch):
+    # The gate's 62² block at a hundred times its step: ||A||_1 = 22 is
+    # above θ_13 = 5.37, so A is scaled by 2^-3 and squared back three
+    # times. Measured: 1.4e-15 of the largest entry.
+    L, positions, times = _unit_generator("unconditional")
+    blocks = _propagated_blocks(L, _units_as_columns(positions, basis.M_DIM), times, monkeypatch)
+    A = 100 * max(blocks, key=len)
+    assert A.shape == (62, 62) and np.abs(A).sum(axis=0).max() > 5.371920351148152
+    assert _expm_error(A) < EXPM_RTOL
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_expm_of_a_non_finite_matrix_is_non_finite(bad):
+    for A in (np.array([[0.0, 1.0], [bad, 0.0]]), np.array([[bad]])):
+        assert np.isnan(dynamics.expm(A)).all()
+    huge = np.full((2, 2), 1e308)  # finite entries, overflowing 1-norm
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(dynamics.expm(huge)).all()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_generator_is_reported_at_the_first_step(bad):
+    rng = np.random.default_rng(5)
+    L = rng.standard_normal((4, 4)) + 0j
+    L[1, 1] = bad
+    rho0 = random_density(2, rng)
+    with np.errstate(invalid="ignore"), pytest.raises(
+        RuntimeError, match="non-finite at time sample 1$"
+    ):
+        dynamics.evolve_superoperator(sp.csr_matrix(L), rho0, np.linspace(0.0, 1.0, 4))

@@ -277,6 +277,18 @@ def test_non_finite_blocks_raise_naming_the_time_sample():
         observables.conditional_fidelity_from_blocks(series, traces, np.eye(4))
 
 
+def test_conditional_fidelity_checks_the_traces():
+    series = np.repeat(_units()[None], 3, axis=0)
+    traces = np.repeat(np.eye(4, dtype=complex).reshape(1, 16), 3, axis=0)
+    traces[2, 5] = np.nan
+    with pytest.raises(ValueError, match="non-finite no-jump trace at time sample 2$"):
+        observables.conditional_fidelity_from_blocks(series, traces, np.eye(4))
+    with pytest.raises(ValueError, match="non-finite no-jump trace$"):
+        observables.conditional_fidelity_from_blocks(_units(), traces[2], np.eye(4))
+    with pytest.raises(ValueError, match=r"full_traces has shape \(2, 16\)"):
+        observables.conditional_fidelity_from_blocks(series, traces[:2], np.eye(4))
+
+
 def test_conditional_fidelity_of_identity_map():
     tr = np.eye(4, dtype=complex).reshape(16)
     r = observables.conditional_fidelity_from_blocks(_units(), tr, np.eye(4))
