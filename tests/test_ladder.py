@@ -1,9 +1,11 @@
 """Truncated ladder comparison model: structure, conservation, leakage."""
 
+import math
+
 import numpy as np
 import pytest
 
-from eitgate import ladder
+from eitgate import ladder, mscheme
 from eitgate.ladder import LadderParams
 
 REF = LadderParams(N_a=9, g_p=0.4, g_t=0.5, delta_p=1.2, delta_t=0.7, n_max=2)
@@ -89,6 +91,58 @@ def test_hamiltonian_matches_product_structure(convention):
     H = ladder.build_ladder_hamiltonian(params)
     assert np.allclose(H, H.conj().T)
     assert np.allclose(H, _kron_oracle(params), atol=1e-14, rtol=0)
+
+
+def _loop_hamiltonian(params):
+    # Reference: the per-builder coupling loop the table assembly replaced.
+    states = ladder.ladder_states(params.n_max)
+    energy = {"G2": 0.0, "E1": -params.delta_p, "E3": -params.delta_t}
+    gp = params.g_p * math.sqrt(params.N_a)
+    gt = params.g_t * math.sqrt(params.N_a)
+    trigger = ("G2", "E3") if params.convention == "as-printed" else ("E3", "G2")
+    couplings = (
+        (gp, "G2", "E1", (1, 0), lambda n_p, n_t: math.sqrt(n_p + 1)),
+        (gt, *trigger, (0, 1), lambda n_p, n_t: math.sqrt(n_t + 1)),
+    )
+    H = np.zeros((len(states), len(states)), dtype=complex)
+    for strength, src, dst, shift, weight in couplings:
+        T = mscheme.transition_operator(states, src, dst, shift, weight)
+        H += strength * (T + T.conj().T)
+    np.fill_diagonal(H, [energy[label] for label, _, _ in states])
+    return H
+
+
+def _loop_channels(params):
+    # Reference: the per-builder zero-rate filter the table assembly replaced.
+    states = ladder.ladder_states(params.n_max)
+    return [
+        mscheme.JumpChannel(
+            rate=rate, op=mscheme.transition_operator(states, src, dst), kind="decay"
+        )
+        for rate, src, dst in ((params.gamma21, "G2", "E1"), (params.gamma32, "E3", "G2"))
+        if rate != 0.0
+    ]
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+@pytest.mark.parametrize("convention", ladder.CONVENTIONS)
+def test_builders_are_bitwise_the_per_builder_loops(convention, n_max):
+    rng = np.random.default_rng(17 + n_max)
+    for _ in range(10):
+        g_p, g_t, delta_p, delta_t = rng.normal(size=4) * rng.choice([0.0, 1e-3, 1.0, 10.0], size=4)
+        gamma21, gamma32 = (float(rng.choice([0.0, rng.uniform(0, 2)])) for _ in range(2))
+        params = LadderParams(
+            N_a=float(10 ** rng.uniform(0, 8)), g_p=float(g_p), g_t=float(g_t),
+            delta_p=float(delta_p), delta_t=float(delta_t), gamma21=gamma21, gamma32=gamma32,
+            n_max=n_max, convention=convention,
+        )
+        H = ladder.build_ladder_hamiltonian(params)
+        assert H.tobytes() == _loop_hamiltonian(params).tobytes()
+        channels = ladder.build_ladder_channels(params)
+        reference = _loop_channels(params)
+        assert [(c.rate, c.kind) for c in channels] == [(c.rate, c.kind) for c in reference]
+        for c, r in zip(channels, reference):
+            assert c.op.tobytes() == r.op.tobytes()
 
 
 def test_as_printed_emits_and_absorptive_consumes():

@@ -318,6 +318,59 @@ def test_builders_on_a_subset_are_bitwise_slices_of_the_full_build(subset):
             assert c.op.tobytes() == f.op[idx].tobytes()
 
 
+def _loop_hamiltonian(params, states=basis.M_STATES):
+    # Reference: the per-builder coupling loop the table assembly replaced.
+    energy = {
+        "G": 0.0,
+        "E1": params.eps12,
+        "E2": params.delta2,
+        "E4": params.delta3,
+        "E5": params.eps34,
+    }
+    gp = params.g_p * math.sqrt(params.N_a)
+    gt = params.g_t * math.sqrt(params.N_a)
+    couplings = (
+        (params.Omega1, "E2", "E1", (0, 0), None),
+        (params.Omega4, "E4", "E5", (0, 0), None),
+        (gp, "E2", "G", (1, 0), lambda n_p, n_t: math.sqrt(n_p + 1)),
+        (gt, "E4", "G", (0, 1), lambda n_p, n_t: math.sqrt(n_t + 1)),
+    )
+    H = np.zeros((len(states), len(states)), dtype=complex)
+    for strength, src, dst, shift, weight in couplings:
+        T = mscheme.transition_operator(states, src, dst, shift, weight)
+        H += strength * (T + T.conj().T)
+    np.fill_diagonal(H, [energy[label] for label, _, _ in states])
+    return H
+
+
+def _loop_channels(params, states=basis.M_STATES):
+    # Reference: the per-builder zero-rate filter the table assembly replaced.
+    channels = []
+    for src, dst, attr in mscheme._DECAYS + mscheme._DEPHASINGS:
+        rate = getattr(params, attr)
+        if rate != 0.0:
+            op = mscheme.transition_operator(states, src, dst)
+            channels.append(mscheme.JumpChannel(rate, op, "dephasing" if src == dst else "decay"))
+    return channels
+
+
+def test_builders_are_bitwise_the_per_builder_loops():
+    rng = np.random.default_rng(31)
+    names = ("g_p", "g_t", "Omega1", "Omega4", "delta2", "delta3", "eps12", "eps34")
+    rates = [a for _, _, a in mscheme._DECAYS + mscheme._DEPHASINGS]
+    for _ in range(100):
+        values = {k: float(rng.normal() * rng.choice([0.0, 1e-3, 1.0, 10.0])) for k in names}
+        values.update({k: float(rng.choice([0.0, rng.uniform(0, 1)])) for k in rates})
+        params = mscheme.MSchemeParams(N_a=float(10 ** rng.uniform(0, 8)), **values)
+        H = mscheme.build_hamiltonian(params)
+        assert H.tobytes() == _loop_hamiltonian(params).tobytes()
+        channels = mscheme.build_jump_channels(params)
+        reference = _loop_channels(params)
+        assert [(c.rate, c.kind) for c in channels] == [(c.rate, c.kind) for c in reference]
+        for c, r in zip(channels, reference):
+            assert c.op.tobytes() == r.op.tobytes()
+
+
 def test_single_photon_sector_has_dark_state_at_zero_mismatch():
     p = replace(RICH_PARAMS, eps12=0.0)
     H_p, _, _ = mscheme.reduced_hamiltonians(p)
