@@ -40,7 +40,7 @@ def ladder_metrics():
 
     Ls = ladder.build_ladder_liouvillian(LADDER)
     times = np.linspace(0.0, 0.24, 301)
-    traj = dynamics.evolve_superoperator(Ls, rho0, times, method="adaptive-rk")
+    traj = dynamics.evolve_superoperator(Ls, rho0, times)
     leak = float(np.max(ladder.boundary_population(traj, LADDER.n_max)))
     ladder.check_truncation(traj, LADDER.n_max)
     block = ladder.photon_qubit_block(
@@ -65,13 +65,17 @@ def ladder_metrics():
         return ladder.photon_qubit_block(ladder.reduce_to_photons(rho, LADDER.n_max), LADDER.n_max)
 
     # Read the matrix-unit maps out as images, without their dense states.
-    unc = dynamics.evolve_qubit_units(Ls, positions, coarse, method="adaptive-rk")
+    unc = dynamics.evolve_qubit_units(Ls, positions, coarse)
+    # F averages over the four basis inputs too: guard each up to T_EVAL.
+    edge = unc.image(lambda rho: ladder.boundary_population(rho, LADDER.n_max))
+    labels = ("|00>", "|01>", "|10>", "|11>")
+    ladder.check_leakage(edge[: kc + 1, [0, 5, 10, 15]].real, labels=labels)
     lam = unc.image(block)[kc]
     del unc, Ls
     Lc = dynamics.conditional_generator(
         ladder.build_ladder_hamiltonian(LADDER), ladder.build_ladder_channels(LADDER)
     )
-    con = dynamics.evolve_qubit_units(Lc, positions, coarse, method="adaptive-rk")
+    con = dynamics.evolve_qubit_units(Lc, positions, coarse)
     clam = con.image(block)[kc]
     ctr = con.image(lambda rho: np.trace(rho, axis1=-2, axis2=-1))[kc]
     del con, Lc

@@ -5,39 +5,17 @@ The medium plus the two quantized field modes is described in a basis of
 level, or exactly one atom promoted to level 1, 2, 4 or 5) times the
 probe/trigger photon numbers.  Only combinations with at most two total
 excitations are reachable, and the ordering below is canonical so that
-matrices are comparable bit-for-bit across runs.
+matrices are comparable bit-for-bit across runs. A state is a (label,
+n_p, n_t) tuple; state_names and qubit_positions read any such table,
+the ladder's included.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 
 # Collective atomic labels. "G" is the fully unexcited medium (all atoms
 # in level 3); "Ek" is the symmetric state with one atom in level k.
 ATOM_LABELS = ("G", "E1", "E2", "E4", "E5")
-
-
-@dataclass(frozen=True)
-class MBasisState:
-    """One collective product state: atomic label and photon numbers."""
-
-    atom: str
-    n_p: int
-    n_t: int
-
-    def __post_init__(self):
-        if self.atom not in ATOM_LABELS:
-            raise ValueError(f"unknown atomic label {self.atom!r}")
-        excitation = (0 if self.atom == "G" else 1) + self.n_p + self.n_t
-        if not (0 <= self.n_p <= 2 and 0 <= self.n_t <= 2) or excitation > 2:
-            raise ValueError(
-                f"state ({self.atom},{self.n_p},{self.n_t}) outside the restricted space"
-            )
-
-    @property
-    def name(self) -> str:
-        return f"{self.atom}_{self.n_p}_{self.n_t}"
 
 
 # Canonical ordering of the 18 reachable states. Indices 0-11 span the
@@ -64,8 +42,7 @@ M_STATES: tuple[tuple[str, int, int], ...] = (
     ("G", 0, 2),
 )
 
-M_BASIS: tuple[MBasisState, ...] = tuple(MBasisState(*s) for s in M_STATES)
-M_DIM = len(M_BASIS)
+M_DIM = len(M_STATES)
 
 _M_INDEX = {s: i for i, s in enumerate(M_STATES)}
 
@@ -73,13 +50,22 @@ _M_INDEX = {s: i for i, s in enumerate(M_STATES)}
 # the order |00>, |01>, |10>, |11>; (2,0) and (0,2) are leakage states.
 FIELD_BASIS: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (0, 2))
 FIELD_DIM = len(FIELD_BASIS)
-QUBIT_BLOCK = (0, 1, 2, 3)
-
-# Positions of the four qubit product states (atoms unexcited, photon
-# numbers in the qubit block) inside the 18-state ordering.
-QUBIT_M_INDICES = tuple(_M_INDEX[("G", *pair)] for pair in FIELD_BASIS[:4])
 
 _FIELD_INDEX = {pair: i for i, pair in enumerate(FIELD_BASIS)}
+
+
+def state_names(states) -> tuple[str, ...]:
+    """Names "label_n_p_n_t" of (label, n_p, n_t) states, in their order."""
+    return tuple(f"{label}_{n_p}_{n_t}" for label, n_p, n_t in states)
+
+
+def qubit_positions(states, ground: str) -> tuple[int, ...]:
+    """Positions in states of the four qubit product states: label
+    ground with the photon pairs |00>, |01>, |10>, |11>."""
+    return tuple(states.index((ground, *pair)) for pair in FIELD_BASIS[:4])
+
+
+QUBIT_M_INDICES = qubit_positions(M_STATES, "G")
 
 
 def m_index(atom: str, n_p: int, n_t: int) -> int:

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dynamics, groupvel, interferometer, ladder, observables, perturbative
+from . import basis, dynamics, groupvel, interferometer, ladder, observables, perturbative
 from .groupvel import OpticalConstants
 from .ladder import LadderParams
 from .mscheme import GAMMA_SI_DEFAULT, MSchemeParams
@@ -90,9 +90,9 @@ DEFAULTS: dict = {
 _STRING_KEYS = {
     "method": ("exponential", "adaptive-rk"),
     "dephasing_mode": ("lindblad", "excluded"),
-    "ladder_convention": ("as-printed", "absorptive"),
+    "ladder_convention": ladder.CONVENTIONS,
 }
-_INT_KEYS = {"n_samples", "mc_samples", "seed", "avg_grid", "n_max"}
+_INT_KEYS = {key for key, value in DEFAULTS.items() if type(value) is int}
 _AMPLITUDE_KEYS = ("c00", "c01", "c10", "c11")
 
 
@@ -119,12 +119,16 @@ def load_config(path: str | None) -> dict:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"config key {key!r} must be an integer")
         else:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"config key {key!r} must be a number")
-            if not math.isfinite(value):
-                raise ValueError(f"config key {key!r} must be finite")
+            _check_finite_number(f"config key {key!r}", value)
         cfg[key] = value
     return cfg
+
+
+def _check_finite_number(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
 
 
 def _amplitude_value(key: str, value) -> complex:
@@ -297,7 +301,7 @@ def run_ladder_analysis(cfg: dict) -> dict:
     return _metrics_from_blocks(
         propagate,
         lambda rho: ladder.photon_qubit_block(ladder.reduce_to_photons(rho, n_max), n_max),
-        tuple(f"{atom}_{n_p}_{n_t}" for atom, n_p, n_t in ladder.ladder_states(n_max)),
+        basis.state_names(ladder.ladder_states(n_max)),
         cfg,
     )
 
@@ -517,10 +521,7 @@ def load_phase_table(path: str) -> dict:
     for key, value in data.items():
         if key not in table:
             raise ValueError(f"unknown phase key {key!r}")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"phase key {key!r} must be a number")
-        if not math.isfinite(value):
-            raise ValueError(f"phase key {key!r} must be finite")
+        _check_finite_number(f"phase key {key!r}", value)
         table[key] = float(value)
     return table
 

@@ -13,7 +13,7 @@ relation together with the slow-light compression of the pulse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,9 +60,8 @@ def semiclassical_hamiltonian(
     """
     omega_p = _probe_rabi(params, probe_rabi_classical)
     omega_t = probe_rabi_classical * params.g_t * math.sqrt(params.N_a)
-    H = build_hamiltonian(params, states=_LEVELS)
-    H[0, 0] += offset
-    H[1, 1] -= offset
+    shifted = replace(params, eps12=params.eps12 + offset, delta2=params.delta2 - offset)
+    H = build_hamiltonian(shifted, states=_LEVELS)
     for strength, level in ((omega_p, "E2"), (omega_t, "E4")):
         T = transition_operator(_LEVELS, "G", level)
         H += strength * (T + T.conj().T)

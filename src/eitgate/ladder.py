@@ -17,8 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import basis
 from .dynamics import GateTrajectories, conditional_generator, evolve_qubit_units, matrix_units
-from .mscheme import JumpChannel, Superoperator, build_liouvillian, transition_operator
+from .mscheme import (
+    JumpChannel, Superoperator, assemble_channels, assemble_hamiltonian, build_liouvillian,
+)
 
 # Atomic labels: all atoms in the intermediate level, one atom moved to
 # the bottom level, one atom moved to the top level.
@@ -82,7 +85,6 @@ def build_ladder_hamiltonian(params: LadderParams) -> np.ndarray:
     "absorptive" consumes a trigger photon when populating the top
     level). Collective enhancement enters once as g√N_a.
     """
-    states = ladder_states(params.n_max)
     energy = {"G2": 0.0, "E1": -params.delta_p, "E3": -params.delta_t}
     gp = params.g_p * math.sqrt(params.N_a)
     gt = params.g_t * math.sqrt(params.N_a)
@@ -92,12 +94,7 @@ def build_ladder_hamiltonian(params: LadderParams) -> np.ndarray:
         (gp, "G2", "E1", (1, 0), lambda n_p, n_t: math.sqrt(n_p + 1)),
         (gt, *trigger, (0, 1), lambda n_p, n_t: math.sqrt(n_t + 1)),
     )
-    H = np.zeros((len(states), len(states)), dtype=complex)
-    for strength, src, dst, shift, weight in couplings:
-        T = transition_operator(states, src, dst, shift, weight)
-        H += strength * (T + T.conj().T)
-    np.fill_diagonal(H, [energy[label] for label, _, _ in states])
-    return H
+    return assemble_hamiltonian(ladder_states(params.n_max), energy, couplings)
 
 
 def build_ladder_channels(params: LadderParams) -> list[JumpChannel]:
@@ -108,12 +105,8 @@ def build_ladder_channels(params: LadderParams) -> list[JumpChannel]:
     one (E3 -> G2). Both carry unit amplitude and conserve photon
     numbers; dephasing is not part of this model.
     """
-    states = ladder_states(params.n_max)
-    return [
-        JumpChannel(rate=rate, op=transition_operator(states, src, dst), kind="decay")
-        for rate, src, dst in ((params.gamma21, "G2", "E1"), (params.gamma32, "E3", "G2"))
-        if rate != 0.0
-    ]
+    rows = ((params.gamma21, "G2", "E1"), (params.gamma32, "E3", "G2"))
+    return assemble_channels(ladder_states(params.n_max), rows)
 
 
 def build_ladder_liouvillian(params: LadderParams) -> Superoperator:
@@ -122,9 +115,7 @@ def build_ladder_liouvillian(params: LadderParams) -> Superoperator:
 
 def qubit_positions(n_max: int) -> list[int]:
     """Ladder indices of the four photonic qubit states on G2."""
-    return [
-        ladder_index("G2", n_p, n_t, n_max) for n_p, n_t in ((0, 0), (0, 1), (1, 0), (1, 1))
-    ]
+    return list(basis.qubit_positions(ladder_states(n_max), "G2"))
 
 
 def ladder_choi_inputs(n_max: int) -> np.ndarray:

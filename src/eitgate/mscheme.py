@@ -117,6 +117,31 @@ def transition_operator(states, src, dst, shift=(0, 0), weight=None) -> Operator
     return op
 
 
+def assemble_hamiltonian(states, energy, couplings) -> OperatorMatrix:
+    """Hamiltonian on (label, n_p, n_t) states: energy[label] on the
+    diagonal plus strength (T + T†) for each (strength, src, dst, shift,
+    weight) row, with T = transition_operator(states, src, dst, shift, weight)."""
+    H = np.zeros((len(states), len(states)), dtype=complex)
+    for strength, src, dst, shift, weight in couplings:
+        T = transition_operator(states, src, dst, shift, weight)
+        H += strength * (T + T.conj().T)
+    np.fill_diagonal(H, [energy[label] for label, _, _ in states])
+    return H
+
+
+def assemble_channels(states, rows) -> list[JumpChannel]:
+    """Channels on (label, n_p, n_t) states from (rate, src, dst) rows, with
+    operator transition_operator(states, src, dst): a dephasing if src ==
+    dst, a decay otherwise. Zero-rate rows are omitted."""
+    return [
+        JumpChannel(
+            rate, transition_operator(states, src, dst), "dephasing" if src == dst else "decay"
+        )
+        for rate, src, dst in rows
+        if rate != 0.0
+    ]
+
+
 def build_hamiltonian(params: MSchemeParams, states=M_STATES) -> OperatorMatrix:
     """Hermitian Hamiltonian on the (label, n_p, n_t) states, units of γ.
 
@@ -141,12 +166,7 @@ def build_hamiltonian(params: MSchemeParams, states=M_STATES) -> OperatorMatrix:
         (gp, "E2", "G", (1, 0), lambda n_p, n_t: math.sqrt(n_p + 1)),
         (gt, "E4", "G", (0, 1), lambda n_p, n_t: math.sqrt(n_t + 1)),
     )
-    H = np.zeros((len(states), len(states)), dtype=complex)
-    for strength, src, dst, shift, weight in couplings:
-        T = transition_operator(states, src, dst, shift, weight)
-        H += strength * (T + T.conj().T)
-    np.fill_diagonal(H, [energy[label] for label, _, _ in states])
-    return H
+    return assemble_hamiltonian(states, energy, couplings)
 
 
 def build_jump_channels(params: MSchemeParams, states=M_STATES) -> list[JumpChannel]:
@@ -160,13 +180,8 @@ def build_jump_channels(params: MSchemeParams, states=M_STATES) -> list[JumpChan
     the states carrying a given excited label. Zero-rate channels are
     omitted. The operators act on states, as in build_hamiltonian.
     """
-    channels = []
-    for src, dst, attr in _DECAYS + _DEPHASINGS:
-        rate = getattr(params, attr)
-        if rate != 0.0:
-            op = transition_operator(states, src, dst)
-            channels.append(JumpChannel(rate, op, "dephasing" if src == dst else "decay"))
-    return channels
+    rows = [(getattr(params, attr), src, dst) for src, dst, attr in _DECAYS + _DEPHASINGS]
+    return assemble_channels(states, rows)
 
 
 def build_liouvillian(H: OperatorMatrix, channels: list[JumpChannel]) -> Superoperator:

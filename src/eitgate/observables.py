@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ATOM_LABELS, FIELD_DIM, M_BASIS, M_DIM, field_index
+from .basis import ATOM_LABELS, FIELD_DIM, M_DIM, M_STATES, field_index, state_names
 
 
 class UndefinedPhaseError(ValueError):
@@ -23,8 +23,8 @@ class UndefinedPhaseError(ValueError):
 def _field_projectors() -> np.ndarray:
     """(5,6,18) selection tensors, one 0/1 matrix per atomic label."""
     B = np.zeros((len(ATOM_LABELS), FIELD_DIM, M_DIM))
-    for i, s in enumerate(M_BASIS):
-        B[ATOM_LABELS.index(s.atom), field_index(s.n_p, s.n_t), i] = 1.0
+    for i, (label, n_p, n_t) in enumerate(M_STATES):
+        B[ATOM_LABELS.index(label), field_index(n_p, n_t), i] = 1.0
     return B
 
 
@@ -64,7 +64,7 @@ def populations(rho: np.ndarray) -> np.ndarray:
 
 def population_names() -> tuple[str, ...]:
     """Column names for the 18 collective-state populations."""
-    return tuple(s.name for s in M_BASIS)
+    return state_names(M_STATES)
 
 
 def _wrap(angle: np.ndarray) -> np.ndarray:

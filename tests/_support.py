@@ -178,12 +178,12 @@ def full_space_operators(params: mscheme.MSchemeParams, n_atoms: int) -> dict:
 def symmetric_isometry(n_atoms: int) -> np.ndarray:
     """Columns embed the 18 collective states into the product space."""
     W = np.zeros((5**n_atoms * 9, basis.M_DIM), dtype=complex)
-    for idx, s in enumerate(basis.M_BASIS):
-        ph = 3 * s.n_p + s.n_t
-        if s.atom == "G":
+    for idx, (atom, n_p, n_t) in enumerate(basis.M_STATES):
+        ph = 3 * n_p + n_t
+        if atom == "G":
             W[ph, idx] = 1.0
         else:
-            k = LEVELS.index(s.atom)
+            k = LEVELS.index(atom)
             for i in range(n_atoms):
                 atomic = k * 5 ** (n_atoms - 1 - i)
                 W[atomic * 9 + ph, idx] = 1.0 / np.sqrt(n_atoms)

@@ -29,7 +29,7 @@ EXPECTED_FIELDS = ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (0, 2))
 
 def test_canonical_order_is_frozen():
     assert basis.M_DIM == 18
-    assert tuple((s.atom, s.n_p, s.n_t) for s in basis.M_BASIS) == EXPECTED_ORDER
+    assert basis.M_STATES == EXPECTED_ORDER
 
 
 def test_field_order_is_frozen():
@@ -38,8 +38,8 @@ def test_field_order_is_frozen():
 
 
 def test_state_index_round_trip():
-    for i, s in enumerate(basis.M_BASIS):
-        assert basis.m_index(s.atom, s.n_p, s.n_t) == i
+    for i, s in enumerate(basis.M_STATES):
+        assert basis.m_index(*s) == i
 
 
 def test_field_index_round_trip():
@@ -48,19 +48,18 @@ def test_field_index_round_trip():
 
 
 def test_qubit_block_maps_to_ground_photon_states():
-    assert basis.QUBIT_BLOCK == (0, 1, 2, 3)
     assert basis.QUBIT_M_INDICES == (0, 4, 1, 7)
     pairs = ((0, 0), (0, 1), (1, 0), (1, 1))
+    assert basis.FIELD_BASIS[:4] == pairs
     for m, (n_p, n_t) in zip(basis.QUBIT_M_INDICES, pairs):
-        s = basis.M_BASIS[m]
-        assert s.atom == "G" and (s.n_p, s.n_t) == (n_p, n_t)
-    for f, (n_p, n_t) in zip(basis.QUBIT_BLOCK, pairs):
-        assert basis.FIELD_BASIS[f] == (n_p, n_t)
+        assert basis.M_STATES[m] == ("G", n_p, n_t)
 
 
 def test_state_names():
-    assert basis.M_BASIS[0].name == "G_0_0"
-    assert basis.M_BASIS[13].name == "E2_1_0"
+    names = basis.state_names(basis.M_STATES)
+    assert len(names) == 18
+    assert names[0] == "G_0_0"
+    assert names[13] == "E2_1_0"
 
 
 @pytest.mark.parametrize(
@@ -77,8 +76,6 @@ def test_state_names():
 )
 def test_unreachable_states_rejected(atom, n_p, n_t):
     with pytest.raises(ValueError):
-        basis.MBasisState(atom, n_p, n_t)
-    with pytest.raises(ValueError):
         basis.m_index(atom, n_p, n_t)
 
 
@@ -90,6 +87,6 @@ def test_unreachable_photon_pair_rejected():
 
 
 def test_every_state_has_at_most_two_quanta():
-    for s in basis.M_BASIS:
-        quanta = (0 if s.atom == "G" else 1) + s.n_p + s.n_t
+    for atom, n_p, n_t in basis.M_STATES:
+        quanta = (0 if atom == "G" else 1) + n_p + n_t
         assert quanta <= 2

@@ -69,6 +69,8 @@ def test_defaults_are_complete_and_frozen():
     assert d["mu_p"] == 2.5e-29
     assert d["n_max"] == 3
     assert d["ladder_convention"] == "as-printed"
+    # The integer keys are the int-valued defaults.
+    assert cli._INT_KEYS == {"n_samples", "mc_samples", "seed", "avg_grid", "n_max"}
 
 
 def test_load_config_without_file_copies_defaults():
@@ -104,6 +106,17 @@ def test_load_config_rejects_bad_values(tmp_path, payload):
     path.write_text(json.dumps(payload), encoding="utf-8")
     (key,) = payload
     with pytest.raises(ValueError, match=f"'{key}'"):
+        cli.load_config(str(path))
+
+
+@pytest.mark.parametrize("value, reason", [("fast", "a number"), (float("nan"), "finite")])
+def test_config_and_phase_table_name_the_rejected_number(tmp_path, value, reason):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"cps": value}), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^phase key 'cps' must be {reason}$"):
+        cli.load_phase_table(str(path))
+    path.write_text(json.dumps({"g_p": value}), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^config key 'g_p' must be {reason}$"):
         cli.load_config(str(path))
 
 

@@ -2,8 +2,8 @@
 
 Each script under ``demos/`` runs in its own process and must print
 exactly the bytes recorded in ``tests/golden/demos/<name>.txt``. The
-demos take about 21 s together on two cores (2-core Xeon, OpenBLAS),
-about half of it ``ladder_comparison``. The five-level demos run the
+demos take about 4.5 s together on two cores (2-core Xeon, OpenBLAS),
+about 0.65 s of it ``ladder_comparison``. The five-level demos run the
 ``simulate`` pipeline, so these files also guard it at the weak-coupling
 point (T = 1401 samples up to t = 700) with dephasing on and off.
 

@@ -27,12 +27,10 @@ def test_field_reduction_sums_matching_atomic_labels():
     rng = np.random.default_rng(1)
     rho = random_density(18, rng)
     manual = np.zeros((6, 6), dtype=complex)
-    for i, si in enumerate(basis.M_BASIS):
-        for j, sj in enumerate(basis.M_BASIS):
-            if si.atom == sj.atom:
-                fi = basis.field_index(si.n_p, si.n_t)
-                fj = basis.field_index(sj.n_p, sj.n_t)
-                manual[fi, fj] += rho[i, j]
+    for i, (ai, pi, ti) in enumerate(basis.M_STATES):
+        for j, (aj, pj, tj) in enumerate(basis.M_STATES):
+            if ai == aj:
+                manual[basis.field_index(pi, ti), basis.field_index(pj, tj)] += rho[i, j]
     reduced = observables.reduce_to_fields(rho)
     assert np.allclose(reduced, manual, atol=1e-14)
     assert np.trace(reduced) == pytest.approx(np.trace(rho))
@@ -41,8 +39,8 @@ def test_field_reduction_sums_matching_atomic_labels():
 def _projector_sum(rho):
     """Σ_l B_l ρ B_lᵀ with the 0/1 selectors B_l built from the basis table."""
     B = np.zeros((len(basis.ATOM_LABELS), 6, 18))
-    for i, s in enumerate(basis.M_BASIS):
-        B[basis.ATOM_LABELS.index(s.atom), basis.field_index(s.n_p, s.n_t), i] = 1.0
+    for i, (atom, n_p, n_t) in enumerate(basis.M_STATES):
+        B[basis.ATOM_LABELS.index(atom), basis.field_index(n_p, n_t), i] = 1.0
     return sum(B[l] @ rho @ B[l].T for l in range(B.shape[0]))
 
 

@@ -126,3 +126,21 @@ def test_c7_resonant_group_velocity_is_the_dark_state_polariton_value(params, de
     error = abs(groupvel.group_velocity_steady(resonant) / dsp - 1.0)
     assert error < 5e-4
     assert error == pytest.approx(deviation, rel=0.05)
+
+
+def test_c7_long_time_band_needs_a_medium_over_a_hundred_times_denser():
+    # The band [4.35e6, 7.25e6] m/s is n_g = c/v_g in [41.35, 68.92]. The
+    # dark-state-polariton relation n_g = 1 + g²N/Ω², which the set's
+    # resonant route reproduces to 3.4e-7 above, then needs g²N/Ω² in
+    # [40.35, 67.92]; the set has 0.3442.
+    c = groupvel.OpticalConstants().c
+    n_g = np.array([c / 7.25e6, c / 4.35e6])
+    assert n_g == pytest.approx([41.35, 68.92], abs=5e-3)
+    needed = n_g - 1.0
+    have = LONGTIME.g_p**2 * LONGTIME.N_a / LONGTIME.Omega1**2
+    assert have == pytest.approx(0.3442, abs=5e-5)
+    assert needed / have == pytest.approx([117.2, 197.3], abs=0.05)
+    # With the set's own detunings the steady route gives n_g = 1.43.
+    v = groupvel.group_velocity_steady(LONGTIME)
+    assert v == pytest.approx(2.0953e8, rel=5e-5)
+    assert c / v == pytest.approx(1.4308, abs=1e-4)
