@@ -68,8 +68,9 @@ def ladder_metrics():
     unc = dynamics.evolve_qubit_units(Ls, positions, coarse)
     # F averages over the four basis inputs too: guard each up to T_EVAL.
     edge = unc.image(lambda rho: ladder.boundary_population(rho, LADDER.n_max))
-    labels = ("|00>", "|01>", "|10>", "|11>")
-    ladder.check_leakage(edge[: kc + 1, [0, 5, 10, 15]].real, labels=labels)
+    ladder.check_leakage(
+        edge[: kc + 1, dynamics.BASIS_UNITS].real, labels=dynamics.BASIS_LABELS
+    )
     lam = unc.image(block)[kc]
     del unc, Ls
     Lc = dynamics.conditional_generator(

@@ -294,8 +294,9 @@ def run_ladder_analysis(cfg: dict) -> dict:
             # fidelities average over, before the conditional map is run.
             leak = traj.image(lambda rho: ladder.boundary_population(rho, n_max))
             ladder.check_leakage((leak @ traj.weights).real)
-            labels = ("|00>", "|01>", "|10>", "|11>")
-            ladder.check_leakage(leak[:, [0, 5, 10, 15]].real, labels=labels)
+            ladder.check_leakage(
+                leak[:, dynamics.BASIS_UNITS].real, labels=dynamics.BASIS_LABELS
+            )
         return traj
 
     return _metrics_from_blocks(

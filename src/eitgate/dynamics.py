@@ -19,13 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import M_DIM, QUBIT_M_INDICES
+from .basis import FIELD_BASIS, M_DIM, QUBIT_M_INDICES
 from .mscheme import (
     MSchemeParams,
     Superoperator,
     build_hamiltonian,
     build_jump_channels,
     build_liouvillian,
+    dense_block,
     unvec,
     vec,
 )
@@ -109,6 +110,27 @@ def _stack(rhos: np.ndarray) -> np.ndarray:
     return rhos.transpose(0, 2, 1).reshape(k, n * n).T
 
 
+def _edges(L: Superoperator) -> tuple[np.ndarray, np.ndarray]:
+    """(source, target) of the edges i -> j of the CSR matrix L, one per
+    stored L[j, i] != 0; an explicitly stored zero is no edge."""
+    rows = np.repeat(np.arange(L.shape[0]), np.diff(L.indptr))
+    nonzero = L.data != 0
+    return L.indices[nonzero], rows[nonzero]
+
+
+def _closure(source: np.ndarray, target: np.ndarray, n: int, seeds) -> np.ndarray:
+    """Sorted nodes of range(n) reachable from seeds along the edges."""
+    hit = np.zeros(n, dtype=bool)
+    hit[seeds] = True
+    frontier = hit.copy()
+    while frontier.any():
+        step = np.zeros(n, dtype=bool)
+        step[target[frontier[source]]] = True
+        frontier = step & ~hit
+        hit |= frontier
+    return np.flatnonzero(hit)
+
+
 def reachable(L: Superoperator, seeds) -> np.ndarray:
     """Sorted vec-space indices reachable from seeds in the sparsity
     graph of L, where index i feeds index j when L[j, i] != 0.
@@ -116,14 +138,22 @@ def reachable(L: Superoperator, seeds) -> np.ndarray:
     The set is closed under L, so a state supported on it stays there
     and evolves under the block L[R, R] alone.
     """
-    A = abs(L)
-    hit = np.zeros(L.shape[0], dtype=bool)
-    hit[seeds] = True
-    frontier = hit
-    while frontier.any():
-        frontier = (A @ frontier.astype(float) > 0) & ~hit
-        hit |= frontier
-    return np.flatnonzero(hit)
+    return _closure(*_edges(L), L.shape[0], seeds)
+
+
+def _components(L: Superoperator, R: np.ndarray) -> list[np.ndarray]:
+    """The sorted index sets of the undirected connected components of
+    L[R, R], in the order of their smallest index."""
+    source, target = _edges(L)
+    inside = np.isin(source, R)  # R is closed under L: the targets are in R too
+    a, b = np.searchsorted(R, source[inside]), np.searchsorted(R, target[inside])
+    a, b = np.concatenate([a, b]), np.concatenate([b, a])
+    free, parts = np.ones(R.size, dtype=bool), []
+    while free.any():
+        pos = _closure(a, b, R.size, np.argmax(free))
+        free[pos] = False
+        parts.append(R[pos])
+    return parts
 
 
 def propagate_reached(
@@ -153,18 +183,11 @@ def propagate_reached(
         raise ValueError("times must be a non-empty 1-d array")
     T = times.size
     R = reachable(L, np.flatnonzero(V.any(axis=1)))
-    parts = [R]
-    if method == "exponential":  # the undirected components; L[R, R] is block-diagonal
-        G, free, parts = abs(L[R][:, R]), np.ones(R.size, dtype=bool), []
-        G = G + G.T
-        while free.any():
-            pos = reachable(G, np.argmax(free))
-            free[pos] = False
-            parts.append(R[pos])
+    parts = _components(L, R) if method == "exponential" else [R]
     blocks, bad = [], np.zeros(T, dtype=bool)
     for e in parts:
         u = np.flatnonzero(V[e].any(axis=0))
-        A, Vb, Y = L[e][:, e].toarray(), V[np.ix_(e, u)], np.empty((T, u.size, e.size), complex)
+        A, Vb, Y = dense_block(L, e), V[np.ix_(e, u)], np.empty((T, u.size, e.size), complex)
         Y[0] = Vb.T
         if T > 1 and method == "exponential":
             P = (exponential or expm)(A * _uniform_step(times))
@@ -268,6 +291,12 @@ def matrix_units(positions, dim: int) -> np.ndarray:
         for j, b in enumerate(positions):
             E[4 * i + j, a, b] = 1.0
     return E
+
+
+# The four basis inputs |q_i><q_i| among the matrix units, entries 4*i + i,
+# and their labels |n_p n_t>.
+BASIS_UNITS = tuple(4 * i + i for i in range(4))
+BASIS_LABELS = tuple(f"|{n_p}{n_t}>" for n_p, n_t in FIELD_BASIS[:4])
 
 
 def normalized_amplitudes(amplitudes) -> np.ndarray:

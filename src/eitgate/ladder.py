@@ -158,9 +158,10 @@ def reduce_to_photons(rho: np.ndarray, n_max: int) -> np.ndarray:
 
 
 def photon_qubit_block(field_rho: np.ndarray, n_max: int) -> np.ndarray:
-    """4x4 qubit block of a photon-basis state, order 00,01,10,11."""
+    """4x4 qubit block of a photon-basis state, order 00,01,10,11; the
+    photon pair (n_p, n_t) sits at n_p*P + n_t, as reduce_to_photons leaves it."""
     P = n_max + 1
-    idx = [0, 1, P, P + 1]
+    idx = [n_p * P + n_t for n_p, n_t in basis.FIELD_BASIS[:4]]
     return np.asarray(field_rho)[..., idx, :][..., :, idx]
 
 

@@ -14,15 +14,55 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .basis import M_STATES
 
-# Type aliases: operators are dense arrays; superoperators are
-# scipy.sparse.csr_array (scipy.sparse loads with the first build).
+# Operators are dense arrays.
 OperatorMatrix = np.ndarray
-Superoperator = "scipy.sparse.csr_array"
+
+
+class Superoperator(NamedTuple):
+    """A square matrix in compressed sparse rows, in numpy arrays alone:
+    row i stores data[indptr[i]:indptr[i+1]] at the columns indices[...].
+
+    As a 3-tuple it is the (data, indices, indptr) argument of scipy's
+    csr_matrix, and it has the attributes of a canonical scipy CSR matrix
+    that the propagator reads, so either can be passed.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = self.indptr.size - 1
+        return n, n
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    def toarray(self) -> np.ndarray:
+        """Dense form, a stored -0.0 read as +0.0 (see dense_block)."""
+        return dense_block(self, np.arange(self.shape[0]))
+
+
+def dense_block(L: Superoperator, e: np.ndarray) -> np.ndarray:
+    """Dense L[e][:, e] of a CSR matrix L, a Superoperator or a canonical
+    scipy one, for distinct indices e. Entries are summed into zeros, as
+    scipy's toarray does, so a stored -0.0 reads +0.0."""
+    at = np.full(L.shape[0], -1)
+    at[e] = np.arange(len(e))
+    rows, cols = np.repeat(at, np.diff(L.indptr)), at[L.indices]
+    keep = (rows >= 0) & (cols >= 0)
+    out = np.zeros((len(e), len(e)), dtype=L.data.dtype)
+    np.add.at(out, (rows[keep], cols[keep]), L.data[keep])
+    return out
+
 
 GAMMA_SI_DEFAULT = 2.0 * math.pi * 6.0e6  # rad/s
 
@@ -192,13 +232,10 @@ def build_liouvillian(H: OperatorMatrix, channels: list[JumpChannel]) -> Superop
     of the conditional generators. Works for any dimension (the
     semiclassical and ladder models reuse it).
 
-    L is assembled as a CSR array from the nonzeros of each Kronecker
+    L is assembled in CSR form from the nonzeros of each Kronecker
     factor pair, summed in the order of the dense expression so that
     L.toarray() equals the dense np.kron assembly bit for bit.
     """
-    # Imported here: the CLI loads no scipy module at start-up.
-    import scipy.sparse as sp
-
     n = H.shape[0]
     if H.shape != (n, n):
         raise ValueError("H must be square")
@@ -225,7 +262,7 @@ def build_liouvillian(H: OperatorMatrix, channels: list[JumpChannel]) -> Superop
         data += (ch.rate / 2.0) * (2.0 * K3 - K4 - K5)
     rows, cols = np.divmod(union, n * n)
     indptr = np.searchsorted(rows, np.arange(n * n + 1))
-    return sp.csr_array((data, cols, indptr), shape=(n * n, n * n))
+    return Superoperator(data, cols, indptr)
 
 
 def vec(rho: np.ndarray) -> np.ndarray:

@@ -763,12 +763,13 @@ def test_cli_import_leaves_scipy_integrate_unloaded(module):
     ("groupvel", SMALL_GATE, [], True),
 ])
 def test_commands_load_scipy_linalg_only_for_groupvel(tmp_path, command, config, extra, loaded):
-    # The propagation blocks use dynamics.expm, which is numpy alone, so a
-    # run loads neither scipy.linalg nor the second BLAS it brings.
+    # The generators are numpy CSR arrays and the propagation blocks use
+    # dynamics.expm, so a run other than groupvel loads no scipy module at
+    # all, and with it neither scipy.linalg nor the second BLAS it brings.
     cfg_path = write_cfg(tmp_path, **config)
     code = (
         "import sys, eitgate.cli; rc = eitgate.cli.main(sys.argv[1:]); "
-        "print(rc, 'scipy.linalg' in sys.modules)"
+        "print(rc, 'scipy.linalg' in sys.modules, 'scipy' in sys.modules)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code, command, "--config", cfg_path, *extra]
@@ -778,4 +779,4 @@ def test_commands_load_scipy_linalg_only_for_groupvel(tmp_path, command, config,
         check=True,
         cwd=Path(cli.__file__).resolve().parents[1],
     )
-    assert proc.stdout.splitlines()[-1] == f"0 {loaded}"
+    assert proc.stdout.splitlines()[-1] == f"0 {loaded} {loaded}"

@@ -148,6 +148,13 @@ def test_mismatched_superoperator_dimension_rejected():
         dynamics.evolve_superoperator(np.eye(16), np.eye(18) / 18.0, np.array([0.0, 0.1]))
 
 
+def test_basis_units_are_the_diagonal_matrix_units():
+    E = dynamics.matrix_units(range(4), 4)
+    diagonal = [k for k in range(16) if np.trace(E[k]) == 1]
+    assert list(dynamics.BASIS_UNITS) == diagonal == [0, 5, 10, 15]
+    assert dynamics.BASIS_LABELS == ("|00>", "|01>", "|10>", "|11>")
+
+
 def _conditional(p, mode="lindblad"):
     return dynamics.conditional_generator(
         mscheme.build_hamiltonian(p), mscheme.build_jump_channels(p), mode
@@ -357,7 +364,28 @@ def test_reachable_set_is_closed_under_the_generator():
     R = dynamics.reachable(L, [0])
     outside = np.setdiff1d(np.arange(L.shape[0]), R)
     assert R[0] == 0 and outside.size > 0
-    assert L[outside][:, R].count_nonzero() == 0
+    assert sp.csr_matrix(L)[outside][:, R].count_nonzero() == 0
+
+
+def test_explicit_stored_zero_is_no_edge():
+    # Column 0 feeds row 1 through 1.0 and row 2 only through a stored 0.0.
+    L = mscheme.Superoperator(
+        np.array([-1.0, 1.0, -1.0, 0.0, 2.0], complex),
+        np.array([0, 0, 1, 0, 2]),
+        np.array([0, 1, 3, 5]),
+    )
+    assert np.array_equal(dynamics.reachable(L, [0]), [0, 1])
+    blocks = dynamics.propagate_reached(L, np.eye(3, 1, dtype=complex), np.linspace(0.0, 1.0, 3))
+    assert [e.tolist() for _, e, _ in blocks] == [[0, 1]]
+
+
+def test_non_finite_entry_is_an_edge_and_hides_no_other():
+    # Row 1 holds 1.0 from column 0 and NaN from column 2: both are edges,
+    # so 1 is reached from 0, and so is 1 from 2.
+    L = np.zeros((3, 3), complex)
+    L[1, 0], L[1, 2] = 1.0, np.nan
+    assert np.array_equal(dynamics.reachable(sp.csr_matrix(L), [0]), [0, 1])
+    assert np.array_equal(dynamics.reachable(sp.csr_matrix(L), [2]), [1, 2])
 
 
 # The benchmark's gate-transient point (the config defaults plus the
@@ -394,11 +422,11 @@ def _unit_generator(model):
 
 def _union_reference(L, V, times):
     # The whole reached block L[R, R] exponentiated densely and stepped:
-    # Y (T,k,|R|) with every column on every reached entry.
+    # Y (T,k,|R|) with every column on every reached entry; scipy slices it.
     import scipy.linalg
 
     R = dynamics.reachable(L, np.flatnonzero(V.any(axis=1)))
-    P = scipy.linalg.expm(L[R][:, R].toarray() * (times[1] - times[0]))
+    P = scipy.linalg.expm(sp.csr_matrix(L)[R][:, R].toarray() * (times[1] - times[0]))
     Y = [V[R]]
     for _ in times[1:]:
         Y.append(P @ Y[-1])
@@ -503,6 +531,29 @@ def test_expm_matches_scipy_on_every_propagated_block(model, monkeypatch):
     blocks = _propagated_blocks(L, V, times, monkeypatch)
     assert len(blocks) == (16 if model == "conditional" else 9)
     assert max(_expm_error(A) for A in blocks) < EXPM_RTOL
+
+
+@pytest.mark.parametrize("model", ["unconditional", "conditional", "ladder", "ladder conditional"])
+def test_propagated_blocks_are_scipys_dense_slices(model, monkeypatch):
+    # Bit for bit the step generator dt * L[e][:, e].toarray() of scipy's
+    # slicing, signed zeros included: the conditional ladder stores 0 - 0j.
+    if model == "ladder conditional":
+        L = dynamics.conditional_generator(
+            ladder.build_ladder_hamiltonian(LADDER_ABSORPTIVE),
+            ladder.build_ladder_channels(LADDER_ABSORPTIVE),
+        )
+        positions, times = ladder.qubit_positions(3), np.linspace(0.0, 0.25, 126)
+        assert np.signbit(L.data[L.data == 0].imag).all()
+    else:
+        L, positions, times = _unit_generator(model)
+    V = _units_as_columns(positions, math.isqrt(L.shape[0]))
+    seen = _propagated_blocks(L, V, times, monkeypatch)
+    entries = [e for _, e, _ in dynamics.propagate_reached(L, V, times[:2])]
+    assert len(seen) == len(entries)
+    S, dt = sp.csr_matrix(L), times[1] - times[0]
+    for A, e in zip(seen, entries):
+        assert A.tobytes() == (S[e][:, e].toarray() * dt).tobytes()
+        assert not np.signbit(A[A == 0].view(float)).any()
 
 
 def test_expm_matches_scipy_on_the_group_velocity_generators():

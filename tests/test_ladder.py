@@ -242,6 +242,15 @@ def test_photon_qubit_block_slices_low_corner():
             assert block[i, j] == field[idx[i], idx[j]]
 
 
+@pytest.mark.parametrize("n_max", range(1, 9))
+def test_photon_qubit_block_takes_the_low_corner_positions(n_max):
+    # The block of FIELD_BASIS[:4] is the one at positions 0, 1, P, P + 1.
+    P = n_max + 1
+    field = np.arange(float(P**4)).reshape(P * P, P * P)
+    idx = [0, 1, P, P + 1]
+    assert np.array_equal(ladder.photon_qubit_block(field, n_max), field[np.ix_(idx, idx)])
+
+
 def test_boundary_population_counts_edge_states():
     rho = np.zeros((27, 27))
     rho[ladder.ladder_index("G2", 2, 0, 2)] [ladder.ladder_index("G2", 2, 0, 2)] = 0.2

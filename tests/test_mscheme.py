@@ -190,7 +190,7 @@ def test_liouvillian_matches_direct_master_equation_action():
         S = ch.op
         SdS = S.conj().T @ S
         rhs += (ch.rate / 2.0) * (2.0 * S @ rho @ S.conj().T - SdS @ rho - rho @ SdS)
-    assert np.allclose(mscheme.unvec(L @ mscheme.vec(rho)), rhs, atol=1e-12)
+    assert np.allclose(mscheme.unvec(L.toarray() @ mscheme.vec(rho)), rhs, atol=1e-12)
 
 
 def test_liouvillian_generator_is_traceless():
@@ -200,7 +200,7 @@ def test_liouvillian_generator_is_traceless():
     rng = np.random.default_rng(9)
     for _ in range(5):
         rho = random_density(18, rng)
-        assert abs(np.trace(mscheme.unvec(L @ mscheme.vec(rho)))) < 1e-12
+        assert abs(np.trace(mscheme.unvec(L.toarray() @ mscheme.vec(rho)))) < 1e-12
 
 
 def _dense_liouvillian(H, channels):
@@ -253,7 +253,7 @@ _GENERATOR_CASES = [
 )
 def test_sparse_liouvillian_is_bitwise_the_dense_assembly(name, H, channels):
     L = mscheme.build_liouvillian(H, channels)
-    assert L.format == "csr"
+    assert isinstance(L, mscheme.Superoperator)
     assert L.toarray().tobytes() == _dense_liouvillian(H, channels).tobytes()
 
 
@@ -269,6 +269,46 @@ def test_liouvillian_dimension_checks():
     bad = mscheme.JumpChannel(rate=1.0, op=np.zeros((4, 4)), kind="decay")
     with pytest.raises(ValueError):
         mscheme.build_liouvillian(np.zeros((3, 3)), [bad])
+
+
+def _criterion_6_generators(n_max, convention):
+    # The ladder set of acceptance criterion 6 at one truncation and
+    # convention: its unconditional and conditional generators.
+    p = ladder.LadderParams(
+        N_a=1e8, g_p=0.0022, g_t=0.0022, delta_p=10.0, delta_t=0.0,
+        gamma21=1.0, gamma32=1.0, n_max=n_max, convention=convention,
+    )
+    H, channels = ladder.build_ladder_hamiltonian(p), ladder.build_ladder_channels(p)
+    return ladder.build_ladder_liouvillian(p), dynamics.conditional_generator(H, channels)
+
+
+@pytest.mark.parametrize("convention", ladder.CONVENTIONS)
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+def test_scipy_reads_the_generator_as_its_csr_arrays(n_max, convention):
+    import scipy.sparse as sp
+
+    for L in _criterion_6_generators(n_max, convention):
+        S = sp.csr_matrix(L)
+        assert S.shape == L.shape and S.nnz == L.nnz
+        assert np.array_equal(S.indptr, L.indptr) and np.array_equal(S.indices, L.indices)
+        assert S.data.tobytes() == L.data.tobytes()
+        if n_max <= 3:  # the dense n_max 4 form takes about 0.5 GB
+            assert S.toarray().tobytes() == L.toarray().tobytes()
+
+
+def test_stored_negative_zero_reads_positive_zero():
+    # Every conditional ladder generator stores entries 0 - 0j.
+    L = _criterion_6_generators(1, "absorptive")[1]
+    stored = L.data[L.data == 0]
+    assert stored.size == 16 and np.signbit(stored.imag).all()
+    dense = L.toarray()
+    assert not np.signbit(dense[dense == 0].view(float)).any()
+    # Row 0 holds -0.0 at column 0 and 2.0 at column 1; row 1 is empty.
+    tiny = mscheme.Superoperator(
+        np.array([complex(-0.0, -0.0), 2.0]), np.array([0, 1]), np.array([0, 2, 2])
+    )
+    assert tiny.shape == (2, 2) and tiny.nnz == 2
+    assert tiny.toarray().tobytes() == np.array([[0.0, 2.0], [0.0, 0.0]], complex).tobytes()
 
 
 def test_reduced_sector_hamiltonians_are_slices():

@@ -34,7 +34,7 @@ def _trace(rho):
     return np.trace(rho, axis1=-2, axis2=-1)
 
 
-_DIAGONAL = [0, 5, 10, 15]  # the units |q_i><q_i|
+_DIAGONAL = list(dynamics.BASIS_UNITS)  # the units |q_i><q_i|
 
 
 def test_c1_no_jump_probability_is_the_models_and_the_band_quotes_an_amplitude():

@@ -73,3 +73,14 @@ def test_traced_ladder_run_records_every_rss_binding(tmp_path):
     rss = json.loads(spans.read_text(encoding="utf-8"))["rss"]
     recorded = sorted((r["via"], r["name"].split(".")[1]) for r in rss)
     assert recorded == sorted(tracer.RSS_BINDINGS)
+
+
+def test_matrix_stats_reads_the_generator():
+    # generator_bytes counts the generator's three CSR arrays.
+    from eitgate import dynamics
+
+    from _support import RICH_PARAMS
+
+    L = dynamics.build_liouvillian_for(RICH_PARAMS)
+    nbytes = L.data.nbytes + L.indices.nbytes + L.indptr.nbytes
+    assert _load_tracer()._matrix_stats(L) == (324, nbytes, L.nnz)
