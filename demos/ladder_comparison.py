@@ -4,8 +4,9 @@ A cascade EIT medium also produces a cross-Kerr phase, but its upper
 level decays straight back into the probe transition, so the phase
 comes at a much higher decoherence price.  The run propagates the
 ladder model with the same collective coupling as the strong transient
-set and compares the conditional fidelities side by side.  The
-five-level figures come from the pipeline behind `eitgate simulate`.
+set and compares the conditional fidelities side by side.  Both media's
+fidelities come from the pipelines behind `eitgate ladder` and
+`eitgate simulate`.
 
 The photon cutoff matters here: one decay path re-emits trigger
 photons, so the truncation guard is checked before any numbers are
@@ -16,10 +17,11 @@ import numpy as np
 
 from eitgate import cli, dynamics, ladder, observables
 
-LADDER = ladder.LadderParams(
-    N_a=1e8, g_p=0.0022, g_t=0.0022, delta_p=10.0, delta_t=0.0,
-    gamma21=1.0, gamma32=1.0, n_max=4,
-)
+LADDER_CONFIG = {
+    **cli.DEFAULTS,
+    "n_atoms": 1e8, "g_p": 0.0022, "g_t": 0.0022, "delta_p": 10.0, "delta_t": 0.0,
+    "ladder_gamma21": 1.0, "ladder_gamma32": 1.0, "n_max": 4,
+}
 
 FIVE_LEVEL = {
     **cli.DEFAULTS,
@@ -29,61 +31,34 @@ FIVE_LEVEL = {
 }
 
 T_EVAL = 0.12
-AMPS = np.full(4, 0.5)
 
 
 def ladder_metrics():
-    psi = np.zeros(ladder.ladder_dim(LADDER.n_max), dtype=complex)
-    for a, (n_p, n_t) in zip(AMPS, ((0, 0), (0, 1), (1, 0), (1, 1))):
-        psi[ladder.ladder_index("G2", n_p, n_t, LADDER.n_max)] = a
+    params = cli.ladder_params_from_config(LADDER_CONFIG)
+    n_max = params.n_max
+    amps = cli.amplitudes_from_config(LADDER_CONFIG)
+    psi = np.zeros(ladder.ladder_dim(n_max), dtype=complex)
+    psi[ladder.qubit_positions(n_max)] = amps
     rho0 = np.outer(psi, psi.conj())
 
-    Ls = ladder.build_ladder_liouvillian(LADDER)
+    # The superposition alone, over twice the evaluation window.
     times = np.linspace(0.0, 0.24, 301)
-    traj = dynamics.evolve_superoperator(Ls, rho0, times)
-    leak = float(np.max(ladder.boundary_population(traj, LADDER.n_max)))
-    ladder.check_truncation(traj, LADDER.n_max)
-    block = ladder.photon_qubit_block(
-        ladder.reduce_to_photons(traj, LADDER.n_max), LADDER.n_max
-    )
+    traj = dynamics.evolve_superoperator(ladder.build_ladder_liouvillian(params), rho0, times)
+    leak = float(np.max(ladder.boundary_population(traj, n_max)))
+    ladder.check_truncation(traj, n_max)
+    block = ladder.photon_qubit_block(ladder.reduce_to_photons(traj, n_max), n_max)
     del traj
-    phases = observables.phases_from_coherences(block[:, 1:4, 0], AMPS)
+    phases = observables.phases_from_coherences(block[:, 1:4, 0], amps)
     cps = observables.conditional_phase_shift(phases)
-    print(f"cutoff n_max = {LADDER.n_max}: worst boundary population {leak:.1e}")
+    print(f"cutoff n_max = {n_max}: worst boundary population {leak:.1e}")
     t_pi = cli.pi_crossing_time(times, cps)
     print(f"max |CPS| = {np.max(np.abs(cps)):.4f}, "
           f"|CPS| = pi crossing: {'none in window' if t_pi is None else f'{t_pi:.3f}'}")
 
+    # F and F_c at T_EVAL, with the pipeline's guard on every input.
     k = int(np.argmin(np.abs(times - T_EVAL)))
-    U = observables.ideal_phase_unitary(phases[k])
-
-    coarse = np.linspace(0.0, 0.24, 61)
-    kc = int(np.argmin(np.abs(coarse - T_EVAL)))
-    positions = ladder.qubit_positions(LADDER.n_max)
-
-    def block(rho):
-        return ladder.photon_qubit_block(ladder.reduce_to_photons(rho, LADDER.n_max), LADDER.n_max)
-
-    # Read the matrix-unit maps out as images, without their dense states.
-    unc = dynamics.evolve_qubit_units(Ls, positions, coarse)
-    # F averages over the four basis inputs too: guard each up to T_EVAL.
-    edge = unc.image(lambda rho: ladder.boundary_population(rho, LADDER.n_max))
-    ladder.check_leakage(
-        edge[: kc + 1, dynamics.BASIS_UNITS].real, labels=dynamics.BASIS_LABELS
-    )
-    lam = unc.image(block)[kc]
-    del unc, Ls
-    Lc = dynamics.conditional_generator(
-        ladder.build_ladder_hamiltonian(LADDER), ladder.build_ladder_channels(LADDER)
-    )
-    con = dynamics.evolve_qubit_units(Lc, positions, coarse)
-    clam = con.image(block)[kc]
-    ctr = con.image(lambda rho: np.trace(rho, axis1=-2, axis2=-1))[kc]
-    del con, Lc
-
-    F = observables.average_fidelity_from_blocks(lam, U)
-    cond = observables.conditional_fidelity_from_blocks(clam, ctr, U)
-    return float(cps[k]), F, cond.fidelity
+    res = cli.run_ladder_analysis({**LADDER_CONFIG, "t_max": T_EVAL, "n_samples": 31})
+    return float(cps[k]), res["fidelity"][-1], res["cond_fidelity"][-1]
 
 
 def five_level_metrics():

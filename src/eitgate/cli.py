@@ -274,7 +274,7 @@ def run_gate_analysis(cfg: dict) -> dict:
     return _metrics_from_blocks(
         propagate,
         lambda rho: observables.qubit_block(observables.reduce_to_fields(rho)),
-        observables.population_names(),
+        basis.state_names(basis.M_STATES),
         cfg,
     )
 
@@ -396,6 +396,12 @@ def _config_with_overrides(args) -> dict:
         raise ValueError(f"config keys {', '.join(_AMPLITUDE_KEYS)} are all zero")
     if abs(c[0] / nrm) < 1e-12:
         raise ValueError("config key 'c00' is below 1e-12 of the amplitude norm")
+    # At t = 0 the coherence <q_k|rho|q_0> is c_k c_00* / |c|^2.
+    for key, ck in zip(_AMPLITUDE_KEYS[1:], c[1:]):
+        if abs(ck * c[0]) / nrm**2 < 1e-12:
+            raise ValueError(
+                f"config key {key!r} times 'c00' is below 1e-12 of the squared amplitude norm"
+            )
     return cfg
 
 

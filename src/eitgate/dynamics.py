@@ -168,8 +168,9 @@ def propagate_reached(
     Y[m, i] = vec(ρ_i(t_m)) there; all else stays 0. The exponential
     engine runs each connected component of L[R, R] as a block;
     adaptive-rk runs R as one, as its step control couples the blocks
-    through one error norm. Raises RuntimeError naming the first time
-    sample whose columns are non-finite.
+    through one error norm. Raises ValueError naming rel_tol or abs_tol
+    if it is not positive, whatever the method, and RuntimeError naming
+    the first time sample whose columns are non-finite.
 
     exponential replaces expm for the step propagator. It is temporary:
     only groupvel's transient passes one (scipy.linalg.expm), until that
@@ -178,6 +179,9 @@ def propagate_reached(
     """
     if method not in ("exponential", "adaptive-rk"):
         raise ValueError(f"unknown evolution method {method!r}")
+    for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
+        if not tol > 0:
+            raise ValueError(f"{name} must be positive, got {tol!r}")
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:
         raise ValueError("times must be a non-empty 1-d array")

@@ -27,7 +27,8 @@ from .mscheme import (
 # photon-free collective states, on which the single atom is built.
 _LEVELS = tuple((label, 0, 0) for label in ("E1", "E2", "G", "E4", "E5"))
 _N_LEVELS = len(_LEVELS)
-_GROUND = 2
+_GROUND = _LEVELS.index(("G", 0, 0))
+_PROBE_UPPER = _LEVELS.index(("E2", 0, 0))
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,8 @@ def susceptibility_from_state(
     """Dimensionless probe susceptibility read off (..., 5, 5) atomic states."""
     omega_p = _probe_rabi(params, probe_rabi_classical)
     gN2 = params.g_p**2 * params.N_a
-    return 2.0 * gN2 * params.gamma_SI * rho[..., 1, _GROUND] / (constants.omega_p * omega_p)
+    coherence = rho[..., _PROBE_UPPER, _GROUND]
+    return 2.0 * gN2 * params.gamma_SI * coherence / (constants.omega_p * omega_p)
 
 
 def steady_susceptibility(

@@ -29,6 +29,9 @@ LADDER_ATOM_LABELS = ("G2", "E1", "E3")
 
 CONVENTIONS = ("as-printed", "absorptive")
 
+# Largest edge population the truncation guard accepts.
+LEAKAGE_LIMIT = 1e-3
+
 
 @dataclass(frozen=True)
 class LadderParams:
@@ -175,16 +178,14 @@ def boundary_population(rho: np.ndarray, n_max: int) -> np.ndarray:
     return r.sum(axis=(-3, -2, -1)) - interior
 
 
-def check_truncation(
-    traj: np.ndarray, n_max: int, threshold: float = 1e-3, *, labels=None
-) -> None:
+def check_truncation(traj: np.ndarray, n_max: int) -> None:
     """check_leakage on the edge population of one trajectory (T,n,n) or a batch (T,k,n,n)."""
-    check_leakage(boundary_population(traj, n_max), threshold, labels=labels)
+    check_leakage(boundary_population(traj, n_max))
 
 
-def check_leakage(leak: np.ndarray, threshold: float = 1e-3, *, labels=None) -> None:
-    """Raise if any edge population (T,) or (T,k) exceeds threshold or
-    is non-finite.
+def check_leakage(leak: np.ndarray, *, labels=None) -> None:
+    """Raise if any edge population (T,) or (T,k) exceeds LEAKAGE_LIMIT
+    or is non-finite.
 
     The message names the time sample and, for a batch, the input of
     the worst state: the first non-finite one if there is any.
@@ -192,12 +193,12 @@ def check_leakage(leak: np.ndarray, threshold: float = 1e-3, *, labels=None) -> 
     bad = ~np.isfinite(leak)
     at = np.unravel_index(int(np.argmax(bad if bad.any() else leak)), leak.shape)
     worst = float(leak[at])
-    if bad[at] or worst > threshold:
+    if bad[at] or worst > LEAKAGE_LIMIT:
         where = f" at time sample {int(at[0])}" if at else ""
         if len(at) == 2:
             where += f" of input {int(at[1]) if labels is None else labels[at[1]]}"
         if bad[at]:
             raise RuntimeError(f"truncation leakage is non-finite ({worst}){where}")
         raise RuntimeError(
-            f"truncation leakage {worst:.3e}{where} exceeds {threshold:.1e}; raise n_max"
+            f"truncation leakage {worst:.3e}{where} exceeds {LEAKAGE_LIMIT:.1e}; raise n_max"
         )

@@ -278,7 +278,7 @@ def unvec(v: np.ndarray, n: int | None = None) -> np.ndarray:
 
 
 # The probe, trigger and probe+trigger sectors of one and two photons.
-_SECTORS = (
+SECTORS = (
     (("G", 1, 0), ("E2", 0, 0), ("E1", 0, 0)),
     (("G", 0, 1), ("E4", 0, 0), ("E5", 0, 0)),
     (("E1", 0, 1), ("E2", 0, 1), ("G", 1, 1), ("E4", 1, 0), ("E5", 1, 0)),
@@ -293,4 +293,4 @@ def reduced_hamiltonians(
     Built on the probe sector, the trigger sector, and the probe+trigger
     sector (ordered E1, E2, ground, E4, E5).
     """
-    return tuple(build_hamiltonian(params, states=states) for states in _SECTORS)
+    return tuple(build_hamiltonian(params, states=states) for states in SECTORS)

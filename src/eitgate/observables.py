@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ATOM_LABELS, FIELD_DIM, M_DIM, M_STATES, field_index, state_names
+from .basis import ATOM_LABELS, FIELD_DIM, M_DIM, M_STATES, field_index
 
 
 class UndefinedPhaseError(ValueError):
@@ -60,11 +60,6 @@ def qubit_block(field_rho: np.ndarray) -> np.ndarray:
 def populations(rho: np.ndarray) -> np.ndarray:
     """Real diagonal of (...,n,n) states."""
     return np.diagonal(np.asarray(rho), axis1=-2, axis2=-1).real
-
-
-def population_names() -> tuple[str, ...]:
-    """Column names for the 18 collective-state populations."""
-    return state_names(M_STATES)
 
 
 def _wrap(angle: np.ndarray) -> np.ndarray:

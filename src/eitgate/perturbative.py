@@ -10,14 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mscheme import MSchemeParams, reduced_hamiltonians
+from .mscheme import SECTORS, MSchemeParams, reduced_hamiltonians
 
-# Position of the purely photonic component within each reduced block:
-# the probe and trigger sectors start with it, the two-photon sector has
-# it in the middle.
-_BARE_INDEX_P = 0
-_BARE_INDEX_T = 0
-_BARE_INDEX_PT = 2
+# Position of the purely photonic component, all atoms in G, within each
+# reduced block: probe, trigger and probe+trigger sector.
+_BARE_INDICES = tuple([label for label, _, _ in states].index("G") for states in SECTORS)
 
 
 def closed_form_phase(params: MSchemeParams, t: float) -> float:
@@ -60,11 +57,8 @@ def dark_eigenvalue(H: np.ndarray, bare_index: int) -> float:
 
 def phase_rates(params: MSchemeParams) -> tuple[float, float, float]:
     """Dark eigenvalues (λ_p, λ_t, λ_pt) of the reduced sectors."""
-    H_p, H_t, H_pt = reduced_hamiltonians(params)
-    return (
-        dark_eigenvalue(H_p, _BARE_INDEX_P),
-        dark_eigenvalue(H_t, _BARE_INDEX_T),
-        dark_eigenvalue(H_pt, _BARE_INDEX_PT),
+    return tuple(
+        dark_eigenvalue(H, i) for H, i in zip(reduced_hamiltonians(params), _BARE_INDICES)
     )
 
 

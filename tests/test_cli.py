@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eitgate import cli, dynamics, groupvel, interferometer, ladder, observables
+from eitgate import basis, cli, dynamics, groupvel, interferometer, ladder, observables
 from eitgate.mscheme import GAMMA_SI_DEFAULT
 
 
@@ -210,7 +210,7 @@ def test_simulate_outputs(tmp_path):
     assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
 
     header, rows = _read_csv(out / "timeseries.csv")
-    pop_names = [f"pop_{n}" for n in observables.population_names()]
+    pop_names = [f"pop_{n}" for n in basis.state_names(basis.M_STATES)]
     assert header == [
         "time", "phi01", "phi10", "phi11", "cps",
         "fidelity", "cond_fidelity", "p_success",
@@ -659,6 +659,9 @@ def test_ladder_analysis_stays_below_one_dense_map():
     ({"c00": 0}, [], "c00"),
     ({"c00": [1e-13, 0.0]}, [], "c00"),
     ({"c00": 0, "c01": 0, "c10": 0, "c11": 0}, [], "c00, c01, c10, c11"),
+    ({"c01": 0}, [], "'c01'"),
+    ({"c10": [0.0, 1e-13]}, [], "'c10'"),
+    ({"c00": 1e-6, "c11": 1e-7}, [], "'c11'"),
 ])
 def test_gate_commands_reject_bad_monte_carlo_settings_before_propagating(
     tmp_path, capsys, monkeypatch, command, overrides, flags, key
@@ -670,6 +673,22 @@ def test_gate_commands_reject_bad_monte_carlo_settings_before_propagating(
     cfg_path = write_cfg(tmp_path, **{**SMALL_GATE, **overrides})
     out = tmp_path / "out"
     assert cli.main([*command, "--config", cfg_path, "--out", str(out), *flags]) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("method", ["exponential", "adaptive-rk"])
+@pytest.mark.parametrize("key, value", [("abs_tol", 0), ("abs_tol", -1), ("rel_tol", -1)])
+def test_non_positive_tolerances_are_rejected_before_propagating(
+    tmp_path, capsys, monkeypatch, method, key, value
+):
+    def never(*args, **kwargs):
+        raise AssertionError("propagated with a non-positive tolerance")
+
+    monkeypatch.setattr(dynamics, "dense_block", never)
+    cfg_path = write_cfg(tmp_path, **{**SMALL_GATE, "method": method, key: value})
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 1
     assert key in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
 

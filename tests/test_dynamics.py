@@ -143,6 +143,20 @@ def test_unknown_method_rejected(times):
         dynamics.evolve_superoperator(L, np.eye(18) / 18.0, np.array(times), method="euler")
 
 
+@pytest.mark.parametrize("method", ["exponential", "adaptive-rk"])
+@pytest.mark.parametrize("tols", [{"rel_tol": 0.0}, {"rel_tol": -1.0}, {"abs_tol": 0.0}])
+def test_non_positive_tolerance_rejected_before_propagating(monkeypatch, method, tols):
+    def never(*args, **kwargs):
+        raise AssertionError("propagated with a non-positive tolerance")
+
+    monkeypatch.setattr(dynamics, "dense_block", never)
+    L = dynamics.build_liouvillian_for(BARE)
+    with pytest.raises(ValueError, match=f"{next(iter(tols))} must be positive"):
+        dynamics.evolve_superoperator(
+            L, np.eye(18) / 18.0, np.array([0.0, 0.1]), method=method, **tols
+        )
+
+
 def test_mismatched_superoperator_dimension_rejected():
     with pytest.raises(ValueError):
         dynamics.evolve_superoperator(np.eye(16), np.eye(18) / 18.0, np.array([0.0, 0.1]))

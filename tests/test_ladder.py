@@ -266,7 +266,6 @@ def test_check_truncation_threshold():
     rho[2, 2] = 2e-3  # (G2,0,2) sits on the edge
     with pytest.raises(RuntimeError, match="raise n_max"):
         ladder.check_truncation(rho, 2)
-    ladder.check_truncation(rho, 2, threshold=5e-3)
     rho[2, 2] = 5e-4
     ladder.check_truncation(rho, 2)
 
@@ -281,7 +280,7 @@ def test_truncation_error_names_the_worst_state():
     with pytest.raises(RuntimeError, match="at time sample 3 of input 1 "):
         ladder.check_truncation(batch, 2)
     with pytest.raises(RuntimeError, match=r"at time sample 3 of input \|01> "):
-        ladder.check_truncation(batch, 2, labels=("|00>", "|01>"))
+        ladder.check_leakage(ladder.boundary_population(batch, 2), labels=("|00>", "|01>"))
 
 
 def test_non_finite_leakage_trips_the_guard():

@@ -75,7 +75,7 @@ def test_qubit_block_is_leading_four_by_four():
 
 
 def test_population_names_follow_canonical_order():
-    names = observables.population_names()
+    names = basis.state_names(basis.M_STATES)
     assert len(names) == 18
     assert names[0] == "G_0_0"
     assert names[13] == "E2_1_0"
