@@ -468,7 +468,15 @@ def cmd_groupvel(args) -> int:
         "probe_rabi_classical": float(cfg["probe_rabi_classical"]),
         "constants": constants,
     }
+    # The steady work runs, and frees its generators, before the transient
+    # loads scipy.
     v_steady = groupvel.group_velocity_steady(params, **common)
+    if args.out is not None:
+        offsets = np.linspace(-1.0, 1.0, 201)
+        chi = groupvel.steady_susceptibility(
+            params, offsets, probe_rabi_classical=common["probe_rabi_classical"],
+            constants=constants,
+        )
     v_transient = groupvel.group_velocity_transient(
         params,
         float(cfg["t_max"]),
@@ -487,11 +495,6 @@ def cmd_groupvel(args) -> int:
     }
     print(json.dumps(out, indent=2, sort_keys=True))
     if args.out is not None:
-        offsets = np.linspace(-1.0, 1.0, 201)
-        chi = groupvel.steady_susceptibility(
-            params, offsets, probe_rabi_classical=common["probe_rabi_classical"],
-            constants=constants,
-        )
         header = ["offset", "chi_real", "chi_imag"]
         _write_csv(_outdir(args) / "chi.csv", header, [offsets, chi.real, chi.imag])
     return 0

@@ -41,6 +41,11 @@ class OpticalConstants:
     omega_p: float = 2.0 * math.pi * 377.228e12  # rad/s
     mu_p: float = 2.5e-29  # C m
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"optical constant {name!r} must be positive and finite")
+
 
 def _probe_rabi(params: MSchemeParams, probe_rabi_classical: float) -> float:
     omega = probe_rabi_classical * params.g_p * math.sqrt(params.N_a)
@@ -106,10 +111,27 @@ def steady_susceptibility(
     constants: OpticalConstants = OpticalConstants(),
 ) -> complex | np.ndarray:
     """Probe susceptibility of the stationary driven atom at each probe
-    offset; an array of offsets gives an array of its shape."""
+    offset; an array of offsets gives an array of its shape.
+
+    One build_liouvillian call assembles the generators of every offset
+    as a stack, and each offset's steady state is solved on its own
+    matrix of it; a failure names the offset.
+    """
     offset = np.asarray(offset, dtype=float)
-    L = (semiclassical_liouvillian(params, probe_rabi_classical, d) for d in offset.ravel())
-    rho = np.reshape([steady_state(Ld) for Ld in L], (*offset.shape, _N_LEVELS, _N_LEVELS))
+    flat = offset.ravel()
+    if not np.isfinite(flat).all():
+        raise ValueError(f"probe offset {float(flat[~np.isfinite(flat)][0])} is not finite")
+    H = [semiclassical_hamiltonian(params, probe_rabi_classical, d) for d in flat]
+    L = build_liouvillian(
+        np.reshape(H, (flat.size, _N_LEVELS, _N_LEVELS)), semiclassical_channels(params)
+    )
+    rho = np.empty((flat.size, _N_LEVELS, _N_LEVELS), dtype=complex)
+    for k, d in enumerate(flat):
+        try:
+            rho[k] = steady_state(L._replace(data=L.data[k]))
+        except (ValueError, RuntimeError) as exc:
+            raise type(exc)(f"{exc} at probe offset {float(d)}") from exc
+    rho = rho.reshape(*offset.shape, _N_LEVELS, _N_LEVELS)
     return susceptibility_from_state(rho, params, probe_rabi_classical, constants)
 
 

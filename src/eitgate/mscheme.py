@@ -31,6 +31,10 @@ class Superoperator(NamedTuple):
     As a 3-tuple it is the (data, indices, indptr) argument of scipy's
     csr_matrix, and it has the attributes of a canonical scipy CSR matrix
     that the propagator reads, so either can be passed.
+
+    data of shape (..., nnz) is a stack of matrices on the one pattern;
+    matrix k of a 1-D stack is L._replace(data=L.data[k]), and the
+    propagator and toarray read one matrix at a time.
     """
 
     data: np.ndarray
@@ -44,7 +48,8 @@ class Superoperator(NamedTuple):
 
     @property
     def nnz(self) -> int:
-        return self.data.size
+        """Stored entries per matrix."""
+        return self.indices.size
 
     def toarray(self) -> np.ndarray:
         """Dense form, a stored -0.0 read as +0.0 (see dense_block)."""
@@ -235,27 +240,39 @@ def build_liouvillian(H: OperatorMatrix, channels: list[JumpChannel]) -> Superop
     L is assembled in CSR form from the nonzeros of each Kronecker
     factor pair, summed in the order of the dense expression so that
     L.toarray() equals the dense np.kron assembly bit for bit.
+
+    H may be a (..., n, n) stack of Hamiltonians sharing the channels:
+    L then holds one pattern, the union of theirs, and data of shape
+    (..., nnz), and each of its matrices has under toarray() the entries
+    of the matrix built from its Hamiltonian alone.
     """
-    n = H.shape[0]
-    if H.shape != (n, n):
+    n = H.shape[-1]
+    if H.shape[-2:] != (n, n):
         raise ValueError("H must be square")
     eye = np.eye(n)
-    pairs = [(eye, H), (H.conj(), eye)]
+    # (A, B, nonzeros of A, nonzeros of B) for each Kronecker factor pair;
+    # the nonzeros of H are those of any matrix of its stack.
+    I = np.nonzero(eye)
+    h = np.nonzero(np.any(H, axis=tuple(range(H.ndim - 2))) if H.ndim > 2 else H)
+    pairs = [(eye, H, I, h), (H.conj(), eye, h, I)]
     for ch in channels:
-        if ch.op.shape != (n, n):
+        S = ch.op
+        if S.shape != (n, n):
             raise ValueError("channel operator dimension mismatch")
-        SdS = ch.op.conj().T @ ch.op
-        pairs += [(ch.op.conj(), ch.op), (eye, SdS), (SdS.T, eye)]
-    # Each kron(A, B) as COO keys row * n² + column over the factors' nonzeros.
+        SdS = S.conj().T @ S
+        s, d = np.nonzero(S), np.nonzero(SdS)
+        pairs += [(S.conj(), S, s, s), (eye, SdS, I, d), (SdS.T, eye, np.nonzero(SdS.T), I)]
+    # Each kron(A, B) as COO keys row * n² + column over the factors'
+    # nonzeros; only the two terms of H carry its stack axes.
     coo = []
-    for A, B in pairs:
-        (ia, ja), (ib, jb) = np.nonzero(A), np.nonzero(B)
+    for A, B, (ia, ja), (ib, jb) in pairs:
         key = ((ia[:, None] * n + ib) * (n * n) + ja[:, None] * n + jb).ravel()
-        coo.append((key, (A[ia, ja][:, None] * B[ib, jb]).ravel()))
+        value = A[..., ia, ja][..., :, None] * B[..., ib, jb][..., None, :]
+        coo.append((key, value.reshape(*value.shape[:-2], key.size)))
     union = np.unique(np.concatenate([key for key, _ in coo]))
-    terms = [np.zeros(union.size, dtype=complex) for _ in coo]
+    terms = [np.zeros((*value.shape[:-1], union.size), dtype=complex) for _, value in coo]
     for t, (key, value) in zip(terms, coo):
-        t[np.searchsorted(union, key)] = value
+        t[..., np.searchsorted(union, key)] = value
     data = -1j * (terms[0] - terms[1])
     for m, ch in enumerate(channels):
         K3, K4, K5 = terms[2 + 3 * m : 5 + 3 * m]

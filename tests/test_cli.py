@@ -715,6 +715,34 @@ def test_groupvel_rejects_zero_fd_step(tmp_path, capsys):
     assert "fd_step" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value", [("c", -1), ("hbar", 0), ("epsilon0", 0), ("omega_p", 0), ("mu_p", -1)]
+)
+def test_groupvel_rejects_non_positive_optical_constants_before_propagating(
+    tmp_path, capsys, monkeypatch, key, value
+):
+    def never(*args, **kwargs):
+        raise AssertionError(f"propagated with {key} = {value}")
+
+    monkeypatch.setattr(groupvel, "steady_state", never)
+    monkeypatch.setattr(groupvel, "evolve_superoperator", never)
+    cfg_path = write_cfg(tmp_path, n_atoms=1e6, g_p=0.0022, g_t=0.0022, **{key: value})
+    out = tmp_path / "out"
+    assert cli.main(["groupvel", "--config", cfg_path, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert f"optical constant {key!r} must be positive" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_groupvel_names_the_probe_offset_a_steady_solve_fails_at(tmp_path, capsys):
+    cfg_path = write_cfg(
+        tmp_path, n_atoms=1e6, g_p=0.0022, g_t=0.0022, omega1=4.0, omega4=4.0, delta2=15.0,
+        delta3=15.0, fd_step=1e9,
+    )
+    assert cli.main(["groupvel", "--config", cfg_path]) == 1
+    assert "expected 1 at probe offset 1000000000.0" in capsys.readouterr().err
+
+
 def test_error_exit_and_usage(tmp_path, capsys):
     bad_cfg = tmp_path / "bad.json"
     bad_cfg.write_text(json.dumps({"nope": 1}), encoding="utf-8")

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from eitgate import basis, groupvel, mscheme
+from eitgate import basis, dynamics, groupvel, mscheme
 from eitgate.groupvel import OpticalConstants
 from eitgate.mscheme import MSchemeParams
 
@@ -228,3 +228,84 @@ def test_cell_geometry_tracks_transition_data():
 def test_cell_geometry_rejects_zero_coupling():
     with pytest.raises(ValueError, match="mode volume"):
         groupvel.cell_geometry(replace(EIT_SET, g_p=0.0), 1.5e6, 0.4)
+
+
+def _per_offset_susceptibility(params, prc, offset):
+    # Reference: one generator build and one steady solve per offset.
+    L = groupvel.semiclassical_liouvillian(params, prc, offset)
+    return groupvel.susceptibility_from_state(dynamics.steady_state(L), params, prc)
+
+
+def test_steady_susceptibility_is_bitwise_the_per_offset_solves():
+    rng = np.random.default_rng(20)
+    for i in range(40):
+        params = replace(
+            EIT_SET,
+            # eps12 = 0 puts an exact zero on the diagonal at offset 0,
+            # and offset -eps12 does so otherwise: a pattern unlike the union's.
+            eps12=0.0 if i % 4 == 0 else float(rng.normal() * 0.1),
+            delta2=float(rng.normal() * 10.0),
+            Omega1=float(abs(rng.normal()) * 4.0 + 0.1),
+            gamma_deph_1=float(abs(rng.normal()) * 1e-2) if i % 3 else 0.0,
+            gamma_deph_2=float(abs(rng.normal()) * 1e-2),
+        )
+        prc, fd_step = float(10 ** rng.uniform(-4, -2)), float(10 ** rng.uniform(-4, -2))
+        offsets = np.concatenate([rng.normal(size=4), [0.0, fd_step, -fd_step, -params.eps12]])
+        chi = groupvel.steady_susceptibility(params, offsets, probe_rabi_classical=prc)
+        each = np.array([_per_offset_susceptibility(params, prc, float(d)) for d in offsets])
+        assert chi.tobytes() == each.tobytes(), i
+
+
+def test_empty_offset_array_gives_an_empty_susceptibility():
+    chi = groupvel.steady_susceptibility(EIT_SET, np.array([]))
+    assert chi.shape == (0,)
+
+
+def test_one_generator_build_per_sweep(monkeypatch):
+    builds = []
+
+    def counting(H, channels):
+        builds.append(H.shape)
+        return mscheme.build_liouvillian(H, channels)
+
+    monkeypatch.setattr(groupvel, "build_liouvillian", counting)
+    for offsets in (0.0, np.array([]), np.linspace(-1.0, 1.0, 201), np.zeros((2, 3))):
+        builds.clear()
+        groupvel.steady_susceptibility(EIT_SET, offsets)
+        assert builds == [(np.size(offsets), 5, 5)]
+    builds.clear()
+    groupvel.group_velocity_steady(EIT_SET)
+    assert builds == [(3, 5, 5)]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_offset_is_named_before_any_assembly(monkeypatch, bad):
+    def never(*args, **kwargs):
+        raise AssertionError("assembled a generator for a non-finite offset")
+
+    monkeypatch.setattr(groupvel, "semiclassical_hamiltonian", never)
+    monkeypatch.setattr(groupvel, "build_liouvillian", never)
+    for offsets in (bad, [0.1, bad]):
+        with pytest.raises(ValueError, match="probe offset .* is not finite"):
+            groupvel.steady_susceptibility(EIT_SET, offsets)
+
+
+def test_steady_failure_names_its_offset(monkeypatch):
+    with pytest.raises(ValueError, match=r"stationary subspace .* at probe offset 1e\+300$"):
+        groupvel.steady_susceptibility(EIT_SET, [0.0, 1e300])
+    with pytest.raises(ValueError, match=r"stationary subspace .* at probe offset 1000000000\.0$"):
+        groupvel.group_velocity_steady(EIT_SET, fd_step=1e9)
+
+    def residual(L):
+        raise RuntimeError("stationary-state residual 1e-3 above tolerance")
+
+    monkeypatch.setattr(groupvel, "steady_state", residual)
+    with pytest.raises(RuntimeError, match=r"residual .* at probe offset 0\.25$"):
+        groupvel.steady_susceptibility(EIT_SET, 0.25)
+
+
+@pytest.mark.parametrize("name", ["c", "hbar", "epsilon0", "omega_p", "mu_p"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_optical_constants_must_be_positive_and_finite(name, value):
+    with pytest.raises(ValueError, match=f"'{name}' must be positive"):
+        OpticalConstants(**{name: value})

@@ -257,6 +257,48 @@ def test_sparse_liouvillian_is_bitwise_the_dense_assembly(name, H, channels):
     assert L.toarray().tobytes() == _dense_liouvillian(H, channels).tobytes()
 
 
+def _hamiltonian_stack(H, rng):
+    # H, H with shifted and with zeroed diagonal energies, H with its
+    # couplings dropped, and a random Hermitian matrix: the union of their
+    # nonzeros covers entries that some of the matrices lack.
+    n = H.shape[0]
+    shifted = H + np.diag(rng.normal(size=n))
+    zeroed = H.copy()
+    np.fill_diagonal(zeroed, 0.0)
+    diagonal = np.diag(np.diag(H))
+    X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return np.array([H, shifted, zeroed, diagonal, X + X.conj().T])
+
+
+# The cases up to n_max 2: a dense n_max 3 generator takes 85 MB.
+_SMALL_CASES = [c for c in _GENERATOR_CASES if c[1].shape[0] < 48]
+
+
+@pytest.mark.parametrize("name, H, channels", _SMALL_CASES, ids=[c[0] for c in _SMALL_CASES])
+def test_stacked_liouvillian_is_bitwise_the_per_matrix_builds(name, H, channels):
+    stack = _hamiltonian_stack(H, np.random.default_rng(7))
+    L = mscheme.build_liouvillian(stack, channels)
+    assert L.data.shape == (len(stack), L.nnz) and L.nnz == L.indices.size
+    for k, Hk in enumerate(stack):
+        single = mscheme.build_liouvillian(Hk, channels)
+        assert single.nnz <= L.nnz
+        assert L._replace(data=L.data[k]).toarray().tobytes() == single.toarray().tobytes()
+    # Any leading axes: a (2, 2) stack holds the same four matrices.
+    square = mscheme.build_liouvillian(stack[:4].reshape(2, 2, *H.shape), channels)
+    assert square.data.shape == (2, 2, square.nnz)
+    for k in range(4):
+        row = square._replace(data=square.data[divmod(k, 2)])
+        assert row.toarray().tobytes() == L._replace(data=L.data[k]).toarray().tobytes()
+
+
+def test_empty_stack_keeps_the_channel_pattern():
+    L = mscheme.build_liouvillian(np.zeros((0, 18, 18)), _CHANNELS_RICH)
+    channels_only = mscheme.build_liouvillian(np.zeros((18, 18)), _CHANNELS_RICH)
+    assert L.data.shape == (0, channels_only.nnz)
+    assert np.array_equal(L.indices, channels_only.indices)
+    assert np.array_equal(L.indptr, channels_only.indptr)
+
+
 def test_conditional_generator_matches_the_dense_assembly():
     L = dynamics.conditional_generator(_H_RICH, _CHANNELS_RICH)
     reference = _dense_liouvillian(*_conditional_parts(_H_RICH, _CHANNELS_RICH))
@@ -266,6 +308,8 @@ def test_conditional_generator_matches_the_dense_assembly():
 def test_liouvillian_dimension_checks():
     with pytest.raises(ValueError):
         mscheme.build_liouvillian(np.zeros((3, 4)), [])
+    with pytest.raises(ValueError):
+        mscheme.build_liouvillian(np.zeros((2, 3, 4)), [])
     bad = mscheme.JumpChannel(rate=1.0, op=np.zeros((4, 4)), kind="decay")
     with pytest.raises(ValueError):
         mscheme.build_liouvillian(np.zeros((3, 3)), [bad])

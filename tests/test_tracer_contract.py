@@ -84,3 +84,19 @@ def test_matrix_stats_reads_the_generator():
     L = dynamics.build_liouvillian_for(RICH_PARAMS)
     nbytes = L.data.nbytes + L.indices.nbytes + L.indptr.nbytes
     assert _load_tracer()._matrix_stats(L) == (324, nbytes, L.nnz)
+
+
+def test_groupvel_calls_the_traced_builder_and_solvers():
+    # groupvel binds these by name at import; the tracer wraps every
+    # namespace that holds the defining module's object, so the builds
+    # and solves of a groupvel run are counted only while they are the same.
+    from eitgate import dynamics, groupvel, mscheme
+
+    targets = {(m, n) for m, n, _hook in _load_tracer().TARGETS}
+    for name, module in (
+        ("build_liouvillian", mscheme),
+        ("steady_state", dynamics),
+        ("evolve_superoperator", dynamics),
+    ):
+        assert (module.__name__.split(".")[1], name) in targets
+        assert getattr(groupvel, name) is getattr(module, name), name
