@@ -7,10 +7,12 @@ probe/trigger photon numbers.  Only combinations with at most two total
 excitations are reachable, and the ordering below is canonical so that
 matrices are comparable bit-for-bit across runs. A state is a (label,
 n_p, n_t) tuple; state_names and qubit_positions read any such table,
-the ladder's included.
+the ladder's included, and so do the readout maps of GateTrajectories.image.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 # Collective atomic labels. "G" is the fully unexcited medium (all atoms
@@ -66,6 +68,40 @@ def qubit_positions(states, ground: str) -> tuple[int, ...]:
 
 
 QUBIT_M_INDICES = qubit_positions(M_STATES, "G")
+
+
+def qubit_cells(states) -> np.ndarray:
+    """Map of the 4x4 qubit block, the atomic label traced out: entry
+    a + n·b goes to cell 4i + j when states a and b share their label and
+    carry the photon pairs FIELD_BASIS[i] and FIELD_BASIS[j]; else -1."""
+    q = np.array([_FIELD_INDEX.get((n_p, n_t), 4) for _, n_p, n_t in states])
+    label = np.unique([s[0] for s in states], return_inverse=True)[1]
+    same = (label[:, None] == label) & (q[:, None] < 4) & (q < 4)
+    return np.where(same, 4 * q[:, None] + q, -1).ravel(order="F")
+
+
+def _diagonal_cells(cells) -> np.ndarray:
+    """Map of entry a + n·a to cells[a]; every other entry is -1."""
+    out = np.full(len(cells) ** 2, -1)
+    out[:: len(cells) + 1] = cells
+    return out
+
+
+def population_cells(states) -> np.ndarray:
+    """Map of the populations: entry a + n·a goes to cell a."""
+    return _diagonal_cells(np.arange(len(states)))
+
+
+def trace_cells(states) -> np.ndarray:
+    """Map of the trace: the whole diagonal goes to cell 0."""
+    return _diagonal_cells(np.zeros(len(states), dtype=int))
+
+
+def edge_cells(states) -> np.ndarray:
+    """Map of the truncation-edge population: the diagonal entries of states
+    with n_p or n_t at the table's largest (a ladder's n_max) go to cell 0."""
+    top = max(max(s[1:]) for s in states)
+    return _diagonal_cells([0 if top in s[1:] else -1 for s in states])
 
 
 def m_index(atom: str, n_p: int, n_t: int) -> int:

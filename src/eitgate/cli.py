@@ -218,36 +218,31 @@ def _engine_kwargs(cfg: dict) -> dict:
     }
 
 
-def _metrics_from_blocks(propagate, qubit_blocks, pop_names, cfg) -> dict:
+def _metrics_from_blocks(propagate, states, cfg) -> dict:
     """Phases, fidelities and populations of one gate model.
 
     propagate(conditional=...) returns the trajectories of the sixteen
-    matrix units; qubit_blocks maps (...,n,n) states of the model to
-    their (...,4,4) qubit blocks; every readout is an image of the maps.
-    Each map is dropped once it is read out: the unconditional one before
-    the conditional one is propagated, the conditional one before the
-    Monte Carlo runs. Fidelities are taken against the instantaneous
-    ideal phase gate, one batched call per series.
+    matrix units on the states; the index maps of basis read them out. Each
+    map is dropped once read: the unconditional one before the conditional
+    one is propagated, the conditional one before the Monte Carlo runs.
+    Fidelities use the instantaneous ideal phase gate, one call per series.
     """
+    n, qubit = len(states), basis.qubit_cells(states)
     gt = propagate(conditional=False)
     times, w = gt.times, gt.weights
-    blocks = gt.image(qubit_blocks)
+    blocks = gt.image(qubit, 16).reshape(-1, 16, 4, 4)
     super_blocks = np.einsum("k,tkab->tab", w, blocks)
     phases = observables.phases_from_coherences(super_blocks[:, 1:4, 0], gt.amplitudes)
     U = observables.ideal_phase_unitary(phases)
     fid = observables.average_fidelity_from_blocks(blocks, U)
-    populations = np.einsum("k,tki->ti", w, gt.image(observables.populations)).real
+    populations = np.einsum("k,tki->ti", w, gt.image(basis.population_cells(states), n)).real
     del gt, blocks
     cond = propagate(conditional=True)
-    cond_blocks = cond.image(qubit_blocks)
-    cond_traces = cond.image(functools.partial(np.trace, axis1=-2, axis2=-1))
+    cond_blocks = cond.image(qubit, 16).reshape(-1, 16, 4, 4)
+    cond_traces = cond.image(basis.trace_cells(states), 1)[..., 0]
     del cond
     cond_r = observables.conditional_fidelity_from_blocks(
-        cond_blocks,
-        cond_traces,
-        U,
-        mc_samples=int(cfg["mc_samples"]),
-        seed=int(cfg["seed"]),
+        cond_blocks, cond_traces, U, mc_samples=int(cfg["mc_samples"]), seed=int(cfg["seed"])
     )
     return {
         "times": times,
@@ -257,32 +252,23 @@ def _metrics_from_blocks(propagate, qubit_blocks, pop_names, cfg) -> dict:
         "cond_fidelity": cond_r.fidelity,
         "p_success": cond_r.p_success,
         "populations": populations,
-        "pop_names": pop_names,
+        "pop_names": basis.state_names(states),
     }
 
 
 def run_gate_analysis(cfg: dict) -> dict:
     """Phases, fidelities and populations of the five-level gate."""
     propagate = functools.partial(
-        dynamics.evolve_gate_inputs,
-        params_from_config(cfg),
-        _times_from_config(cfg),
-        amplitudes_from_config(cfg),
-        dephasing_mode=cfg["dephasing_mode"],
-        **_engine_kwargs(cfg),
+        dynamics.evolve_gate_inputs, params_from_config(cfg), _times_from_config(cfg),
+        amplitudes_from_config(cfg), dephasing_mode=cfg["dephasing_mode"], **_engine_kwargs(cfg),
     )
-    return _metrics_from_blocks(
-        propagate,
-        lambda rho: observables.qubit_block(observables.reduce_to_fields(rho)),
-        basis.state_names(basis.M_STATES),
-        cfg,
-    )
+    return _metrics_from_blocks(propagate, basis.M_STATES, cfg)
 
 
 def run_ladder_analysis(cfg: dict) -> dict:
     """Same metrics for the three-level comparison model."""
     params = ladder_params_from_config(cfg)
-    n_max = params.n_max
+    states = ladder.ladder_states(params.n_max)
     times = _times_from_config(cfg)
     amps = amplitudes_from_config(cfg)
     kw = _engine_kwargs(cfg)
@@ -292,19 +278,12 @@ def run_ladder_analysis(cfg: dict) -> dict:
         if not conditional:
             # Guard the superposition and the four basis inputs the
             # fidelities average over, before the conditional map is run.
-            leak = traj.image(lambda rho: ladder.boundary_population(rho, n_max))
+            leak = traj.image(basis.edge_cells(states), 1)[..., 0]
             ladder.check_leakage((leak @ traj.weights).real)
-            ladder.check_leakage(
-                leak[:, dynamics.BASIS_UNITS].real, labels=dynamics.BASIS_LABELS
-            )
+            ladder.check_leakage(leak[:, dynamics.BASIS_UNITS].real, labels=dynamics.BASIS_LABELS)
         return traj
 
-    return _metrics_from_blocks(
-        propagate,
-        lambda rho: ladder.photon_qubit_block(ladder.reduce_to_photons(rho, n_max), n_max),
-        basis.state_names(ladder.ladder_states(n_max)),
-        cfg,
-    )
+    return _metrics_from_blocks(propagate, states, cfg)
 
 
 def pi_crossing_time(times: np.ndarray, cps: np.ndarray) -> float | None:

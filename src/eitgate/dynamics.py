@@ -321,10 +321,6 @@ def superposition_input(amplitudes) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-# Matrix units per readout call in GateTrajectories.image; bounds its (chunk,n,n) temporaries.
-_IMAGE_CHUNK = 64
-
-
 @dataclass(frozen=True)
 class GateTrajectories:
     """Evolution of the sixteen qubit-block matrix units.
@@ -356,26 +352,14 @@ class GateTrajectories:
         parts = [(one, e, np.einsum("k,tkr->tr", w[u], Y)[:, None]) for u, e, Y in self.blocks]
         return _scatter(parts, self.times.size, 1, self.dim)[:, 0]
 
-    def image(self, f) -> np.ndarray:
-        """Linear readout f of (...,n,n) states applied to every unit,
-        (T,16,...), from f on the blocks' matrix units |a><b| and one
-        product per block. Take .real of a readout's image if it takes
-        .real itself (populations, edge leakage)."""
-        n, entries = self.dim, np.concatenate([e for _, e, _ in self.blocks])
-        parts = []
-        for s in range(0, entries.size, _IMAGE_CHUNK):
-            idx = entries[s : s + _IMAGE_CHUNK]
-            E = np.zeros((idx.size, n, n), dtype=complex)
-            E[np.arange(idx.size), idx % n, idx // n] = 1.0
-            # Keep a copy, not a view, and free E before the next chunk.
-            parts.append(np.array(f(E), dtype=complex))
-            del E
-        F, at = np.concatenate(parts), 0
-        out = np.zeros((self.times.size, 16) + F.shape[1:], dtype=complex)
+    def image(self, cells: np.ndarray, size: int) -> np.ndarray:
+        """Readout (T,16,size) of every unit through the index map cells
+        (basis.qubit_cells and the like): vec entry a + dim*b adds to cell
+        cells[a + dim*b], -1 drops it; one 0/1 product per block."""
+        out = np.zeros((self.times.size, 16, size), dtype=complex)
         for units, e, Y in self.blocks:
-            img = Y.reshape(-1, e.size) @ F[at : at + e.size].reshape(e.size, -1)
-            out[:, units] += img.reshape(Y.shape[:2] + F.shape[1:])
-            at += e.size
+            F = (cells[e, None] == np.arange(size)).astype(complex)
+            out[:, units] += (Y.reshape(-1, e.size) @ F).reshape(Y.shape[:2] + (size,))
         return out
 
 

@@ -22,6 +22,7 @@ from .dynamics import GateTrajectories, conditional_generator, evolve_qubit_unit
 from .mscheme import (
     JumpChannel, Superoperator, assemble_channels, assemble_hamiltonian, build_liouvillian,
 )
+from .observables import check_states
 
 # Atomic labels: all atoms in the intermediate level, one atom moved to
 # the bottom level, one atom moved to the top level.
@@ -151,11 +152,8 @@ def evolve_ladder_gate(
 
 def reduce_to_photons(rho: np.ndarray, n_max: int) -> np.ndarray:
     """Trace out the atomic label: (...,3P²,3P²) -> (...,P²,P²)."""
-    rho = np.asarray(rho)
     P = n_max + 1
-    dim = 3 * P * P
-    if rho.shape[-2:] != (dim, dim):
-        raise ValueError("state dimension does not match n_max")
+    rho = check_states(rho, 3 * P * P, n_max)
     r = rho.reshape(rho.shape[:-2] + (3, P * P, 3, P * P))
     return np.einsum("...afag->...fg", r)
 
@@ -165,14 +163,13 @@ def photon_qubit_block(field_rho: np.ndarray, n_max: int) -> np.ndarray:
     photon pair (n_p, n_t) sits at n_p*P + n_t, as reduce_to_photons leaves it."""
     P = n_max + 1
     idx = [n_p * P + n_t for n_p, n_t in basis.FIELD_BASIS[:4]]
-    return np.asarray(field_rho)[..., idx, :][..., :, idx]
+    return check_states(field_rho, P * P, n_max)[..., idx, :][..., :, idx]
 
 
 def boundary_population(rho: np.ndarray, n_max: int) -> np.ndarray:
     """Population at the truncation edge n_p = n_max or n_t = n_max."""
-    rho = np.asarray(rho)
     P = n_max + 1
-    pops = np.einsum("...ii->...i", rho).real
+    pops = np.einsum("...ii->...i", check_states(rho, 3 * P * P, n_max)).real
     r = pops.reshape(pops.shape[:-1] + (3, P, P))
     interior = r[..., :, : P - 1, : P - 1].sum(axis=(-3, -2, -1))
     return r.sum(axis=(-3, -2, -1)) - interior

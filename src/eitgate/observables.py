@@ -36,6 +36,15 @@ _B = _field_projectors()
 _R = np.einsum("lfi,lgj->ijfg", _B, _B).reshape(M_DIM * M_DIM, FIELD_DIM * FIELD_DIM)
 
 
+def check_states(rho, dim: int, n_max: int | None = None) -> np.ndarray:
+    """rho as (...,dim,dim) states, else ValueError naming dim and any n_max."""
+    rho = np.asarray(rho)
+    if rho.shape[-2:] != (dim, dim):
+        for_n_max = "" if n_max is None else f" for n_max {n_max}"
+        raise ValueError(f"expected states of dimension {dim}{for_n_max}, got shape {rho.shape}")
+    return rho
+
+
 def reduce_to_fields(rho: np.ndarray) -> np.ndarray:
     """Trace out the atomic label: (...,18,18) -> (...,6,6).
 
@@ -43,9 +52,7 @@ def reduce_to_fields(rho: np.ndarray) -> np.ndarray:
     whole batch of states goes through one matrix product with the
     fixed readout matrix.
     """
-    rho = np.asarray(rho)
-    if rho.shape[-2:] != (M_DIM, M_DIM):
-        raise ValueError("expected states on the 18-dimensional space")
+    rho = check_states(rho, M_DIM)
     # One 2-d product: a stacked or mixed-type matmul does not reach BLAS.
     R = _R.astype(np.result_type(rho, _R), copy=False)
     out = rho.reshape(-1, M_DIM * M_DIM) @ R
@@ -53,8 +60,8 @@ def reduce_to_fields(rho: np.ndarray) -> np.ndarray:
 
 
 def qubit_block(field_rho: np.ndarray) -> np.ndarray:
-    """Restrict field-basis states to the 4-dimensional qubit block."""
-    return np.asarray(field_rho)[..., :4, :4]
+    """Restrict field-basis states (...,6,6) to the 4-dimensional qubit block."""
+    return check_states(field_rho, FIELD_DIM)[..., :4, :4]
 
 
 def populations(rho: np.ndarray) -> np.ndarray:
@@ -120,10 +127,7 @@ def phases_from_coherences(coherences: np.ndarray, amplitudes=None) -> np.ndarra
 
 def extract_phases(field_rhos: np.ndarray, amplitudes=None) -> np.ndarray:
     """Accumulated phases of |01>, |10>, |11> along a field trajectory."""
-    field_rhos = np.asarray(field_rhos)
-    if field_rhos.shape[-2:] != (FIELD_DIM, FIELD_DIM):
-        raise ValueError("expected reduced field states")
-    return phases_from_coherences(field_rhos[..., 1:4, 0], amplitudes)
+    return phases_from_coherences(check_states(field_rhos, FIELD_DIM)[..., 1:4, 0], amplitudes)
 
 
 def conditional_phase_shift(phases: np.ndarray) -> np.ndarray:

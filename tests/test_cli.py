@@ -279,12 +279,18 @@ def test_simulate_zero_coupling_is_identity(tmp_path):
         assert float(row[vac]) == pytest.approx(0.25, abs=1e-12)
 
 
-def test_simulate_runs_are_byte_identical(tmp_path):
-    cfg_path = write_cfg(tmp_path, **SMALL_GATE)
+@pytest.mark.parametrize("command, config, files", [
+    (["simulate"], SMALL_GATE, ("timeseries.csv", "summary.json")),
+    (["ladder"], SMALL_LADDER, ("timeseries.csv", "summary.json")),
+    (["scan", "--param", "g_p", "--from", "0.4", "--to", "0.5", "--steps", "2"], SMALL_GATE,
+     ("scan.csv",)),
+], ids=["simulate", "ladder", "scan"])
+def test_gate_command_runs_are_byte_identical(tmp_path, command, config, files):
+    cfg_path = write_cfg(tmp_path, **config)
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert cli.main(["simulate", "--config", cfg_path, "--out", str(out1)]) == 0
-    assert cli.main(["simulate", "--config", cfg_path, "--out", str(out2)]) == 0
-    for name in ("timeseries.csv", "summary.json"):
+    for out in (out1, out2):
+        assert cli.main([*command, "--config", cfg_path, "--out", str(out)]) == 0
+    for name in files:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
@@ -644,6 +650,24 @@ def test_ladder_analysis_stays_below_one_dense_map():
         tracemalloc.stop()
     assert res["fidelity"].shape == (26,)
     assert peak < dense_map, f"traced peak {peak / 1e6:.0f} MB"
+
+
+def test_ladder_analysis_memory_is_set_by_the_build_not_the_readout():
+    # Criterion 6's as-printed ladder at n_max 10: 363 states, T 26. A
+    # readout that lifts 64 vec entries to dense 363² matrix units at a
+    # time traces 153 MB here, 129 MB of it one chunk of units. Through
+    # the index maps the readout takes a few MB, and the whole call
+    # traces about 117 MB, set by the 131769² Liouvillian build.
+    cfg = {**cli.DEFAULTS, **LADDER_ABSORPTIVE, "ladder_convention": "as-printed",
+           "n_max": 10, "mc_samples": 2000}
+    tracemalloc.start()
+    try:
+        res = cli.run_ladder_analysis(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res["fidelity"].shape == (26,)
+    assert peak < 130e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize("command", [

@@ -239,10 +239,6 @@ def _field_blocks(rho):
     return observables.qubit_block(observables.reduce_to_fields(rho))
 
 
-def _photon_blocks(rho):
-    return ladder.photon_qubit_block(ladder.reduce_to_photons(rho, 2), 2)
-
-
 def _trace(rho):
     return np.trace(rho, axis1=-2, axis2=-1)
 
@@ -250,36 +246,74 @@ def _trace(rho):
 _LADDER_REF = ladder.LadderParams(N_a=9, g_p=0.4, g_t=0.5, delta_p=1.2, delta_t=0.7, n_max=2)
 
 
+def _readouts(model):
+    """States of a medium, and (map, size, dense readout) of each CLI
+    readout, the dense readout giving the map's (..., size) cells."""
+    if model == "five-level":
+        states, qubit, edge = basis.M_STATES, _field_blocks, []
+    else:
+        states = ladder.ladder_states(2)
+
+        def qubit(rho):
+            return ladder.photon_qubit_block(ladder.reduce_to_photons(rho, 2), 2)
+
+        edge = [(basis.edge_cells(states), 1,
+                 lambda rho: ladder.boundary_population(rho, 2)[..., None])]
+    return states, [
+        (basis.qubit_cells(states), 16, lambda rho: qubit(rho).reshape(rho.shape[:-2] + (16,))),
+        (basis.population_cells(states), len(states), observables.populations),
+        (basis.trace_cells(states), 1, lambda rho: _trace(rho)[..., None]),
+    ] + edge
+
+
+@pytest.mark.parametrize("model", ["five-level", "ladder"])
+def test_each_map_is_its_dense_readout_of_the_matrix_units(model):
+    # The dense readout of |a><b| is the one-hot row of its map entry
+    # a + n*b, so an image through the map is the one the dense readout
+    # of the units gives, bit for bit.
+    states, readouts = _readouts(model)
+    n = len(states)
+    e = np.arange(n * n)
+    units = np.zeros((n * n, n, n), dtype=complex)
+    units[e, e % n, e // n] = 1.0
+    for cells, size, f in readouts:
+        assert cells.shape == (n * n,)
+        assert np.array_equal(f(units), cells[:, None] == np.arange(size))
+
+
 @pytest.mark.parametrize("method", ["exponential", "adaptive-rk"])
 @pytest.mark.parametrize("model", ["five-level", "ladder"])
 def test_image_equals_readout_of_the_dense_states(model, method):
     times = np.linspace(0.0, 0.3, 7)
     amps = [0.5, -0.5j, 0.5, 0.5j]
-    if model == "five-level":
-        gt = dynamics.evolve_gate_inputs(RICH_PARAMS, times, amps, method=method)
-        readouts = [_field_blocks]
-    else:
-        gt = ladder.evolve_ladder_gate(_LADDER_REF, times, amps, method=method)
-        readouts = [_photon_blocks, lambda rho: ladder.boundary_population(rho, 2)]
-    readouts += [_trace, observables.populations]
-    # Several chunks of matrix units, the last one partly filled.
-    entries = sum(e.size for _, e, _ in gt.blocks)
-    assert entries > dynamics._IMAGE_CHUNK
-    assert entries % dynamics._IMAGE_CHUNK
-    dense = gt.unit_inputs
-    assert dense.shape == (7, 16, gt.dim, gt.dim)
-    for f in readouts:
-        want, got = f(dense), gt.image(f)
-        if np.isrealobj(want):  # a readout taking .real is only real-linear
-            got = got.real
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) < 1e-14
+    states, readouts = _readouts(model)
+    for conditional in (False, True):
+        if model == "five-level":
+            gt = dynamics.evolve_gate_inputs(
+                RICH_PARAMS, times, amps, method=method, conditional=conditional
+            )
+        else:
+            gt = ladder.evolve_ladder_gate(
+                _LADDER_REF, times, amps, method=method, conditional=conditional
+            )
+        dense = gt.unit_inputs
+        assert dense.shape == (7, 16, len(states), len(states))
+        for cells, size, f in readouts:
+            want, got = f(dense), gt.image(cells, size)
+            if np.isrealobj(want):  # a readout taking .real is only real-linear
+                got = got.real
+            assert got.shape == want.shape
+            if size == len(states):  # one entry per cell: nothing to sum
+                assert np.array_equal(got, want)
+            # Elsewhere the dense readouts sum the entries in another order.
+            assert np.max(np.abs(got - want)) < 1e-14
 
 
 def test_superposed_image_matches_the_superposition_readout():
     times = np.linspace(0.0, 0.6, 13)
     gt = dynamics.evolve_gate_inputs(RICH_PARAMS, times, [0.8, -0.2j, 0.4, 0.3])
-    via_image = np.einsum("k,tkab->tab", gt.weights, gt.image(_field_blocks))
+    blocks = gt.image(basis.qubit_cells(basis.M_STATES), 16).reshape(13, 16, 4, 4)
+    via_image = np.einsum("k,tkab->tab", gt.weights, blocks)
     assert np.max(np.abs(via_image - _field_blocks(gt.superposition))) < 1e-14
 
 

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from eitgate import ladder, mscheme
+from eitgate import basis, dynamics, ladder, mscheme
 from eitgate.ladder import LadderParams
 
 REF = LadderParams(N_a=9, g_p=0.4, g_t=0.5, delta_p=1.2, delta_t=0.7, n_max=2)
@@ -233,6 +234,17 @@ def test_reduce_to_photons_sums_labels():
         ladder.reduce_to_photons(rho, 3)
 
 
+def test_photon_qubit_block_refuses_another_n_max():
+    # A 16x16 photon state is n_max 3's; read as n_max 2 it gave a wrong block.
+    with pytest.raises(ValueError, match=r"dimension 9 for n_max 2, got shape \(16, 16\)$"):
+        ladder.photon_qubit_block(np.eye(16), 2)
+
+
+def test_boundary_population_refuses_another_n_max():
+    with pytest.raises(ValueError, match=r"dimension 48 for n_max 3, got shape \(2, 27, 27\)$"):
+        ladder.boundary_population(np.zeros((2, 27, 27)), 3)
+
+
 def test_photon_qubit_block_slices_low_corner():
     field = np.arange(81.0).reshape(9, 9)
     block = ladder.photon_qubit_block(field, 2)
@@ -342,6 +354,33 @@ def test_qubit_block_is_truncation_insensitive_before_overflow():
     assert np.max(np.abs(b2 - b3)) < 1e-10
 
 
+@pytest.mark.parametrize("convention, n_max, cone, reached, at_edge", [
+    ("as-printed", 2, 172, 253, True),
+    ("as-printed", 3, 172, 382, False),
+    ("as-printed", 4, 172, 511, False),
+    ("as-printed", 6, 172, 769, False),
+    ("as-printed", 8, 172, 1027, False),
+    ("absorptive", 3, 124, 124, False),
+])
+def test_readout_cone_of_criterion_6(convention, n_max, cone, reached, at_edge):
+    # The cone: the reached vec entries that can feed the entries the
+    # qubit map reads, found along |L|ᵀ. The as-printed pump grows the
+    # reached set with n_max, but the cone stays put and clears the
+    # truncation edge from n_max 3 on.
+    L = ladder.build_ladder_liouvillian(
+        LadderParams(**FIG_SET, gamma21=1.0, gamma32=1.0, n_max=n_max, convention=convention)
+    )
+    states = ladder.ladder_states(n_max)
+    n, pos = len(states), ladder.qubit_positions(n_max)
+    R = dynamics.reachable(L, [a + n * b for a in pos for b in pos])
+    LT = sp.csr_matrix((np.abs(L.data), L.indices, L.indptr), shape=L.shape).T.tocsr()
+    seeds = np.flatnonzero(basis.qubit_cells(states) >= 0)
+    C = np.intersect1d(dynamics.reachable(LT, seeds), R)
+    edge = np.array([n_max in s[1:] for s in states])
+    assert (C.size, R.size) == (cone, reached)
+    assert bool(np.any(edge[C % n] | edge[C // n])) == at_edge
+
+
 def test_as_printed_qubit_block_does_not_depend_on_n_max():
     # Criterion 6's couplings, propagated with no truncation guard. The
     # as-printed trigger photon piles up at the edge (the guard trips
@@ -351,12 +390,10 @@ def test_as_printed_qubit_block_does_not_depend_on_n_max():
     for n_max in (2, 8):
         p = LadderParams(N_a=1e8, g_p=0.0022, g_t=0.0022, delta_p=10.0, delta_t=0.0,
                          gamma21=1.0, gamma32=1.0, n_max=n_max, convention="as-printed")
-        gt = ladder.evolve_ladder_gate(p, times)
+        gt, states = ladder.evolve_ladder_gate(p, times), ladder.ladder_states(n_max)
         if n_max == 2:
-            leak = gt.image(lambda rho: ladder.boundary_population(rho, 2)).real
+            leak = gt.image(basis.edge_cells(states), 1).real
             assert leak.max() > 0.5
-        blocks.append(gt.image(
-            lambda rho, n=n_max: ladder.photon_qubit_block(ladder.reduce_to_photons(rho, n), n)
-        ))
+        blocks.append(gt.image(basis.qubit_cells(states), 16))
     assert np.max(np.abs(blocks[1])) > 0.1
     assert np.max(np.abs(blocks[0] - blocks[1])) < 1e-13

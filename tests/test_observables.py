@@ -74,6 +74,12 @@ def test_qubit_block_is_leading_four_by_four():
     assert np.array_equal(observables.qubit_block(f), f[:4, :4])
 
 
+def test_qubit_block_refuses_states_off_the_field_basis():
+    # An 18x18 state has a 4x4 corner too, but it is not the qubit block.
+    with pytest.raises(ValueError, match=r"dimension 6, got shape \(18, 18\)$"):
+        observables.qubit_block(np.eye(18))
+
+
 def test_population_names_follow_canonical_order():
     names = basis.state_names(basis.M_STATES)
     assert len(names) == 18

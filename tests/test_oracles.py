@@ -30,10 +30,7 @@ def _no_jump_probabilities(params, t):
     return np.sum(np.abs(psi) ** 2, axis=0)
 
 
-def _trace(rho):
-    return np.trace(rho, axis1=-2, axis2=-1)
-
-
+_TRACE = basis.trace_cells(basis.M_STATES)
 _DIAGONAL = list(dynamics.BASIS_UNITS)  # the units |q_i><q_i|
 
 
@@ -45,19 +42,19 @@ def test_c1_no_jump_probability_is_the_models_and_the_band_quotes_an_amplitude()
     # The pure-state route equals the conditional map with dephasing in the drift.
     excluded = dynamics.evolve_gate_inputs(
         TRANSIENT, times, conditional=True, dephasing_mode="excluded"
-    ).image(_trace)[-1]
+    ).image(_TRACE, 1)[-1, :, 0]
     assert np.max(np.abs(excluded[_DIAGONAL] - p_basis)) < 1e-10
     # The map criterion 1 scores keeps the dephasing dissipator. Unequal
     # photon numbers leave every off-diagonal unit traceless, so the
     # Haar-average no-jump probability is Tr Λ(I)/4.
     co = dynamics.evolve_gate_inputs(TRANSIENT, times, conditional=True)
-    traces = co.image(_trace)[-1]
+    traces = co.image(_TRACE, 1)[-1, :, 0]
     assert np.all(np.delete(traces, _DIAGONAL) == 0)
     exact = float(np.sum(traces[_DIAGONAL].real)) / 4.0
     assert exact == pytest.approx(0.87989, abs=1e-5)
     # The Monte Carlo figure is the sample mean over the seed-42 Haar set,
     # 3.1 standard errors below the exact value.
-    lam = observables.qubit_block(co.image(observables.reduce_to_fields))[-1]
+    lam = co.image(basis.qubit_cells(basis.M_STATES), 16)[-1].reshape(16, 4, 4)
     mc = observables.conditional_fidelity_from_blocks(lam, traces, np.eye(4), mc_samples=2000)
     rng = np.random.default_rng(42)
     X = rng.standard_normal((2000, 4)) + 1j * rng.standard_normal((2000, 4))
