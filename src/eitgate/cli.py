@@ -218,14 +218,15 @@ def _engine_kwargs(cfg: dict) -> dict:
     }
 
 
-def _metrics_from_blocks(propagate, states, cfg) -> dict:
+def _metrics_from_blocks(propagate, states) -> dict:
     """Phases, fidelities and populations of one gate model.
 
     propagate(conditional=...) returns the trajectories of the sixteen
     matrix units on the states; the index maps of basis read them out. Each
     map is dropped once read: the unconditional one before the conditional
-    one is propagated, the conditional one before the Monte Carlo runs.
-    Fidelities use the instantaneous ideal phase gate, one call per series.
+    one is propagated, the conditional one before its fidelity is taken.
+    Fidelities use the instantaneous ideal phase gate, one call per series;
+    the conditional one is the exact Haar average, which draws no samples.
     """
     n, qubit = len(states), basis.qubit_cells(states)
     gt = propagate(conditional=False)
@@ -241,16 +242,14 @@ def _metrics_from_blocks(propagate, states, cfg) -> dict:
     cond_blocks = cond.image(qubit, 16).reshape(-1, 16, 4, 4)
     cond_traces = cond.image(basis.trace_cells(states), 1)[..., 0]
     del cond
-    cond_r = observables.conditional_fidelity_from_blocks(
-        cond_blocks, cond_traces, U, mc_samples=int(cfg["mc_samples"]), seed=int(cfg["seed"])
-    )
+    cond_fid, p_success = observables.haar_conditional_fidelity(cond_blocks, cond_traces, U)
     return {
         "times": times,
         "phases": phases,
         "cps": observables.conditional_phase_shift(phases),
         "fidelity": fid,
-        "cond_fidelity": cond_r.fidelity,
-        "p_success": cond_r.p_success,
+        "cond_fidelity": cond_fid,
+        "p_success": p_success,
         "populations": populations,
         "pop_names": basis.state_names(states),
     }
@@ -262,7 +261,7 @@ def run_gate_analysis(cfg: dict) -> dict:
         dynamics.evolve_gate_inputs, params_from_config(cfg), _times_from_config(cfg),
         amplitudes_from_config(cfg), dephasing_mode=cfg["dephasing_mode"], **_engine_kwargs(cfg),
     )
-    return _metrics_from_blocks(propagate, basis.M_STATES, cfg)
+    return _metrics_from_blocks(propagate, basis.M_STATES)
 
 
 def run_ladder_analysis(cfg: dict) -> dict:
@@ -283,7 +282,7 @@ def run_ladder_analysis(cfg: dict) -> dict:
             ladder.check_leakage(leak[:, dynamics.BASIS_UNITS].real, labels=dynamics.BASIS_LABELS)
         return traj
 
-    return _metrics_from_blocks(propagate, states, cfg)
+    return _metrics_from_blocks(propagate, states)
 
 
 def pi_crossing_time(times: np.ndarray, cps: np.ndarray) -> float | None:
@@ -366,7 +365,8 @@ def _config_with_overrides(args) -> dict:
     seed = getattr(args, "seed", None)
     if seed is not None:
         cfg["seed"] = seed
-    # Settings the Monte Carlo and the phase readout would refuse only
+    # The sampling keys are still validated, though the exact conditional
+    # fidelity uses neither. Settings the phase readout would refuse only
     # after propagating are rejected here, before any propagation.
     observables.check_sampling(cfg["mc_samples"], cfg["seed"])
     c = amplitudes_from_config(cfg)

@@ -29,6 +29,7 @@ _LEVELS = tuple((label, 0, 0) for label in ("E1", "E2", "G", "E4", "E5"))
 _N_LEVELS = len(_LEVELS)
 _GROUND = _LEVELS.index(("G", 0, 0))
 _PROBE_UPPER = _LEVELS.index(("E2", 0, 0))
+_E1 = _LEVELS.index(("E1", 0, 0))
 
 
 @dataclass(frozen=True)
@@ -64,10 +65,16 @@ def semiclassical_hamiltonian(
     detuning drops by offset while the probe two-photon mismatch grows
     by it; the trigger fields are untouched.
     """
-    omega_p = _probe_rabi(params, probe_rabi_classical)
-    omega_t = probe_rabi_classical * params.g_t * math.sqrt(params.N_a)
     shifted = replace(params, eps12=params.eps12 + offset, delta2=params.delta2 - offset)
     H = build_hamiltonian(shifted, states=_LEVELS)
+    return _add_weak_fields(H, params, probe_rabi_classical)
+
+
+def _add_weak_fields(H: np.ndarray, params: MSchemeParams, probe_rabi_classical: float):
+    """H plus the weak classical probe and trigger couplings, in place;
+    H may be a (..., 5, 5) stack."""
+    omega_p = _probe_rabi(params, probe_rabi_classical)
+    omega_t = probe_rabi_classical * params.g_t * math.sqrt(params.N_a)
     for strength, level in ((omega_p, "E2"), (omega_t, "E4")):
         T = transition_operator(_LEVELS, "G", level)
         H += strength * (T + T.conj().T)
@@ -113,6 +120,10 @@ def steady_susceptibility(
     """Probe susceptibility of the stationary driven atom at each probe
     offset; an array of offsets gives an array of its shape.
 
+    The offset enters only the E1 and E2 energies, so one Hamiltonian
+    build serves every offset: the stack takes its diagonal entries as
+    semiclassical_hamiltonian's replaced parameters give them, before the
+    weak fields are added, and equals the per-offset builds bit for bit.
     One build_liouvillian call assembles the generators of every offset
     as a stack, and each offset's steady state is solved on its own
     matrix of it; a failure names the offset.
@@ -121,9 +132,11 @@ def steady_susceptibility(
     flat = offset.ravel()
     if not np.isfinite(flat).all():
         raise ValueError(f"probe offset {float(flat[~np.isfinite(flat)][0])} is not finite")
-    H = [semiclassical_hamiltonian(params, probe_rabi_classical, d) for d in flat]
+    H = np.repeat(build_hamiltonian(params, states=_LEVELS)[None], flat.size, axis=0)
+    H[:, _E1, _E1] = params.eps12 + flat
+    H[:, _PROBE_UPPER, _PROBE_UPPER] = params.delta2 - flat
     L = build_liouvillian(
-        np.reshape(H, (flat.size, _N_LEVELS, _N_LEVELS)), semiclassical_channels(params)
+        _add_weak_fields(H, params, probe_rabi_classical), semiclassical_channels(params)
     )
     rho = np.empty((flat.size, _N_LEVELS, _N_LEVELS), dtype=complex)
     for k, d in enumerate(flat):

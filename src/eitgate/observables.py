@@ -3,11 +3,13 @@
 Covers the partial trace onto the two field modes, the phases picked up
 by the photonic basis states, the average gate fidelity against the
 ideal phase unitary from the images of the qubit matrix units, and the
-Monte Carlo estimate of the conditional (no-decay) fidelity.
+conditional (no-decay) fidelity: its exact Haar average, and the Monte
+Carlo estimate that serves as its oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -308,3 +310,104 @@ def conditional_fidelity_from_blocks(
         basis_success=basis,
         samples_used=int(kept.min()),
     )
+
+
+# Gauss-Legendre nodes of the Haar-average quadrature.
+_HAAR_NODES = 32
+# Smallest no-jump probability ratio min p_i / max p_i the quadrature takes:
+# 32 nodes agree with 128 to 5e-14 relative in F_c at 0.01, 4e-13 at 0.008.
+_HAAR_P_FLOOR = 0.01
+# A fidelity within this of 1 is rounding and reads 1.0; one further above
+# 1 raises. The rule resolves F_c to ~1e-14.
+_HAAR_ROUNDING = 1e-12
+
+
+@functools.cache
+def _haar_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes τ of the n-point Gauss-Legendre rule on [0, 1], and its
+    weights times (1-τ)⁴. The nodes are the Golub-Welsch eigenvalues of
+    the Legendre Jacobi matrix, which keeps numpy.polynomial unloaded."""
+    k = np.arange(1, n)
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
+    t, V = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+    tau = (t + 1.0) / 2.0
+    rule = tau, V[0] ** 2 * (1.0 - tau) ** 4
+    for a in rule:  # cached and shared by every call
+        a.flags.writeable = False
+    return rule
+
+
+def haar_conditional_fidelity(
+    lam: np.ndarray, full_traces: np.ndarray, target_unitary: np.ndarray
+) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """Exact Haar average of what conditional_fidelity_from_blocks samples.
+
+    Arguments as there. The no-jump maps of the gate conserve the photon
+    numbers, so only the basis inputs carry trace: p(ψ) = Σ p_i x_i with
+    x_i = |ψ_i|² and p_i = full_traces[..., 5i]. Averaging the overlap over
+    the phases of ψ leaves xᵀMx with M_ia = Re R[i,i,a,a] + [i≠a] Re R[i,a,i,a]
+    for R = U†ΛU, and the Haar moduli x are uniform on the 3-simplex, so
+    F_c² = E[xᵀMx / p·x] and p_success = Σ p_i / 4.
+
+    Writing x = g/Σg with g_i independent unit exponentials, and
+    1/(p·g) = ∫ exp(-t p·g) dt, turns the average into one integral,
+
+        F_c² = ¼ ∫₀^∞ Σ_ia K_ia / (λ_i λ_a Π_j λ_j) dt,   λ_j = 1 + t p_j,
+
+    with K_ia = M_ia (1 + δ_ia) = Re R[i,i,a,a] + Re R[i,a,i,a], whose
+    poles sit at t = -1/p_j. With p scaled to max p_j = 1 and
+    t = sτ/(1-τ), s = (min p_j)^-½, they stay about √(min p_j) away from
+    τ ∈ [0, 1], and _HAAR_NODES Gauss-Legendre nodes in τ resolve it.
+    Returns (F_c, p_success): floats for one sample, arrays of the leading
+    (time) shape otherwise.
+
+    Raises ValueError naming the first offending time sample for non-finite
+    blocks or traces, an off-diagonal trace above 1e-12, a ratio
+    min p_i / max p_i below _HAAR_P_FLOOR (where the rule's accuracy
+    ends), or an F_c above 1 by more than _HAAR_ROUNDING.
+    """
+    lam = np.asarray(lam)
+    lead = _check_blocks(lam)
+    T = math.prod(lead)
+    tr_full = np.asarray(full_traces)
+    if tr_full.shape != lead + (16,):
+        raise ValueError(f"full_traces has shape {tr_full.shape}; the blocks need {lead + (16,)}")
+    nonfinite = ~np.isfinite(tr_full).all(axis=-1)
+    if nonfinite.any():
+        raise ValueError(f"non-finite no-jump trace{_sample_label(nonfinite)}")
+    tr = tr_full.reshape(T, 4, 4)
+    off = np.abs(tr[:, ~np.eye(4, dtype=bool)]).max(axis=1) > 1e-12
+    if off.any():
+        raise ValueError(
+            "off-diagonal matrix unit has a no-jump trace above 1e-12"
+            f"{_sample_label(off.reshape(lead))}; the map does not conserve the photon numbers"
+        )
+    p = np.diagonal(tr, axis1=-2, axis2=-1).real
+    p_max = p.max(axis=1)
+    low = ~(p.min(axis=1) >= _HAAR_P_FLOOR * p_max) | (p_max <= 0.0)
+    if low.any():
+        m = int(np.argmax(low))
+        raise ValueError(
+            f"no-jump probability {float(p[m].min())!r} is below {_HAAR_P_FLOOR} of the largest, "
+            f"{float(p_max[m])!r}{_sample_label(low.reshape(lead))}; the exact Haar average is "
+            "not resolved there"
+        )
+    R = _rotated_blocks(lam, target_unitary, lead).reshape(T, 4, 4, 4, 4)
+    K = (np.einsum("tiiaa->tia", R) + np.einsum("tiaia->tia", R)).real
+    r = p / p_max[:, None]
+    scale = 1.0 / np.sqrt(r.min(axis=1))
+    tau, weights = _haar_rule(_HAAR_NODES)
+    D = 1.0 / (1.0 + (scale[:, None] * r - 1.0)[:, :, None] * tau)  # 1/((1-τ)λ_j), (T,4,N)
+    quad = (D * (K @ D)).sum(axis=1) * D.prod(axis=1)  # (T,N)
+    fid = np.sqrt(np.maximum(scale * (quad @ weights) / (4.0 * p_max), 0.0))
+    excess = fid > 1.0 + _HAAR_ROUNDING
+    if excess.any():
+        raise ValueError(
+            f"conditional fidelity {float(fid[np.argmax(excess)])!r} exceeds 1"
+            f"{_sample_label(excess.reshape(lead))}; the map is not physical"
+        )
+    fid = np.where(np.abs(fid - 1.0) <= _HAAR_ROUNDING, 1.0, fid).reshape(lead)
+    p_success = (p.sum(axis=1) / 4.0).reshape(lead)
+    if not lead:
+        return float(fid), float(p_success)
+    return fid, p_success

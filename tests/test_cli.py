@@ -302,6 +302,21 @@ def test_seed_flag_overrides_config(tmp_path):
     assert summary["config"]["seed"] == 7
 
 
+def test_sampling_keys_are_echoed_but_enter_no_output(tmp_path):
+    # The conditional fidelity is the exact Haar average: mc_samples and
+    # seed are validated and echoed in the config, and move nothing else.
+    outs = []
+    for i, (mc_samples, seed) in enumerate(((300, 7), (1, 8))):
+        cfg_path = write_cfg(tmp_path, f"cfg{i}.json", **{**SMALL_GATE, "mc_samples": mc_samples})
+        out = tmp_path / f"run{i}"
+        argv = ["simulate", "--config", cfg_path, "--out", str(out), "--seed", str(seed)]
+        assert cli.main(argv) == 0
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert summary.pop("config")["seed"] == seed
+        outs.append(((out / "timeseries.csv").read_bytes(), summary))
+    assert outs[0] == outs[1]
+
+
 FAST_GATE = dict(
     n_atoms=1e8,
     g_p=0.0022,
@@ -588,7 +603,7 @@ def test_unconditional_map_is_freed_before_the_conditional_one(
     tmp_path, monkeypatch, module, name, config
 ):
     evolve = getattr(module, name)
-    score = observables.conditional_fidelity_from_blocks
+    score = observables.haar_conditional_fidelity
     maps = {}
 
     def spy(*args, conditional=False, **kwargs):
@@ -605,14 +620,15 @@ def test_unconditional_map_is_freed_before_the_conditional_one(
         gc.collect()
         alive = any(ref() is not None for ref in maps[True][-1])
         assert not alive, "the conditional map outlived its readout"
+        maps.setdefault("scored", []).append(1)
         return score(*args, **kwargs)
 
     monkeypatch.setattr(module, name, spy)
-    monkeypatch.setattr(observables, "conditional_fidelity_from_blocks", scoring)
+    monkeypatch.setattr(observables, "haar_conditional_fidelity", scoring)
     command = "ladder" if module is ladder else "simulate"
     cfg_path = write_cfg(tmp_path, **config)
     assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
-    assert {k: len(v) for k, v in maps.items()} == {False: 1, True: 1}
+    assert {k: len(v) for k, v in maps.items()} == {False: 1, True: 1, "scored": 1}
 
 
 def test_ladder_truncation_guard_covers_every_basis_input(tmp_path, capsys, monkeypatch):
@@ -657,7 +673,8 @@ def test_ladder_analysis_memory_is_set_by_the_build_not_the_readout():
     # readout that lifts 64 vec entries to dense 363² matrix units at a
     # time traces 153 MB here, 129 MB of it one chunk of units. Through
     # the index maps the readout takes a few MB, and the whole call
-    # traces about 117 MB, set by the 131769² Liouvillian build.
+    # traces about 82 MB, set by the 131769² Liouvillian build, which holds
+    # its data and at most three union-length term buffers at a time.
     cfg = {**cli.DEFAULTS, **LADDER_ABSORPTIVE, "ladder_convention": "as-printed",
            "n_max": 10, "mc_samples": 2000}
     tracemalloc.start()
@@ -667,7 +684,7 @@ def test_ladder_analysis_memory_is_set_by_the_build_not_the_readout():
     finally:
         tracemalloc.stop()
     assert res["fidelity"].shape == (26,)
-    assert peak < 130e6, f"traced peak {peak / 1e6:.1f} MB"
+    assert peak < 90.5e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize("command", [
@@ -837,10 +854,13 @@ def test_commands_load_scipy_linalg_only_for_groupvel(tmp_path, command, config,
     # The generators are numpy CSR arrays and the propagation blocks use
     # dynamics.expm, so a run other than groupvel loads no scipy module at
     # all, and with it neither scipy.linalg nor the second BLAS it brings.
+    # The conditional fidelity is the exact Haar average, so the gate runs
+    # draw nothing and leave numpy.random unloaded too.
     cfg_path = write_cfg(tmp_path, **config)
     code = (
         "import sys, eitgate.cli; rc = eitgate.cli.main(sys.argv[1:]); "
-        "print(rc, 'scipy.linalg' in sys.modules, 'scipy' in sys.modules)"
+        "print(rc, 'scipy.linalg' in sys.modules, 'scipy' in sys.modules, "
+        "'numpy.random' in sys.modules)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code, command, "--config", cfg_path, *extra]
@@ -850,4 +870,7 @@ def test_commands_load_scipy_linalg_only_for_groupvel(tmp_path, command, config,
         check=True,
         cwd=Path(cli.__file__).resolve().parents[1],
     )
-    assert proc.stdout.splitlines()[-1] == f"0 {loaded} {loaded}"
+    rc, linalg, scipy, random = proc.stdout.splitlines()[-1].split()
+    assert (rc, linalg, scipy) == ("0", str(loaded), str(loaded))
+    if command != "groupvel":
+        assert random == "False"

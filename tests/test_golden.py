@@ -4,12 +4,15 @@ Each case runs one subcommand on a fixed config and compares every file
 it writes (and any JSON it prints) with the copy under ``tests/golden``.
 Numbers must agree to 1e-12 relative: a CSV value relative to the largest
 magnitude in its golden column, a JSON value relative to its own golden
-magnitude. Text cells and keys must match exactly. The Monte Carlo
-columns are included, since the seed is fixed.
+magnitude. Text cells and keys must match exactly. The conditional
+fidelity columns are included: they are the exact Haar average, which
+does not depend on the seed or on mc_samples.
 
 Regenerate the references only for an intended change of behaviour:
 
     PYTHONPATH=src python tests/test_golden.py
+
+and list the cells it moved with ``tests/golden_diff.py``.
 """
 
 import contextlib

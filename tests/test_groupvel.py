@@ -278,12 +278,40 @@ def test_one_generator_build_per_sweep(monkeypatch):
     assert builds == [(3, 5, 5)]
 
 
+def test_sweep_hamiltonians_are_bitwise_the_per_offset_builds(monkeypatch):
+    # One build with the E1 and E2 energies set per offset: signed zeros,
+    # negative couplings and an offset cancelling eps12 included.
+    stacks = []
+
+    def capturing(H, channels):
+        stacks.append(H.copy())
+        return mscheme.build_liouvillian(H, channels)
+
+    monkeypatch.setattr(groupvel, "build_liouvillian", capturing)
+    rng = np.random.default_rng(26)
+    for i in range(12):
+        params = replace(
+            EIT_SET,
+            eps12=-0.0 if i % 4 == 0 else float(rng.normal() * 0.1),
+            delta2=-0.0 if i % 3 == 0 else float(rng.normal() * 10.0),
+            g_p=float(rng.choice([-1.0, 1.0]) * EIT_SET.g_p),
+            g_t=float(rng.choice([-1.0, 0.0, 1.0]) * EIT_SET.g_t),
+        )
+        prc = float(10 ** rng.uniform(-4, -2))
+        offsets = np.concatenate([rng.normal(size=4), [0.0, -0.0, -params.eps12, params.delta2]])
+        stacks.clear()
+        groupvel.steady_susceptibility(params, offsets, probe_rabi_classical=prc)
+        each = [groupvel.semiclassical_hamiltonian(params, prc, float(d)) for d in offsets]
+        assert stacks[0].tobytes() == np.array(each).tobytes(), i
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_offset_is_named_before_any_assembly(monkeypatch, bad):
     def never(*args, **kwargs):
         raise AssertionError("assembled a generator for a non-finite offset")
 
     monkeypatch.setattr(groupvel, "semiclassical_hamiltonian", never)
+    monkeypatch.setattr(groupvel, "build_hamiltonian", never)
     monkeypatch.setattr(groupvel, "build_liouvillian", never)
     for offsets in (bad, [0.1, bad]):
         with pytest.raises(ValueError, match="probe offset .* is not finite"):

@@ -626,3 +626,126 @@ def test_unbalanced_inputs_shift_one_photon_phases_only():
     skew = _superposition_phases(CLOSED_PARAMS, times, [0.8, -0.2j, 0.4, 0.3])
     assert np.max(np.abs(ref[:, 2] - skew[:, 2])) < 1e-9
     assert np.max(np.abs(ref[:, :2] - skew[:, :2])) > 1e-3
+
+
+def _random_conserving_blocks(rng, times, p_low=0.75):
+    """Qubit blocks and full traces of random no-jump maps that conserve
+    the photon numbers: Σ K†K = diag(p) with p_i drawn in [p_low, 1], so
+    only the basis inputs carry trace."""
+    lam = np.empty((times, 16, 4, 4), dtype=complex)
+    traces = np.empty((times, 16), dtype=complex)
+    for m in range(times):
+        K = rng.standard_normal((3, 6, 4)) + 1j * rng.standard_normal((3, 6, 4))
+        w, V = np.linalg.eigh(np.einsum("kai,kaj->ij", K.conj(), K))
+        K = K @ (V / np.sqrt(w)) @ V.conj().T @ np.diag(np.sqrt(rng.uniform(p_low, 1.0, 4)))
+        for i in range(4):
+            for j in range(4):
+                image = np.einsum("ka,kb->ab", K[:, :, i], K[:, :, j].conj())
+                lam[m, 4 * i + j] = image[:4, :4]
+                traces[m, 4 * i + j] = np.trace(image)
+    return lam, traces
+
+
+def test_exact_conditional_fidelity_of_identity_map_and_uniform_loss():
+    tr = np.eye(4, dtype=complex).reshape(16)
+    assert observables.haar_conditional_fidelity(_units(), tr, np.eye(4)) == (1.0, 1.0)
+    for s in (0.37, 0.9, 1e-3):
+        f, p = observables.haar_conditional_fidelity(s * _units(), s * tr, np.eye(4))
+        assert f == 1.0
+        assert p == pytest.approx(s, rel=1e-15)
+
+
+def test_exact_conditional_fidelity_with_equal_success_is_the_average_one():
+    # With p_i = s for every input the denominator p·x is the constant s,
+    # so F_c² = F²/s with the closed-form average fidelity F.
+    rng = np.random.default_rng(30)
+    lam, traces = _random_conserving_blocks(rng, 5, p_low=1.0)
+    U = np.stack([_random_unitary(rng) for _ in range(5)])
+    s = np.array([1.0, 0.9, 0.5, 0.2, 0.05])
+    lam, traces = lam * s[:, None, None, None], traces * s[:, None]
+    f, p = observables.haar_conditional_fidelity(lam, traces, U)
+    F = observables.average_fidelity_from_blocks(lam, U)
+    assert np.allclose(f**2, F**2 / s, rtol=1e-13, atol=0.0)
+    assert np.allclose(p, s, rtol=1e-15, atol=0.0)
+
+
+def test_exact_conditional_fidelity_matches_the_monte_carlo_estimate():
+    rng = np.random.default_rng(31)
+    lam, traces = _random_conserving_blocks(rng, 4)
+    U = np.stack([_random_unitary(rng) for _ in range(4)])
+    f, p = observables.haar_conditional_fidelity(lam, traces, U)
+    for m in range(4):
+        X = haar_states(20000, 4, np.random.default_rng(40 + m))
+        W = np.einsum("si,sj->sij", X, X.conj())
+        tgt = X @ U[m].T
+        num = np.einsum("sa,sij,ijab,sb->s", tgt.conj(), W, lam[m].reshape(4, 4, 4, 4), tgt).real
+        succ = np.einsum("sij,ij->s", W, traces[m].reshape(4, 4)).real
+        ratio = num / succ
+        assert abs(f[m] ** 2 - ratio.mean()) < 3.0 * ratio.std(ddof=1) / math.sqrt(ratio.size)
+        assert abs(p[m] - succ.mean()) < 3.0 * succ.std(ddof=1) / math.sqrt(succ.size)
+
+
+def test_exact_conditional_fidelity_is_converged_in_the_node_count(monkeypatch):
+    # Spreads down to the floor: min p_i / max p_i reaches 0.01 at sample 0.
+    rng = np.random.default_rng(32)
+    lam, traces = _random_conserving_blocks(rng, 6, p_low=0.02)
+    traces[0, [0, 5, 10, 15]] = [1.0, 0.6, 0.3, observables._HAAR_P_FLOOR]
+    U = np.stack([_random_unitary(rng) for _ in range(6)])
+    n = observables._HAAR_NODES
+    base = observables.haar_conditional_fidelity(lam, traces, U)[0]
+    for more in (2 * n, 4 * n):
+        monkeypatch.setattr(observables, "_HAAR_NODES", more)
+        finer = observables.haar_conditional_fidelity(lam, traces, U)[0]
+        assert np.max(np.abs(finer - base) / base) <= 1e-13
+
+
+def test_exact_conditional_fidelity_batches_and_returns_scalars():
+    rng = np.random.default_rng(33)
+    lam, traces = _random_conserving_blocks(rng, 6)
+    U = np.stack([_random_unitary(rng) for _ in range(6)])
+    f, p = observables.haar_conditional_fidelity(lam, traces, U)
+    assert f.shape == p.shape == (6,)
+    for m in range(6):
+        one = observables.haar_conditional_fidelity(lam[m], traces[m], U[m])
+        assert type(one[0]) is float and type(one[1]) is float
+        assert one == pytest.approx((f[m], p[m]), rel=1e-14)
+    grid = observables.haar_conditional_fidelity(
+        lam.reshape(3, 2, 16, 4, 4), traces.reshape(3, 2, 16), U.reshape(3, 2, 4, 4)
+    )
+    assert np.allclose(grid[0].reshape(6), f, rtol=1e-14, atol=0.0)
+
+
+def test_exact_conditional_fidelity_guards_name_the_time_sample():
+    series = np.repeat(_units()[None], 3, axis=0)
+    traces = np.repeat(np.eye(4, dtype=complex).reshape(1, 16), 3, axis=0)
+    haar = observables.haar_conditional_fidelity
+    bad = traces.copy()
+    bad[1, 7] = 1e-11
+    with pytest.raises(ValueError, match="off-diagonal .* above 1e-12 at time sample 1;"):
+        haar(series, bad, np.eye(4))
+    bad[1, 7] = 1e-13
+    assert haar(series, bad, np.eye(4))[0][1] == 1.0
+    bad = traces.copy()
+    bad[2, 15] = 0.99 * observables._HAAR_P_FLOOR
+    with pytest.raises(ValueError, match="below 0.01 of the largest, 1.0 at time sample 2;"):
+        haar(series, bad, np.eye(4))
+    with pytest.raises(ValueError, match="below 0.01 of the largest, 0.0 at time sample 0;"):
+        haar(0.0 * series, 0.0 * traces, np.eye(4))
+    # At the floor the filter ψ -> diag(√q)ψ is scored.
+    q = np.array([1.0, 1.0, 1.0, observables._HAAR_P_FLOOR])
+    lossy = series.copy()
+    lossy[2] *= np.sqrt(np.outer(q, q)).reshape(16, 1, 1)
+    bad[2, 15] = q[3]
+    assert 0.85 < haar(lossy, bad, np.eye(4))[0][2] < 0.9
+    over = series.copy()
+    over[2] *= 1.0 + 1e-11
+    with pytest.raises(ValueError, match="exceeds 1 at time sample 2;"):
+        haar(over, traces, np.eye(4))
+    over[2] = (1.0 + 1e-13) * _units()
+    assert haar(over, traces, np.eye(4))[0][2] == 1.0
+    nan = traces.copy()
+    nan[1, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite no-jump trace at time sample 1$"):
+        haar(series, nan, np.eye(4))
+    with pytest.raises(ValueError, match=r"full_traces has shape \(2, 16\)"):
+        haar(series, traces[:2], np.eye(4))

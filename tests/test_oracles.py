@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from eitgate import basis, dynamics, groupvel, mscheme, observables, perturbative
-from test_acceptance import LONGTIME, PULSED, SHORTTIME, TRANSIENT, WEAK
+from eitgate import basis, cli, dynamics, groupvel, mscheme, observables, perturbative
+from test_acceptance import LADDER_SET, LONGTIME, PULSED, SHORTTIME, TRANSIENT, WEAK
 
 
 def _no_jump_probabilities(params, t):
@@ -67,6 +67,102 @@ def test_c1_no_jump_probability_is_the_models_and_the_band_quotes_an_amplitude()
     # Both miss the band [0.91, 0.97]; the amplitude sqrt(p) lies inside.
     assert exact < 0.91 and mc.p_success < 0.91
     assert 0.91 <= math.sqrt(exact) <= 0.97
+
+
+_LADDER_POINT = dict(
+    n_atoms=1e8, g_p=0.0022, g_t=0.0022, delta_p=10.0, delta_t=0.0,
+    ladder_gamma21=1.0, ladder_gamma32=1.0, t_max=0.25,
+)
+
+# Maps the CLI scores, with the time samples checked: (analysis, config,
+# samples). Criterion 1's point on its grid, t = 0.1, 0.4 and 1.0; the
+# benchmark's absorptive ladder and criterion 6's as-printed one, t = 0.12
+# and 0.25.
+_SCORED = {
+    "five-level": ("run_gate_analysis", dict(
+        n_atoms=1e8, g_p=0.0022, g_t=0.0022, omega1=4.0, omega4=4.0, delta2=15.0,
+        delta3=15.0, eps12=0.01, eps34=0.01, t_max=1.0, n_samples=401,
+    ), (40, 160, 400)),
+    "ladder absorptive n_max 3": ("run_ladder_analysis", dict(
+        _LADDER_POINT, ladder_convention="absorptive", n_max=3, n_samples=126,
+    ), (60, 125)),
+    "ladder as-printed n_max 6": ("run_ladder_analysis", dict(
+        _LADDER_POINT, ladder_convention="as-printed", n_max=6, n_samples=26,
+    ), (12, 25)),
+}
+
+
+@pytest.fixture(scope="module")
+def scored_maps():
+    """name -> (blocks, traces, targets) that the CLI analysis hands to
+    the exact conditional fidelity."""
+    assert cli.params_from_config({**cli.DEFAULTS, **_SCORED["five-level"][1]}) == TRANSIENT
+    printed = {**cli.DEFAULTS, **_SCORED["ladder as-printed n_max 6"][1]}
+    assert cli.ladder_params_from_config(printed) == replace(LADDER_SET, n_max=6)
+    score, maps = observables.haar_conditional_fidelity, {}
+    with pytest.MonkeyPatch.context() as mp:
+        for name, (analysis, cfg, _) in _SCORED.items():
+            def capture(lam, traces, U, name=name):
+                maps[name] = (lam, traces, U)
+                return score(lam, traces, U)
+
+            mp.setattr(observables, "haar_conditional_fidelity", capture)
+            getattr(cli, analysis)({**cli.DEFAULTS, **cfg})
+    return maps
+
+
+def _haar_ratios(lam, traces, U, mc_samples, seed=42):
+    """Per-draw renormalized overlaps of the Haar set that
+    conditional_fidelity_from_blocks draws from (seed, mc_samples), for
+    one time sample; their mean is its F_c²."""
+    Z = np.random.default_rng(seed).standard_normal((2, mc_samples, 4))
+    R = np.einsum("ai,kij,jb->kab", U.conj().T, lam, U).reshape(16, 16)
+    out = []
+    for s in range(0, mc_samples, 50000):
+        psi = Z[0, s : s + 50000] + 1j * Z[1, s : s + 50000]
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        W = (psi[:, :, None] * psi.conj()[:, None, :]).reshape(-1, 16)
+        out.append(np.sum((W @ R) * W.conj(), axis=1).real / (W @ traces).real)
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("name", sorted(_SCORED))
+def test_exact_conditional_fidelity_is_the_monte_carlo_limit(scored_maps, name):
+    lam, traces, U = scored_maps[name]
+    samples = list(_SCORED[name][2])
+    exact, _ = observables.haar_conditional_fidelity(lam[samples], traces[samples], U[samples])
+    for mc_samples in (2000, 200000):
+        mc = observables.conditional_fidelity_from_blocks(
+            lam[samples], traces[samples], U[samples], mc_samples=mc_samples, seed=42
+        )
+        for k, m in enumerate(samples):
+            draws = _haar_ratios(lam[m], traces[m], U[m], mc_samples)
+            assert mc.fidelity[k] ** 2 == pytest.approx(draws.mean(), rel=1e-12)
+            z = (exact[k] ** 2 - draws.mean()) / (draws.std(ddof=1) / math.sqrt(mc_samples))
+            assert abs(z) < 3.0, f"time sample {m}, {mc_samples} draws: z = {z:.2f}"
+
+
+@pytest.mark.parametrize("name", sorted(_SCORED))
+def test_exact_conditional_fidelity_is_converged_on_the_scored_maps(
+    scored_maps, monkeypatch, name
+):
+    lam, traces, U = scored_maps[name]
+    n = observables._HAAR_NODES
+    base = observables.haar_conditional_fidelity(lam, traces, U)[0]
+    for more in (2 * n, 4 * n):
+        monkeypatch.setattr(observables, "_HAAR_NODES", more)
+        finer = observables.haar_conditional_fidelity(lam, traces, U)[0]
+        assert np.max(np.abs(finer - base)) <= 1e-13
+
+
+def test_c1_exact_conditional_fidelity_and_success(scored_maps):
+    # Criterion 1 scores F_c(0.4) with the 2000-draw estimate, 0.9813
+    # against [0.975, 1.005]; the exact Haar average is 0.98212, and the
+    # exact no-jump probability 0.87989 still misses [0.91, 0.97].
+    lam, traces, U = scored_maps["five-level"]
+    f, p = observables.haar_conditional_fidelity(lam[160], traces[160], U[160])
+    assert f == pytest.approx(0.98212065, abs=5e-9)
+    assert p == pytest.approx(0.87989, abs=5e-6)
 
 
 def test_c4_dark_eigenvalue_pi_time_lies_three_decades_below_its_band():
