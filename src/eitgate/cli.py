@@ -535,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
         if out:
             p.add_argument("--out", help="output directory (default: current)")
         if seed:
-            p.add_argument("--seed", type=int, help="override the config seed")
+            p.add_argument("--seed", type=int, help="override the config seed (validated and echoed only)")
 
     p = sub.add_parser("simulate", help="integrate the five-level gate")
     add_common(p)

@@ -13,7 +13,7 @@ relation together with the slow-light compression of the pulse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,23 +56,21 @@ def _probe_rabi(params: MSchemeParams, probe_rabi_classical: float) -> float:
 
 
 def semiclassical_hamiltonian(
-    params: MSchemeParams, probe_rabi_classical: float = 1e-3, offset: float = 0.0
+    params: MSchemeParams, probe_rabi_classical: float = 1e-3, offset: float | np.ndarray = 0.0
 ) -> np.ndarray:
     """5x5 collective Hamiltonian on the photon-free states (γ units),
     with weak classical probe and trigger couplings in place of photons.
 
     offset shifts the probe carrier frequency (γ units): the probe
     detuning drops by offset while the probe two-photon mismatch grows
-    by it; the trigger fields are untouched.
+    by it; the trigger fields are untouched. An array of offsets gives a
+    stack of its shape.
     """
-    shifted = replace(params, eps12=params.eps12 + offset, delta2=params.delta2 - offset)
-    H = build_hamiltonian(shifted, states=_LEVELS)
-    return _add_weak_fields(H, params, probe_rabi_classical)
-
-
-def _add_weak_fields(H: np.ndarray, params: MSchemeParams, probe_rabi_classical: float):
-    """H plus the weak classical probe and trigger couplings, in place;
-    H may be a (..., 5, 5) stack."""
+    offset = np.asarray(offset, dtype=float)
+    H = build_hamiltonian(params, states=_LEVELS)
+    H = np.broadcast_to(H, offset.shape + H.shape).copy()
+    H[..., _E1, _E1] += offset
+    H[..., _PROBE_UPPER, _PROBE_UPPER] -= offset
     omega_p = _probe_rabi(params, probe_rabi_classical)
     omega_t = probe_rabi_classical * params.g_t * math.sqrt(params.N_a)
     for strength, level in ((omega_p, "E2"), (omega_t, "E4")):
@@ -120,10 +118,6 @@ def steady_susceptibility(
     """Probe susceptibility of the stationary driven atom at each probe
     offset; an array of offsets gives an array of its shape.
 
-    The offset enters only the E1 and E2 energies, so one Hamiltonian
-    build serves every offset: the stack takes its diagonal entries as
-    semiclassical_hamiltonian's replaced parameters give them, before the
-    weak fields are added, and equals the per-offset builds bit for bit.
     One build_liouvillian call assembles the generators of every offset
     as a stack, and each offset's steady state is solved on its own
     matrix of it; a failure names the offset.
@@ -132,11 +126,9 @@ def steady_susceptibility(
     flat = offset.ravel()
     if not np.isfinite(flat).all():
         raise ValueError(f"probe offset {float(flat[~np.isfinite(flat)][0])} is not finite")
-    H = np.repeat(build_hamiltonian(params, states=_LEVELS)[None], flat.size, axis=0)
-    H[:, _E1, _E1] = params.eps12 + flat
-    H[:, _PROBE_UPPER, _PROBE_UPPER] = params.delta2 - flat
     L = build_liouvillian(
-        _add_weak_fields(H, params, probe_rabi_classical), semiclassical_channels(params)
+        semiclassical_hamiltonian(params, probe_rabi_classical, flat),
+        semiclassical_channels(params),
     )
     rho = np.empty((flat.size, _N_LEVELS, _N_LEVELS), dtype=complex)
     for k, d in enumerate(flat):

@@ -264,34 +264,19 @@ def build_liouvillian(H: OperatorMatrix, channels: list[JumpChannel]) -> Superop
         pairs += [(S.conj(), S, s, s), (eye, SdS, I, d), (SdS.T, eye, np.nonzero(SdS.T), I)]
     # Each kron(A, B) as COO keys row * n² + column over the factors'
     # nonzeros; only the two terms of H carry its stack axes.
-    keys = [
-        ((ia[:, None] * n + ib) * (n * n) + ja[:, None] * n + jb).ravel()
-        for _, _, (ia, ja), (ib, jb) in pairs
-    ]
-    union = np.unique(np.concatenate(keys))
-
-    def term(k: int, out: np.ndarray) -> np.ndarray:
-        """kron of pair k scattered onto the union pattern, in out."""
-        A, B, (ia, ja), (ib, jb) = pairs[k]
+    coo = []
+    for A, B, (ia, ja), (ib, jb) in pairs:
+        key = ((ia[:, None] * n + ib) * (n * n) + ja[:, None] * n + jb).ravel()
         value = A[..., ia, ja][..., :, None] * B[..., ib, jb][..., None, :]
-        out[...] = 0.0
-        out[..., np.searchsorted(union, keys[k])] = value.reshape(*value.shape[:-2], keys[k].size)
-        return out
-
-    # One channel at a time into at most three union-length buffers; the
-    # in-place steps are the operations of -1j (K0 - K1) and
-    # (γ/2)(2 K3 - K4 - K5) in their order, so the sums are bit for bit theirs.
-    data = term(0, np.empty((*H.shape[:-2], union.size), dtype=complex))
-    data -= term(1, np.empty_like(data))
-    data *= -1j
-    K3, K4, K5 = (np.empty(union.size, dtype=complex) for _ in range(3))
+        coo.append((key, value.reshape(*value.shape[:-2], key.size)))
+    union = np.unique(np.concatenate([key for key, _ in coo]))
+    terms = [np.zeros((*value.shape[:-1], union.size), dtype=complex) for _, value in coo]
+    for t, (key, value) in zip(terms, coo):
+        t[..., np.searchsorted(union, key)] = value
+    data = -1j * (terms[0] - terms[1])
     for m, ch in enumerate(channels):
-        term(2 + 3 * m, K3)
-        K3 *= 2.0
-        K3 -= term(3 + 3 * m, K4)
-        K3 -= term(4 + 3 * m, K5)
-        K3 *= ch.rate / 2.0
-        data += K3
+        K3, K4, K5 = terms[2 + 3 * m : 5 + 3 * m]
+        data += (ch.rate / 2.0) * (2.0 * K3 - K4 - K5)
     rows, cols = np.divmod(union, n * n)
     indptr = np.searchsorted(rows, np.arange(n * n + 1))
     return Superoperator(data, cols, indptr)

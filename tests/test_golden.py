@@ -11,8 +11,6 @@ does not depend on the seed or on mc_samples.
 Regenerate the references only for an intended change of behaviour:
 
     PYTHONPATH=src python tests/test_golden.py
-
-and list the cells it moved with ``tests/golden_diff.py``.
 """
 
 import contextlib

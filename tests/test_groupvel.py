@@ -278,16 +278,10 @@ def test_one_generator_build_per_sweep(monkeypatch):
     assert builds == [(3, 5, 5)]
 
 
-def test_sweep_hamiltonians_are_bitwise_the_per_offset_builds(monkeypatch):
-    # One build with the E1 and E2 energies set per offset: signed zeros,
-    # negative couplings and an offset cancelling eps12 included.
-    stacks = []
-
-    def capturing(H, channels):
-        stacks.append(H.copy())
-        return mscheme.build_liouvillian(H, channels)
-
-    monkeypatch.setattr(groupvel, "build_liouvillian", capturing)
+def test_offsets_are_the_shifted_parameters_bit_for_bit():
+    # An offset d gives the Hamiltonian of eps12 + d and delta2 - d, for a
+    # stack of offsets as for one: signed zeros, negative couplings and
+    # offsets cancelling eps12 or delta2 included.
     rng = np.random.default_rng(26)
     for i in range(12):
         params = replace(
@@ -299,10 +293,16 @@ def test_sweep_hamiltonians_are_bitwise_the_per_offset_builds(monkeypatch):
         )
         prc = float(10 ** rng.uniform(-4, -2))
         offsets = np.concatenate([rng.normal(size=4), [0.0, -0.0, -params.eps12, params.delta2]])
-        stacks.clear()
-        groupvel.steady_susceptibility(params, offsets, probe_rabi_classical=prc)
-        each = [groupvel.semiclassical_hamiltonian(params, prc, float(d)) for d in offsets]
-        assert stacks[0].tobytes() == np.array(each).tobytes(), i
+        shifted = [
+            groupvel.semiclassical_hamiltonian(
+                replace(params, eps12=params.eps12 + d, delta2=params.delta2 - d), prc
+            )
+            for d in offsets.tolist()
+        ]
+        stack = groupvel.semiclassical_hamiltonian(params, prc, offsets)
+        assert stack.tobytes() == np.array(shifted).tobytes(), i
+        for d, H in zip(offsets.tolist(), shifted):
+            assert groupvel.semiclassical_hamiltonian(params, prc, d).tobytes() == H.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -311,7 +311,6 @@ def test_non_finite_offset_is_named_before_any_assembly(monkeypatch, bad):
         raise AssertionError("assembled a generator for a non-finite offset")
 
     monkeypatch.setattr(groupvel, "semiclassical_hamiltonian", never)
-    monkeypatch.setattr(groupvel, "build_hamiltonian", never)
     monkeypatch.setattr(groupvel, "build_liouvillian", never)
     for offsets in (bad, [0.1, bad]):
         with pytest.raises(ValueError, match="probe offset .* is not finite"):

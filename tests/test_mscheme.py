@@ -235,21 +235,6 @@ def _ladder_case(n_max, convention):
     return name, ladder.build_ladder_hamiltonian(p), ladder.build_ladder_channels(p)
 
 
-def _random_dense_case(n=4, seed=27):
-    # Every Kronecker term is nonzero on every entry, so the assembly's
-    # summation order shows in the rounding of the sums.
-    rng = np.random.default_rng(seed)
-    X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    channels = [
-        mscheme.JumpChannel(
-            float(rng.uniform(0.1, 2.0)), rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
-            "decay",
-        )
-        for _ in range(3)
-    ]
-    return "random dense", X + X.conj().T, channels
-
-
 _H_RICH = mscheme.build_hamiltonian(RICH_PARAMS)
 _CHANNELS_RICH = mscheme.build_jump_channels(RICH_PARAMS)
 _GENERATOR_CASES = [
@@ -260,7 +245,6 @@ _GENERATOR_CASES = [
         groupvel.semiclassical_hamiltonian(RICH_PARAMS, 1e-3, 0.3),
         groupvel.semiclassical_channels(RICH_PARAMS),
     ),
-    _random_dense_case(),
 ] + [_ladder_case(n_max, c) for n_max in (1, 2, 3) for c in ladder.CONVENTIONS]
 
 

@@ -628,16 +628,17 @@ def test_unbalanced_inputs_shift_one_photon_phases_only():
     assert np.max(np.abs(ref[:, :2] - skew[:, :2])) > 1e-3
 
 
-def _random_conserving_blocks(rng, times, p_low=0.75):
+def _random_conserving_blocks(rng, times, p_low=0.75, p=None):
     """Qubit blocks and full traces of random no-jump maps that conserve
-    the photon numbers: Σ K†K = diag(p) with p_i drawn in [p_low, 1], so
-    only the basis inputs carry trace."""
+    the photon numbers: Σ K†K = diag(p) with p_i drawn in [p_low, 1], or
+    the rows of p, so only the basis inputs carry trace."""
     lam = np.empty((times, 16, 4, 4), dtype=complex)
     traces = np.empty((times, 16), dtype=complex)
     for m in range(times):
         K = rng.standard_normal((3, 6, 4)) + 1j * rng.standard_normal((3, 6, 4))
         w, V = np.linalg.eigh(np.einsum("kai,kaj->ij", K.conj(), K))
-        K = K @ (V / np.sqrt(w)) @ V.conj().T @ np.diag(np.sqrt(rng.uniform(p_low, 1.0, 4)))
+        p_m = rng.uniform(p_low, 1.0, 4) if p is None else p[m]
+        K = K @ (V / np.sqrt(w)) @ V.conj().T @ np.diag(np.sqrt(p_m))
         for i in range(4):
             for j in range(4):
                 image = np.einsum("ka,kb->ab", K[:, :, i], K[:, :, j].conj())
@@ -670,8 +671,10 @@ def test_exact_conditional_fidelity_with_equal_success_is_the_average_one():
 
 
 def test_exact_conditional_fidelity_matches_the_monte_carlo_estimate():
+    # Samples 2 and 3 spread the no-jump probabilities over 3 and 9 decades.
     rng = np.random.default_rng(31)
-    lam, traces = _random_conserving_blocks(rng, 4)
+    p = np.vstack([rng.uniform(0.75, 1.0, (2, 4)), [1.0, 0.3, 0.02, 1e-3], [0.9, 1e-9, 0.5, 1.0]])
+    lam, traces = _random_conserving_blocks(rng, 4, p=p)
     U = np.stack([_random_unitary(rng) for _ in range(4)])
     f, p = observables.haar_conditional_fidelity(lam, traces, U)
     for m in range(4):
@@ -685,18 +688,19 @@ def test_exact_conditional_fidelity_matches_the_monte_carlo_estimate():
         assert abs(p[m] - succ.mean()) < 3.0 * succ.std(ddof=1) / math.sqrt(succ.size)
 
 
-def test_exact_conditional_fidelity_is_converged_in_the_node_count(monkeypatch):
-    # Spreads down to the floor: min p_i / max p_i reaches 0.01 at sample 0.
+def test_exact_conditional_fidelity_is_converged_in_the_step_and_span(monkeypatch):
+    # min p_i / max p_i runs from 0.9 down to 1e-300 over the samples.
     rng = np.random.default_rng(32)
-    lam, traces = _random_conserving_blocks(rng, 6, p_low=0.02)
-    traces[0, [0, 5, 10, 15]] = [1.0, 0.6, 0.3, observables._HAAR_P_FLOOR]
+    low = np.array([0.9, 0.1, 1e-2, 1e-6, 1e-30, 1e-300])
+    p = np.column_stack([np.ones(6), rng.uniform(0.1, 1.0, (6, 2)), low])
+    lam, traces = _random_conserving_blocks(rng, 6, p=p)
     U = np.stack([_random_unitary(rng) for _ in range(6)])
-    n = observables._HAAR_NODES
     base = observables.haar_conditional_fidelity(lam, traces, U)[0]
-    for more in (2 * n, 4 * n):
-        monkeypatch.setattr(observables, "_HAAR_NODES", more)
+    for step, span in ((0.2, 40.0), (0.4, 60.0), (0.2, 60.0)):
+        monkeypatch.setattr(observables, "_HAAR_STEP", step)
+        monkeypatch.setattr(observables, "_HAAR_SPAN", span)
         finer = observables.haar_conditional_fidelity(lam, traces, U)[0]
-        assert np.max(np.abs(finer - base) / base) <= 1e-13
+        assert np.max(np.abs(finer - base)) <= 1e-15
 
 
 def test_exact_conditional_fidelity_batches_and_returns_scalars():
@@ -726,17 +730,21 @@ def test_exact_conditional_fidelity_guards_name_the_time_sample():
     bad[1, 7] = 1e-13
     assert haar(series, bad, np.eye(4))[0][1] == 1.0
     bad = traces.copy()
-    bad[2, 15] = 0.99 * observables._HAAR_P_FLOOR
-    with pytest.raises(ValueError, match="below 0.01 of the largest, 1.0 at time sample 2;"):
+    bad[2, 15] = 0.0
+    with pytest.raises(ValueError, match=r"probability 0\.0 is not positive at time sample 2;"):
         haar(series, bad, np.eye(4))
-    with pytest.raises(ValueError, match="below 0.01 of the largest, 0.0 at time sample 0;"):
+    bad[2, 15] = -1e-17
+    with pytest.raises(ValueError, match="-1e-17 is not positive at time sample 2;"):
+        haar(series, bad, np.eye(4))
+    with pytest.raises(ValueError, match=r"probability 0\.0 is not positive at time sample 0;"):
         haar(0.0 * series, 0.0 * traces, np.eye(4))
-    # At the floor the filter ψ -> diag(√q)ψ is scored.
-    q = np.array([1.0, 1.0, 1.0, observables._HAAR_P_FLOOR])
+    # Any positive probability is scored: the filter ψ -> diag(√q)ψ that
+    # all but loses one input scores as one that loses it outright.
+    q = np.array([1.0, 1.0, 1.0, 1e-12])
     lossy = series.copy()
     lossy[2] *= np.sqrt(np.outer(q, q)).reshape(16, 1, 1)
     bad[2, 15] = q[3]
-    assert 0.85 < haar(lossy, bad, np.eye(4))[0][2] < 0.9
+    assert haar(lossy, bad, np.eye(4))[0][2] == pytest.approx(math.sqrt(0.75), abs=1e-5)
     over = series.copy()
     over[2] *= 1.0 + 1e-11
     with pytest.raises(ValueError, match="exceeds 1 at time sample 2;"):
