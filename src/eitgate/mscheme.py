@@ -59,13 +59,17 @@ class Superoperator(NamedTuple):
 def dense_block(L: Superoperator, e: np.ndarray) -> np.ndarray:
     """Dense L[e][:, e] of a CSR matrix L, a Superoperator or a canonical
     scipy one, for distinct indices e. Entries are summed into zeros, as
-    scipy's toarray does, so a stored -0.0 reads +0.0."""
+    scipy's toarray does, so a stored -0.0 reads +0.0. A stack e (g,n) of
+    disjoint index sets gives the stack (g,n,n) of their blocks, in one
+    pass over L, each slice as its own call would give it."""
+    e = np.asarray(e)
+    n = e.shape[-1]
     at = np.full(L.shape[0], -1)
-    at[e] = np.arange(len(e))
+    at[e] = np.arange(e.size).reshape(e.shape)  # slot * n + position
     rows, cols = np.repeat(at, np.diff(L.indptr)), at[L.indices]
-    keep = (rows >= 0) & (cols >= 0)
-    out = np.zeros((len(e), len(e)), dtype=L.data.dtype)
-    np.add.at(out, (rows[keep], cols[keep]), L.data[keep])
+    keep = (rows >= 0) & (cols >= 0) & (rows // n == cols // n)
+    out = np.zeros(e.shape + (n,), dtype=L.data.dtype)
+    np.add.at(out.reshape(-1), rows[keep] * n + cols[keep] % n, L.data[keep])
     return out
 
 

@@ -126,6 +126,23 @@ def test_time_grid_validation(method):
         dynamics.evolve_superoperator(L, np.zeros((3, 4)), np.array([0.0, 0.1]), method=method)
 
 
+@pytest.mark.parametrize("method", ["exponential", "adaptive-rk"])
+@pytest.mark.parametrize("times", [
+    [0.0, 1.0, np.inf], [0.0, np.inf, np.inf], [0.0, np.nan, 2.0], [-np.inf, 0.0, 1.0],
+    [0.0, 0.1, 0.1], [0.0, 0.1, 0.05],
+])
+def test_non_finite_or_unordered_times_rejected_before_propagating(monkeypatch, method, times):
+    # Once, for either method, before any block is built: adaptive-rk
+    # would integrate towards an infinite end time without returning.
+    def never(*args, **kwargs):
+        raise AssertionError("built a block on a bad time grid")
+
+    monkeypatch.setattr(dynamics, "dense_block", never)
+    L = dynamics.build_liouvillian_for(BARE)
+    with pytest.raises(ValueError, match="times must be finite and strictly increasing"):
+        dynamics.evolve_superoperator(L, np.eye(18) / 18.0, np.array(times), method=method)
+
+
 def test_exponential_engine_rejects_nonuniform_grid():
     L = dynamics.build_liouvillian_for(BARE)
     rho0 = np.eye(18, dtype=complex) / 18.0
@@ -454,9 +471,15 @@ def _transient_params():
 
 
 def _unit_generator(model):
-    """(generator, qubit positions, times) of the three pinned maps."""
+    """(generator, qubit positions, times) of the four pinned maps."""
     if model == "ladder":
         L = ladder.build_ladder_liouvillian(LADDER_ABSORPTIVE)
+        return L, ladder.qubit_positions(3), np.linspace(0.0, 0.25, 126)
+    if model == "ladder conditional":
+        L = dynamics.conditional_generator(
+            ladder.build_ladder_hamiltonian(LADDER_ABSORPTIVE),
+            ladder.build_ladder_channels(LADDER_ABSORPTIVE),
+        )
         return L, ladder.qubit_positions(3), np.linspace(0.0, 0.25, 126)
     p = _transient_params()
     if model == "conditional":
@@ -547,6 +570,93 @@ def test_component_structure_and_packed_size(model, blocks, entries):
     assert sum(Y.size for _, _, Y in gt.blocks) == times.size * entries
 
 
+def _scipy_components(L, R):
+    # scipy's undirected connected components of L[R, R] along nonzero
+    # entries, labelled in the order of their smallest index.
+    from scipy.sparse.csgraph import connected_components
+
+    S = sp.csr_matrix(L)[R][:, R]
+    S.eliminate_zeros()  # NaN stays: it is no zero
+    pattern = sp.csr_matrix((np.ones(S.nnz), S.indices, S.indptr), shape=S.shape)
+    count, label = connected_components(pattern, directed=False)
+    return [R[label == k] for k in range(count)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_components_are_scipys_connected_components(seed):
+    # Random sparse graphs with stored zeros (no edge), NaN entries (an
+    # edge), isolated nodes and a 60-node path.
+    rng = np.random.default_rng(seed)
+    n = 200
+    M = sp.random(n, n, density=0.004, random_state=rng, format="lil") * (1 + 1j)
+    path = rng.permutation(n)[:60]
+    M[path[1:], path[:-1]] = 2.0
+    M[rng.integers(n, size=5), rng.integers(n, size=5)] = np.nan
+    M = sp.csr_matrix(M)
+    M.data[rng.random(M.nnz) < 0.2] = 0.0
+    R = np.sort(rng.choice(n, size=150, replace=False))
+    R = dynamics.reachable(M, R)  # closed under M, as the engine's sets are
+    got = dynamics._components(M, R)
+    want = _scipy_components(M, R)
+    assert len(got) == len(want) > 1
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def _per_block_reference(L, V, times, exponential=None):
+    # The engine as it ran each block on its own: scipy's dense slice of
+    # the component, its own expm call and one product per time sample.
+    exponential = exponential or dynamics.expm
+    S, step = sp.csr_matrix(L), np.diff(times)[0]
+    blocks = []
+    for e in _scipy_components(L, dynamics.reachable(L, np.flatnonzero(V.any(axis=1)))):
+        u = np.flatnonzero(V[e].any(axis=0))
+        P, Vb = exponential(S[e][:, e].toarray() * step), V[np.ix_(e, u)]
+        Y = np.empty((times.size, u.size, e.size), complex)
+        Y[0] = Vb.T
+        for m in range(1, times.size):
+            Vb = P @ Vb
+            Y[m] = Vb.T
+        blocks.append((u, e, Y))
+    return blocks
+
+
+def _assert_same_blocks(got, want):
+    assert len(got) == len(want)
+    for (units, entries, Y), (u, e, Y_ref) in zip(got, want):
+        assert np.array_equal(units, u) and np.array_equal(entries, e)
+        assert Y.shape == Y_ref.shape and Y.dtype == Y_ref.dtype and Y.flags.owndata
+        assert Y.tobytes() == Y_ref.tobytes()
+
+
+@pytest.mark.parametrize("model", ["unconditional", "conditional", "ladder", "ladder conditional"])
+def test_stacked_engine_is_the_per_block_loop_bit_for_bit(model):
+    # The blocks of one shape share one expm call and one product per
+    # step; every block keeps its order, its own array and its bits.
+    L, positions, times = _unit_generator(model)
+    V = _units_as_columns(positions, math.isqrt(L.shape[0]))
+    blocks = dynamics.propagate_reached(L, V, times)
+    assert len({(e.size, units.size) for units, e, _ in blocks}) < len(blocks)
+    _assert_same_blocks(blocks, _per_block_reference(L, V, times))
+
+
+def test_group_velocity_runs_are_the_per_block_loop_bit_for_bit():
+    # groupvel's 25² generators, stepped with scipy's expm on each block.
+    import scipy.linalg
+
+    from eitgate import cli, groupvel
+
+    from _support import fast_gate_config
+
+    p = cli.params_from_config({**cli.DEFAULTS, **fast_gate_config(), "t_max": 1.0})
+    times = np.linspace(0.0, 1.0, 200)
+    V = np.zeros((25, 1), complex)
+    V[groupvel._GROUND * 6, 0] = 1.0  # the ground population, vec index a + 5 a
+    for offset in (0.0, 1e-3, -1e-3):
+        L = groupvel.semiclassical_liouvillian(p, 1e-3, offset)
+        got = dynamics.propagate_reached(L, V, times, exponential=scipy.linalg.expm)
+        _assert_same_blocks(got, _per_block_reference(L, V, times, scipy.linalg.expm))
+
+
 # dynamics.expm against scipy.linalg.expm, relative to the largest entry.
 EXPM_RTOL = 2e-15
 
@@ -559,16 +669,29 @@ def _expm_error(A):
 
 
 def _propagated_blocks(L, V, times, monkeypatch):
-    # The step generators propagate_reached hands to expm, one per block.
-    seen, expm = [], dynamics.expm
+    # The step generators propagate_reached hands to expm, one per block,
+    # in block order. It makes one stacked call per block shape (entries,
+    # units), in the order the shapes first occur; each slice is matched
+    # to its block here.
+    calls, expm = [], dynamics.expm
 
     def record(A):
-        seen.append(A)
+        calls.append(A)
         return expm(A)
 
     with monkeypatch.context() as m:
         m.setattr(dynamics, "expm", record)
-        dynamics.propagate_reached(L, V, times[:2])
+        blocks = dynamics.propagate_reached(L, V, times[:2])
+    shapes = {}
+    for i, (units, entries, _) in enumerate(blocks):
+        shapes.setdefault((entries.size, units.size), []).append(i)
+    assert len(calls) == len(shapes)
+    seen = [None] * len(blocks)
+    for A, group in zip(calls, shapes.values()):
+        size = blocks[group[0]][1].size
+        assert A.shape == (len(group), size, size)
+        for a, i in zip(A, group):
+            seen[i] = a
     return seen
 
 
@@ -585,15 +708,9 @@ def test_expm_matches_scipy_on_every_propagated_block(model, monkeypatch):
 def test_propagated_blocks_are_scipys_dense_slices(model, monkeypatch):
     # Bit for bit the step generator dt * L[e][:, e].toarray() of scipy's
     # slicing, signed zeros included: the conditional ladder stores 0 - 0j.
+    L, positions, times = _unit_generator(model)
     if model == "ladder conditional":
-        L = dynamics.conditional_generator(
-            ladder.build_ladder_hamiltonian(LADDER_ABSORPTIVE),
-            ladder.build_ladder_channels(LADDER_ABSORPTIVE),
-        )
-        positions, times = ladder.qubit_positions(3), np.linspace(0.0, 0.25, 126)
         assert np.signbit(L.data[L.data == 0].imag).all()
-    else:
-        L, positions, times = _unit_generator(model)
     V = _units_as_columns(positions, math.isqrt(L.shape[0]))
     seen = _propagated_blocks(L, V, times, monkeypatch)
     entries = [e for _, e, _ in dynamics.propagate_reached(L, V, times[:2])]
@@ -622,6 +739,54 @@ def test_expm_edge_cases():
     assert np.array_equal(dynamics.expm(np.zeros((4, 4), complex)), np.eye(4))
     d = np.array([1.5, -40.0, 2j, 0.0])
     assert np.array_equal(dynamics.expm(np.diag(d)), np.diag(np.exp(d)))
+
+
+def _with_norm(A, norm):
+    return A * (norm / np.abs(A).sum(axis=0).max())
+
+
+def test_stacked_expm_is_each_slices_own_call_bit_for_bit():
+    # One 1-norm per Padé order (3, 5, 7, 9 and 13 unscaled), two slices
+    # scaled by 2^-3 that run together, a diagonal and a zero slice, and a
+    # NaN and an inf slice among finite neighbours.
+    rng = np.random.default_rng(7)
+
+    def generic():
+        return rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+
+    nan, inf = generic(), generic()
+    nan[2, 3], inf[4, 4] = np.nan, np.inf
+    S = np.stack([
+        _with_norm(generic(), 22.0), _with_norm(generic(), 0.01), nan,
+        _with_norm(generic(), 0.2), np.diag([1.5, -40.0, 2j, 0.0, 0.3, -1j]),
+        _with_norm(generic(), 0.9), inf, _with_norm(generic(), 2.0),
+        np.zeros((6, 6), complex), _with_norm(generic(), 5.0), _with_norm(generic(), 30.0),
+    ])
+    bad = [2, 6]
+    orders = [dynamics._pade_order(np.abs(A).sum(axis=0).max()) for A in np.delete(S, bad, 0)]
+    assert {(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)} < set(orders)
+    assert orders[0] == orders[-1] == (4, 3)
+    out = dynamics.expm(S)
+    assert out.shape == S.shape and out.dtype == complex
+    for A, r in zip(S, out):
+        assert r.tobytes() == dynamics.expm(A).tobytes()
+    assert np.isnan(out[bad]).all()
+    assert np.isfinite(np.delete(out, bad, 0)).all()
+    assert np.array_equal(out[4], np.diag(np.exp(np.diag(S[4]))))
+    assert np.array_equal(out[8], np.eye(6))
+    # Leading axes are a stack too.
+    assert dynamics.expm(S[:10].reshape(2, 5, 6, 6)).tobytes() == out[:10].tobytes()
+
+
+def test_stacked_expm_of_one_by_one_slices():
+    z = np.array([-0.3 + 2j, 40.0, 0.0, np.nan, -1e3j])[:, None, None]
+    with np.errstate(invalid="ignore"):
+        out = dynamics.expm(z)
+    assert np.isnan(out[3]).all()
+    keep = [0, 1, 2, 4]
+    assert np.array_equal(out[keep], np.exp(z[keep]))
+    for a, r in zip(z, out):
+        assert r.tobytes() == dynamics.expm(a).tobytes()
 
 
 def test_expm_scaling_branch_matches_scipy(monkeypatch):

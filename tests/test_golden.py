@@ -8,9 +8,10 @@ magnitude. Text cells and keys must match exactly. The conditional
 fidelity columns are included: they are the exact Haar average, which
 does not depend on the seed or on mc_samples.
 
-Regenerate the references only for an intended change of behaviour:
+Regenerate the references only for an intended change of behaviour, all
+cases or the named ones:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [case ...]
 """
 
 import contextlib
@@ -43,25 +44,28 @@ _LADDER = dict(
     mc_samples=200,
 )
 
-# case name -> (subcommand, config overrides)
+# case name -> (subcommand, config overrides, further arguments)
 CASES = {
-    "simulate_lindblad": ("simulate", {**fast_gate_config(), "dephasing_mode": "lindblad"}),
-    "simulate_excluded": ("simulate", {**fast_gate_config(), "dephasing_mode": "excluded"}),
-    "ladder": ("ladder", _LADDER),
-    "groupvel": ("groupvel", {**fast_gate_config(), "t_max": 1.0}),
+    "simulate_lindblad": ("simulate", {**fast_gate_config(), "dephasing_mode": "lindblad"}, ()),
+    "simulate_excluded": ("simulate", {**fast_gate_config(), "dephasing_mode": "excluded"}, ()),
+    "ladder": ("ladder", _LADDER, ()),
+    "groupvel": ("groupvel", {**fast_gate_config(), "t_max": 1.0}, ()),
+    # The benchmark's scan-coupling point, at four of its g_p values.
+    "scan": ("scan", fast_gate_config(),
+             ("--param", "g_p", "--from", "0.0022", "--to", "0.0030", "--steps", "4")),
 }
 
 
 def run_case(name: str, outdir: Path) -> None:
     """Run one case into outdir; printed JSON goes to stdout.json."""
-    command, overrides = CASES[name]
+    command, overrides, extra = CASES[name]
     outdir.mkdir(parents=True, exist_ok=True)
     cfg_path = outdir.parent / f"{name}.config.json"
     cfg_path.write_text(json.dumps(overrides), encoding="utf-8")
     buf = io.StringIO()
     try:
         with contextlib.redirect_stdout(buf):
-            rc = cli.main([command, "--config", str(cfg_path), "--out", str(outdir)])
+            rc = cli.main([command, "--config", str(cfg_path), "--out", str(outdir), *extra])
     finally:
         cfg_path.unlink()
     if rc != 0:
@@ -139,7 +143,7 @@ def test_outputs_match_golden(tmp_path, name):
 
 
 if __name__ == "__main__":
-    for case in CASES:
+    for case in sys.argv[1:] or CASES:
         shutil.rmtree(GOLDEN / case, ignore_errors=True)
         run_case(case, GOLDEN / case)
     sys.exit(0)

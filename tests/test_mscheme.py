@@ -355,6 +355,23 @@ def test_stored_negative_zero_reads_positive_zero():
     assert tiny.toarray().tobytes() == np.array([[0.0, 2.0], [0.0, 0.0]], complex).tobytes()
 
 
+def test_dense_block_of_a_stack_is_each_sets_own_block():
+    # A dense 7² matrix with -0.0 entries and every entry stored, so the
+    # sets {5, 1, 3} and {0, 6, 2} are linked by stored entries that
+    # neither block may take.
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+    A[1, 5] = A[6, 6] = complex(-0.0, -0.0)
+    L = mscheme.Superoperator(A.reshape(-1), np.tile(np.arange(7), 7), np.arange(0, 50, 7))
+    E = np.array([[5, 1, 3], [0, 6, 2]])
+    stack = mscheme.dense_block(L, E)
+    assert stack.shape == (2, 3, 3)
+    for e, block in zip(E, stack):
+        assert block.tobytes() == mscheme.dense_block(L, e).tobytes()
+        want = A[np.ix_(e, e)] + 0.0  # the -0.0 entries read +0.0
+        assert block.tobytes() == want.tobytes()
+
+
 def test_reduced_sector_hamiltonians_are_slices():
     H = mscheme.build_hamiltonian(RICH_PARAMS)
     H_p, H_t, H_pt = mscheme.reduced_hamiltonians(RICH_PARAMS)
