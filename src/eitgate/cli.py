@@ -360,11 +360,8 @@ def _outdir(args) -> Path:
     return out
 
 
-def _config_with_overrides(args) -> dict:
+def _checked_config(args) -> dict:
     cfg = load_config(getattr(args, "config", None))
-    seed = getattr(args, "seed", None)
-    if seed is not None:
-        cfg["seed"] = seed
     # The sampling keys are still validated, though the exact conditional
     # fidelity uses neither. Settings the phase readout would refuse only
     # after propagating are rejected here, before any propagation.
@@ -392,7 +389,7 @@ def _write_gate_outputs(args, cfg: dict, res: dict, derived: dict) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _config_with_overrides(args)
+    cfg = _checked_config(args)
     res = run_gate_analysis(cfg)
     params = params_from_config(cfg)
     derived = {"delta1": params.delta1, "delta4": params.delta4}
@@ -400,14 +397,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ladder(args) -> int:
-    cfg = _config_with_overrides(args)
+    cfg = _checked_config(args)
     res = run_ladder_analysis(cfg)
     derived = {"ladder_dim": ladder.ladder_dim(int(cfg["n_max"]))}
     return _write_gate_outputs(args, cfg, res, derived)
 
 
 def cmd_scan(args) -> int:
-    cfg = _config_with_overrides(args)
+    cfg = _checked_config(args)
     if args.param not in DEFAULTS:
         raise ValueError(f"unknown scan parameter {args.param!r}")
     if args.param in _STRING_KEYS or args.param in _AMPLITUDE_KEYS:
@@ -428,9 +425,8 @@ def cmd_scan(args) -> int:
             res = run_gate_analysis(cfg_i)
             t_pi = pi_crossing_time(res["times"], res["cps"])
             if t_pi is not None:
-                pi_s = _fmt(t_pi)
-                fid_s = _fmt(np.interp(t_pi, res["times"], res["fidelity"]))
-                cond_s = _fmt(np.interp(t_pi, res["times"], res["cond_fidelity"]))
+                at = _values_at(res, t_pi)
+                pi_s, fid_s, cond_s = (_fmt(at[k]) for k in ("time", "fidelity", "cond_fidelity"))
         except (ValueError, RuntimeError) as exc:  # keep scanning, record the failure
             err = str(exc).replace(",", ";").replace("\n", " ")
         lines.append(f"{_fmt(value)},{pi_s},{fid_s},{cond_s},{err}")
@@ -439,7 +435,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_groupvel(args) -> int:
-    cfg = _config_with_overrides(args)
+    cfg = _checked_config(args)
     params = params_from_config(cfg)
     constants = constants_from_config(cfg)
     common = {
@@ -480,7 +476,7 @@ def cmd_groupvel(args) -> int:
 
 
 def cmd_perturbative(args) -> int:
-    cfg = _config_with_overrides(args)
+    cfg = _checked_config(args)
     params = params_from_config(cfg)
     t = float(cfg["t_max"])
     lam_p, lam_t, lam_pt = perturbative.phase_rates(params)
@@ -530,12 +526,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, out=True, seed=True):
+    def add_common(p, out=True):
         p.add_argument("--config", help="JSON config file (flat keys)")
         if out:
             p.add_argument("--out", help="output directory (default: current)")
-        if seed:
-            p.add_argument("--seed", type=int, help="override the config seed (validated and echoed only)")
 
     p = sub.add_parser("simulate", help="integrate the five-level gate")
     add_common(p)
@@ -550,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("groupvel", help="group velocity and cell geometry")
-    add_common(p, seed=False)
+    add_common(p)
     p.set_defaults(func=cmd_groupvel)
 
     p = sub.add_parser("ladder", help="three-level comparison model")
@@ -558,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ladder)
 
     p = sub.add_parser("perturbative", help="analytic cross-phase estimates")
-    add_common(p, out=False, seed=False)
+    add_common(p, out=False)
     p.set_defaults(func=cmd_perturbative)
 
     p = sub.add_parser("fringes", help="interferometer coincidence patterns")

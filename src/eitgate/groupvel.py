@@ -86,9 +86,12 @@ def semiclassical_channels(params: MSchemeParams) -> list[JumpChannel]:
 
 
 def semiclassical_liouvillian(
-    params: MSchemeParams, probe_rabi_classical: float = 1e-3, offset: float = 0.0
+    params: MSchemeParams, probe_rabi_classical: float = 1e-3, offset: float | np.ndarray = 0.0
 ) -> Superoperator:
-    """25x25 generator of the single-atom master equation."""
+    """25x25 generator of the single-atom master equation. An array of
+    offsets gives the stack of their generators on one pattern, matrix k
+    of a 1-D stack being L._replace(data=L.data[k]) (see
+    build_liouvillian)."""
     return build_liouvillian(
         semiclassical_hamiltonian(params, probe_rabi_classical, offset),
         semiclassical_channels(params),
@@ -118,18 +121,15 @@ def steady_susceptibility(
     """Probe susceptibility of the stationary driven atom at each probe
     offset; an array of offsets gives an array of its shape.
 
-    One build_liouvillian call assembles the generators of every offset
-    as a stack, and each offset's steady state is solved on its own
-    matrix of it; a failure names the offset.
+    One semiclassical_liouvillian call assembles the generators of every
+    offset as a stack, and each offset's steady state is solved on its
+    own matrix of it; a failure names the offset.
     """
     offset = np.asarray(offset, dtype=float)
     flat = offset.ravel()
     if not np.isfinite(flat).all():
         raise ValueError(f"probe offset {float(flat[~np.isfinite(flat)][0])} is not finite")
-    L = build_liouvillian(
-        semiclassical_hamiltonian(params, probe_rabi_classical, flat),
-        semiclassical_channels(params),
-    )
+    L = semiclassical_liouvillian(params, probe_rabi_classical, flat)
     rho = np.empty((flat.size, _N_LEVELS, _N_LEVELS), dtype=complex)
     for k, d in enumerate(flat):
         try:
@@ -196,19 +196,19 @@ def group_velocity_transient(
         raise ValueError("avg_grid must be at least 2")
     if t_int <= 0:
         raise ValueError("t_int must be positive")
-    offsets = _fd_offsets(fd_step)
+    L = semiclassical_liouvillian(params, probe_rabi_classical, _fd_offsets(fd_step))
     times = np.linspace(0.0, t_int, avg_grid)
     rho0 = np.zeros((_N_LEVELS, _N_LEVELS), dtype=complex)
     rho0[_GROUND, _GROUND] = 1.0
-    L = (semiclassical_liouvillian(params, probe_rabi_classical, d) for d in offsets)
     # Pinned to scipy's expm: the trapezoid average of c/n_g(t) crosses a
     # pole of n_g, so an exponential that differs in rounding moves the
     # result by up to 1e-6 relative. Goes away once the average is
-    # well-posed (ROADMAP item 2).
+    # well-posed (ROADMAP item 3).
     from scipy.linalg import expm
 
     traj = np.array([
-        evolve_superoperator(Ld, rho0, times, method=method, exponential=expm, **kw) for Ld in L
+        evolve_superoperator(L._replace(data=d), rho0, times, method=method, exponential=expm, **kw)
+        for d in L.data
     ])
     chi = susceptibility_from_state(traj, params, probe_rabi_classical, constants)
     v = _velocity_from_chi(chi, fd_step, params, constants)

@@ -294,12 +294,19 @@ def test_gate_command_runs_are_byte_identical(tmp_path, command, config, files):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_seed_flag_overrides_config(tmp_path):
-    cfg_path = write_cfg(tmp_path, **SMALL_GATE)
-    out = tmp_path / "seeded"
-    assert cli.main(["simulate", "--config", cfg_path, "--out", str(out), "--seed", "7"]) == 0
-    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
-    assert summary["config"]["seed"] == 7
+@pytest.mark.parametrize("command, config", [
+    (["simulate"], SMALL_GATE),
+    (["ladder"], SMALL_LADDER),
+    (["scan", "--param", "g_p", "--from", "0.4", "--to", "0.5", "--steps", "2"], SMALL_GATE),
+], ids=["simulate", "ladder", "scan"])
+def test_seed_is_a_config_key_not_a_flag(tmp_path, capsys, command, config):
+    cfg_path = write_cfg(tmp_path, **config)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--config", cfg_path, "--out", str(out), "--seed", "7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sampling_keys_are_echoed_but_enter_no_output(tmp_path):
@@ -307,10 +314,10 @@ def test_sampling_keys_are_echoed_but_enter_no_output(tmp_path):
     # seed are validated and echoed in the config, and move nothing else.
     outs = []
     for i, (mc_samples, seed) in enumerate(((300, 7), (1, 8))):
-        cfg_path = write_cfg(tmp_path, f"cfg{i}.json", **{**SMALL_GATE, "mc_samples": mc_samples})
+        config = {**SMALL_GATE, "mc_samples": mc_samples, "seed": seed}
+        cfg_path = write_cfg(tmp_path, f"cfg{i}.json", **config)
         out = tmp_path / f"run{i}"
-        argv = ["simulate", "--config", cfg_path, "--out", str(out), "--seed", str(seed)]
-        assert cli.main(argv) == 0
+        assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
         assert summary.pop("config")["seed"] == seed
         outs.append(((out / "timeseries.csv").read_bytes(), summary))
@@ -691,20 +698,19 @@ def test_ladder_analysis_memory_is_set_by_the_build_not_the_readout():
     ["ladder"],
     ["scan", "--param", "g_p", "--from", "0.4", "--to", "0.5", "--steps", "2"],
 ])
-@pytest.mark.parametrize("overrides, flags, key", [
-    ({"mc_samples": 0}, [], "mc_samples"),
-    ({"mc_samples": -1}, [], "mc_samples"),
-    ({"seed": -1}, [], "seed"),
-    ({}, ["--seed", "-1"], "seed"),
-    ({"c00": 0}, [], "c00"),
-    ({"c00": [1e-13, 0.0]}, [], "c00"),
-    ({"c00": 0, "c01": 0, "c10": 0, "c11": 0}, [], "c00, c01, c10, c11"),
-    ({"c01": 0}, [], "'c01'"),
-    ({"c10": [0.0, 1e-13]}, [], "'c10'"),
-    ({"c00": 1e-6, "c11": 1e-7}, [], "'c11'"),
+@pytest.mark.parametrize("overrides, key", [
+    ({"mc_samples": 0}, "mc_samples"),
+    ({"mc_samples": -1}, "mc_samples"),
+    ({"seed": -1}, "seed"),
+    ({"c00": 0}, "c00"),
+    ({"c00": [1e-13, 0.0]}, "c00"),
+    ({"c00": 0, "c01": 0, "c10": 0, "c11": 0}, "c00, c01, c10, c11"),
+    ({"c01": 0}, "'c01'"),
+    ({"c10": [0.0, 1e-13]}, "'c10'"),
+    ({"c00": 1e-6, "c11": 1e-7}, "'c11'"),
 ])
 def test_gate_commands_reject_bad_monte_carlo_settings_before_propagating(
-    tmp_path, capsys, monkeypatch, command, overrides, flags, key
+    tmp_path, capsys, monkeypatch, command, overrides, key
 ):
     def never(*args, **kwargs):
         raise AssertionError("propagated before validating the Monte Carlo settings")
@@ -712,7 +718,7 @@ def test_gate_commands_reject_bad_monte_carlo_settings_before_propagating(
     monkeypatch.setattr(dynamics, "propagate_reached", never)
     cfg_path = write_cfg(tmp_path, **{**SMALL_GATE, **overrides})
     out = tmp_path / "out"
-    assert cli.main([*command, "--config", cfg_path, "--out", str(out), *flags]) == 1
+    assert cli.main([*command, "--config", cfg_path, "--out", str(out)]) == 1
     assert key in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
 

@@ -1,14 +1,19 @@
 """Probe dispersion, slow light, and cell geometry contracts."""
 
+import contextlib
+import io
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from eitgate import basis, dynamics, groupvel, mscheme
+from eitgate import basis, cli, dynamics, groupvel, mscheme
 from eitgate.groupvel import OpticalConstants
 from eitgate.mscheme import MSchemeParams
+
+from _support import fast_gate_config
 
 C_LIGHT = 299792458.0
 
@@ -261,7 +266,7 @@ def test_empty_offset_array_gives_an_empty_susceptibility():
     assert chi.shape == (0,)
 
 
-def test_one_generator_build_per_sweep(monkeypatch):
+def test_one_generator_build_per_sweep(tmp_path, monkeypatch):
     builds = []
 
     def counting(H, channels):
@@ -276,6 +281,55 @@ def test_one_generator_build_per_sweep(monkeypatch):
     builds.clear()
     groupvel.group_velocity_steady(EIT_SET)
     assert builds == [(3, 5, 5)]
+    builds.clear()
+    groupvel.group_velocity_transient(EIT_SET, 1.0)
+    assert builds == [(3, 5, 5)]
+    # A groupvel run with --out: the steady velocity, the χ sweep and the
+    # transient, one build each.
+    builds.clear()
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**fast_gate_config(), "t_max": 1.0}), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["groupvel", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    assert builds == [(3, 5, 5), (201, 5, 5), (3, 5, 5)]
+
+
+def _transient_runs(monkeypatch, params, t_int, **kw):
+    # (state, times, options, trajectory) of each propagation
+    # group_velocity_transient makes.
+    runs = []
+
+    def recording(L, rho0, times, **options):
+        traj = dynamics.evolve_superoperator(L, rho0, times, **options)
+        runs.append((rho0, times, options, traj))
+        return traj
+
+    monkeypatch.setattr(groupvel, "evolve_superoperator", recording)
+    groupvel.group_velocity_transient(params, t_int, **kw)
+    return runs
+
+
+# The groupvel golden's point, and the same with eps12 = 0: there the
+# offset-0 Hamiltonian lacks an entry the ±fd_step ones have, so a
+# stacked build stores an explicit zero for it that its own build omits.
+_GOLDEN_CFG = {**cli.DEFAULTS, **fast_gate_config(), "t_max": 1.0}
+
+
+@pytest.mark.parametrize("eps12", [_GOLDEN_CFG["eps12"], 0.0], ids=["golden", "eps12-zero"])
+def test_transient_runs_are_the_per_offset_builds_bit_for_bit(monkeypatch, eps12):
+    params = cli.params_from_config({**_GOLDEN_CFG, "eps12": eps12})
+    prc, fd_step = _GOLDEN_CFG["probe_rabi_classical"], _GOLDEN_CFG["fd_step"]
+    offsets = groupvel._fd_offsets(fd_step)
+    H = groupvel.semiclassical_hamiltonian(params, prc, offsets)
+    assert (np.count_nonzero(H[0]) < np.count_nonzero(H.any(axis=0))) == (eps12 == 0.0)
+    own = [groupvel.semiclassical_liouvillian(params, prc, d) for d in offsets.tolist()]
+    runs = _transient_runs(
+        monkeypatch, params, _GOLDEN_CFG["t_max"], avg_grid=_GOLDEN_CFG["avg_grid"],
+        fd_step=fd_step, probe_rabi_classical=prc,
+    )
+    assert len(runs) == len(own)
+    for L, (rho0, times, options, traj) in zip(own, runs):
+        assert dynamics.evolve_superoperator(L, rho0, times, **options).tobytes() == traj.tobytes()
 
 
 def test_offsets_are_the_shifted_parameters_bit_for_bit():
