@@ -8,7 +8,9 @@ engine loads no scipy.linalg and no second BLAS with it. Both act
 on batches of initial states (the exponential one per connected block of
 L, the blocks of one shape stacked through one expm and one product per
 step), so the sixteen qubit units evolve in one call; arbitrary
-superposition inputs follow by linearity. Conditional (null-measurement)
+superposition inputs follow by linearity. A stack of generators on one
+pattern, such as a scan's points, is planned once per nonzero mask and
+run one matrix at a time (propagate_stack). Conditional (null-measurement)
 evolution replaces the decay dissipators by the non-Hermitian drift term,
 which makes the trace decay with the accumulated jump probability.
 """
@@ -22,12 +24,13 @@ import numpy as np
 
 from .basis import FIELD_BASIS, M_DIM, QUBIT_M_INDICES
 from .mscheme import (
+    BlockIndex,
     MSchemeParams,
     Superoperator,
     build_hamiltonian,
     build_jump_channels,
     build_liouvillian,
-    dense_block,
+    channel_rates,
     unvec,
     vec,
 )
@@ -212,6 +215,28 @@ def propagate_reached(
     block's generator. It is temporary: only groupvel's transient passes
     one (scipy.linalg.expm), until that average no longer amplifies
     rounding. None means the module's expm, looked up at call time.
+
+    L is one matrix, run as a stack of one through propagate_stack.
+    """
+    kw = {"method": method, "rel_tol": rel_tol, "abs_tol": abs_tol, "exponential": exponential}
+    return propagate_stack(L, V, times, **kw)(0)
+
+
+def propagate_stack(
+    L: Superoperator, V: np.ndarray, times: np.ndarray, *, method: str = "exponential",
+    rel_tol: float = 1e-8, abs_tol: float = 1e-12, exponential=None,
+):
+    """run(k): propagate_reached of the columns of V under matrix k of
+    the stack L, whose data (P, nnz) holds P matrices on one pattern (1-D
+    data, or a scipy CSR matrix, is a stack of one).
+
+    The method, tolerances and time grid are checked here, once. The
+    plan (the reached set, its components, their shape groups and the
+    gather indices of their blocks) depends on the nonzero mask of a
+    matrix alone, so it is made on the first run of each distinct mask
+    and reused: a matrix whose explicitly stored zeros differ, as at a
+    zero coupling, gets its own plan and the blocks of its own build.
+    Each run gathers, exponentiates, steps and checks its own matrix.
     """
     if method not in ("exponential", "adaptive-rk"):
         raise ValueError(f"unknown evolution method {method!r}")
@@ -219,16 +244,44 @@ def propagate_reached(
         if not tol > 0:
             raise ValueError(f"{name} must be positive, got {tol!r}")
     times = _checked_times(times, uniform=method == "exponential")
-    T = times.size
+    data = np.asarray(L.data)
+    data = data.reshape(math.prod(data.shape[:-1]), data.shape[-1])
+    plans = {}
+
+    def run(k: int) -> tuple:
+        Lk = Superoperator(data[k], L.indices, L.indptr)
+        mask = (Lk.data != 0).tobytes()
+        if mask not in plans:
+            plans[mask] = _plan(Lk, V, method)
+        return _run(plans[mask], Lk.data, V, times, method, rel_tol, abs_tol, exponential)
+
+    return run
+
+
+def _plan(L: Superoperator, V: np.ndarray, method: str) -> tuple:
+    """The blocks (units, entries) of the columns V under L, and their
+    shape groups (block positions, entries (g,n), units (g,u), BlockIndex
+    of the (g,n,n) generator blocks)."""
     R = reachable(L, np.flatnonzero(V.any(axis=1)))
     parts = _components(L, R) if method == "exponential" else [R]
-    units = [np.flatnonzero(V[e].any(axis=0)) for e in parts]
+    blocks = [(np.flatnonzero(V[e].any(axis=0)), e) for e in parts]
     shapes: dict[tuple[int, int], list[int]] = {}
-    for i, (e, u) in enumerate(zip(parts, units)):
+    for i, (u, e) in enumerate(blocks):
         shapes.setdefault((e.size, u.size), []).append(i)
-    Ys, bad = [None] * len(parts), np.zeros(T, dtype=bool)
+    groups = []
     for group in shapes.values():
-        E, U = np.stack([parts[i] for i in group]), np.stack([units[i] for i in group])
+        E, U = np.stack([blocks[i][1] for i in group]), np.stack([blocks[i][0] for i in group])
+        groups.append((group, E, U, BlockIndex.of(L, E)))
+    return blocks, groups
+
+
+def _run(plan, data, V, times, method, rel_tol, abs_tol, exponential) -> tuple:
+    """Propagate V under the matrix with stored values data along a
+    plan of its nonzero mask."""
+    blocks, groups = plan
+    T = times.size
+    Ys, bad = [None] * len(blocks), np.zeros(T, dtype=bool)
+    for group, E, U, index in groups:
         Vb = V[E[:, :, None], U[:, None, :]]  # (g, entries, units)
         # One array per block, filled at each step: one group array copied
         # out per block raised the ladder benchmark's peak RSS by 0.9 MB.
@@ -236,7 +289,7 @@ def propagate_reached(
         for Y, v in zip(Ys_g, Vb):
             Y[0] = v.T
         if T > 1 and method == "exponential":
-            A = dense_block(L, E) * (times[1] - times[0])
+            A = index.gather(data) * (times[1] - times[0])
             P = expm(A) if exponential is None else np.stack([exponential(a) for a in A])
             for m in range(1, T):
                 Vb = P @ Vb
@@ -246,7 +299,7 @@ def propagate_reached(
             # Imported here: scipy.integrate adds ~0.3 s to every start-up.
             from scipy.integrate import solve_ivp
 
-            A, Vb, Y = dense_block(L, E[0]), Vb[0], Ys_g[0]
+            A, Vb, Y = index.gather(data)[0], Vb[0], Ys_g[0]
 
             def rhs(_t, y):
                 return (A @ y.reshape(Vb.shape, order="F")).reshape(-1, order="F")
@@ -261,7 +314,7 @@ def propagate_reached(
             bad |= ~np.isfinite(Y.reshape(T, -1)).all(axis=1)
     if bad.any():
         raise RuntimeError(f"propagated columns are non-finite at time sample {np.argmax(bad)}")
-    return tuple(zip(units, parts, Ys))
+    return tuple((u, e, Y) for (u, e), Y in zip(blocks, Ys))
 
 
 def _scatter(blocks, T: int, k: int, n: int) -> np.ndarray:
@@ -415,10 +468,17 @@ def evolve_qubit_units(
 ) -> GateTrajectories:
     """Propagate the sixteen matrix units of the qubit states at the four
     given positions under the generator L, in one batch."""
+    return qubit_unit_stack(L, positions, times, amplitudes, **kw)(0)
+
+
+def qubit_unit_stack(L: Superoperator, positions, times: np.ndarray, amplitudes=None, **kw):
+    """evolve(k): evolve_qubit_units under matrix k of the generator
+    stack L, planned once per nonzero mask (see propagate_stack)."""
     c = normalized_amplitudes(amplitudes)
     n = math.isqrt(L.shape[0])
-    blocks = propagate_reached(L, _stack(matrix_units(positions, n)), times, **kw)
-    return GateTrajectories(np.asarray(times, dtype=float), blocks, n, c)
+    run = propagate_stack(L, _stack(matrix_units(positions, n)), times, **kw)
+    times = np.asarray(times, dtype=float)
+    return lambda k: GateTrajectories(times, run(k), n, c)
 
 
 def evolve_gate_inputs(
@@ -431,13 +491,42 @@ def evolve_gate_inputs(
     **kw,
 ) -> GateTrajectories:
     """Propagate the qubit matrix units of the collective model."""
-    if conditional:
-        L = conditional_generator(
-            build_hamiltonian(params), build_jump_channels(params), dephasing_mode
-        )
-    else:
-        L = build_liouvillian_for(params)
-    return evolve_qubit_units(L, QUBIT_M_INDICES, times, amplitudes, **kw)
+    evolve = gate_input_stack([params], times, amplitudes, dephasing_mode=dephasing_mode, **kw)
+    return evolve(0, conditional=conditional)
+
+
+def gate_input_stack(
+    params, times: np.ndarray, amplitudes=None, *, dephasing_mode: str = "lindblad", **kw
+):
+    """evolve(k, conditional=False): evolve_gate_inputs of params[k], for
+    parameter sets that share their channel rates and so differ in their
+    Hamiltonian alone.
+
+    Each generator, unconditional or conditional, is built on its first
+    call by one build on the (P, 18, 18) Hamiltonian stack, each matrix
+    with the bits of its own build, and planned once per nonzero mask
+    (see propagate_stack). A call for the last point drops that
+    generator's stack, so points run in order hold one stack per
+    generator and a stack of one frees it as a single build would.
+    """
+    params = tuple(params)
+    if len({channel_rates(p) for p in params}) != 1:
+        raise ValueError("a generator stack needs parameter sets with equal channel rates")
+    H = np.stack([build_hamiltonian(p) for p in params])
+    channels = build_jump_channels(params[0])
+    stacks = {}
+
+    def evolve(k: int, conditional: bool = False) -> GateTrajectories:
+        if conditional not in stacks:
+            if conditional:
+                L = conditional_generator(H, channels, dephasing_mode)
+            else:
+                L = build_liouvillian(H, channels)
+            stacks[conditional] = qubit_unit_stack(L, QUBIT_M_INDICES, times, amplitudes, **kw)
+        run = stacks.pop(conditional) if k == len(params) - 1 else stacks[conditional]
+        return run(k)
+
+    return evolve
 
 
 def steady_state(L: Superoperator, *, residual_tol: float = 1e-10) -> np.ndarray:

@@ -33,8 +33,8 @@ class Superoperator(NamedTuple):
     that the propagator reads, so either can be passed.
 
     data of shape (..., nnz) is a stack of matrices on the one pattern;
-    matrix k of a 1-D stack is L._replace(data=L.data[k]), and the
-    propagator and toarray read one matrix at a time.
+    matrix k of a 1-D stack is L._replace(data=L.data[k]). toarray reads
+    one matrix; dynamics.propagate_stack runs a stack one matrix at a time.
     """
 
     data: np.ndarray
@@ -62,15 +62,34 @@ def dense_block(L: Superoperator, e: np.ndarray) -> np.ndarray:
     scipy's toarray does, so a stored -0.0 reads +0.0. A stack e (g,n) of
     disjoint index sets gives the stack (g,n,n) of their blocks, in one
     pass over L, each slice as its own call would give it."""
-    e = np.asarray(e)
-    n = e.shape[-1]
-    at = np.full(L.shape[0], -1)
-    at[e] = np.arange(e.size).reshape(e.shape)  # slot * n + position
-    rows, cols = np.repeat(at, np.diff(L.indptr)), at[L.indices]
-    keep = (rows >= 0) & (cols >= 0) & (rows // n == cols // n)
-    out = np.zeros(e.shape + (n,), dtype=L.data.dtype)
-    np.add.at(out.reshape(-1), rows[keep] * n + cols[keep] % n, L.data[keep])
-    return out
+    return BlockIndex.of(L, e).gather(L.data)
+
+
+class BlockIndex(NamedTuple):
+    """Where the stored entries of a CSR pattern land in the dense blocks
+    L[e][:, e] of an index stack e: the data positions source go to the
+    flat offsets target of an array of the given shape. It depends on the
+    pattern alone, so it serves every matrix of a stack."""
+
+    source: np.ndarray
+    target: np.ndarray
+    shape: tuple
+
+    @classmethod
+    def of(cls, L: Superoperator, e: np.ndarray) -> BlockIndex:
+        e = np.asarray(e)
+        n = e.shape[-1]
+        at = np.full(L.shape[0], -1)
+        at[e] = np.arange(e.size).reshape(e.shape)  # slot * n + position
+        rows, cols = np.repeat(at, np.diff(L.indptr)), at[L.indices]
+        keep = (rows >= 0) & (cols >= 0) & (rows // n == cols // n)
+        return cls(np.flatnonzero(keep), rows[keep] * n + cols[keep] % n, e.shape + (n,))
+
+    def gather(self, data: np.ndarray) -> np.ndarray:
+        """The blocks of the matrix with these stored values (see dense_block)."""
+        out = np.zeros(self.shape, dtype=data.dtype)
+        np.add.at(out.reshape(-1), self.target, data[self.source])
+        return out
 
 
 GAMMA_SI_DEFAULT = 2.0 * math.pi * 6.0e6  # rad/s
@@ -122,8 +141,7 @@ class MSchemeParams:
     def __post_init__(self):
         if self.N_a < 1:
             raise ValueError("N_a must be >= 1")
-        rates = [getattr(self, a) for _, _, a in _DECAYS + _DEPHASINGS]
-        if any(r < 0 for r in rates):
+        if any(r < 0 for r in channel_rates(self)):
             raise ValueError("decay and dephasing rates must be >= 0")
         if self.gamma_SI <= 0:
             raise ValueError("gamma_SI must be positive")
@@ -229,8 +247,15 @@ def build_jump_channels(params: MSchemeParams, states=M_STATES) -> list[JumpChan
     the states carrying a given excited label. Zero-rate channels are
     omitted. The operators act on states, as in build_hamiltonian.
     """
-    rows = [(getattr(params, attr), src, dst) for src, dst, attr in _DECAYS + _DEPHASINGS]
+    rates = channel_rates(params)
+    rows = [(rate, src, dst) for rate, (src, dst, _) in zip(rates, _DECAYS + _DEPHASINGS)]
     return assemble_channels(states, rows)
+
+
+def channel_rates(params: MSchemeParams) -> tuple[float, ...]:
+    """The decay and dephasing rates build_jump_channels reads: parameter
+    sets with equal rates have the same channels."""
+    return tuple(getattr(params, attr) for _, _, attr in _DECAYS + _DEPHASINGS)
 
 
 def build_liouvillian(H: OperatorMatrix, channels: list[JumpChannel]) -> Superoperator:
@@ -268,19 +293,25 @@ def build_liouvillian(H: OperatorMatrix, channels: list[JumpChannel]) -> Superop
         pairs += [(S.conj(), S, s, s), (eye, SdS, I, d), (SdS.T, eye, np.nonzero(SdS.T), I)]
     # Each kron(A, B) as COO keys row * n² + column over the factors'
     # nonzeros; only the two terms of H carry its stack axes.
-    coo = []
-    for A, B, (ia, ja), (ib, jb) in pairs:
-        key = ((ia[:, None] * n + ib) * (n * n) + ja[:, None] * n + jb).ravel()
+    keys = [
+        ((ia[:, None] * n + ib) * (n * n) + ja[:, None] * n + jb).ravel()
+        for _, _, (ia, ja), (ib, jb) in pairs
+    ]
+    union = np.unique(np.concatenate(keys))
+
+    def term(i: int) -> np.ndarray:
+        """Term i on the union pattern, made only when it is summed, so
+        at most three are held at once, whatever the stack size."""
+        A, B, (ia, ja), (ib, jb) = pairs[i]
         value = A[..., ia, ja][..., :, None] * B[..., ib, jb][..., None, :]
-        coo.append((key, value.reshape(*value.shape[:-2], key.size)))
-    union = np.unique(np.concatenate([key for key, _ in coo]))
-    terms = [np.zeros((*value.shape[:-1], union.size), dtype=complex) for _, value in coo]
-    for t, (key, value) in zip(terms, coo):
-        t[..., np.searchsorted(union, key)] = value
-    data = -1j * (terms[0] - terms[1])
+        stack = value.shape[:-2]
+        t = np.zeros((*stack, union.size), dtype=complex)
+        t[..., np.searchsorted(union, keys[i])] = value.reshape(*stack, keys[i].size)
+        return t
+
+    data = -1j * (term(0) - term(1))
     for m, ch in enumerate(channels):
-        K3, K4, K5 = terms[2 + 3 * m : 5 + 3 * m]
-        data += (ch.rate / 2.0) * (2.0 * K3 - K4 - K5)
+        data += (ch.rate / 2.0) * (2.0 * term(2 + 3 * m) - term(3 + 3 * m) - term(4 + 3 * m))
     rows, cols = np.divmod(union, n * n)
     indptr = np.searchsorted(rows, np.arange(n * n + 1))
     return Superoperator(data, cols, indptr)

@@ -377,10 +377,12 @@ def test_scan_records_per_point_failures(tmp_path):
 
 
 def test_scan_propagates_programming_errors(tmp_path, monkeypatch):
-    def broken(cfg):
+    # Raised inside a point's propagation, below the scan's per-point
+    # handler: only ValueError and RuntimeError become row errors.
+    def broken(A):
         raise TypeError("not a domain error")
 
-    monkeypatch.setattr(cli, "run_gate_analysis", broken)
+    monkeypatch.setattr(dynamics, "expm", broken)
     cfg_path = write_cfg(tmp_path, **FAST_GATE)
     with pytest.raises(TypeError, match="not a domain error"):
         cli.main([
@@ -393,7 +395,7 @@ def test_scan_rejects_bad_parameters(tmp_path, capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("propagated before validating the scan range")
 
-    monkeypatch.setattr(dynamics, "propagate_reached", never)
+    monkeypatch.setattr(dynamics, "propagate_stack", never)
     cfg_path = write_cfg(tmp_path, **SMALL_GATE)
     out = tmp_path / "x"
     base = ["scan", "--config", cfg_path, "--out", str(out)]
@@ -413,6 +415,9 @@ def test_scan_rejects_bad_parameters(tmp_path, capsys, monkeypatch):
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err
         assert not out.exists()
+    # The patched function is the one a valid scan propagates through.
+    with pytest.raises(AssertionError, match="propagated before validating"):
+        cli.main(base + ["--param", "g_p", "--from", "0.4", "--to", "0.5", "--steps", "2"])
 
 
 @pytest.mark.parametrize("start, stop", [("-1e-3", "1e-3"), ("-5E-2", "-0.5")])
@@ -602,53 +607,55 @@ LADDER_ABSORPTIVE = dict(
 )
 
 
-@pytest.mark.parametrize("module, name, config", [
-    (dynamics, "evolve_gate_inputs", SMALL_GATE),
-    (ladder, "evolve_ladder_gate", SMALL_LADDER),
-])
+@pytest.mark.parametrize("command, config", [("simulate", SMALL_GATE), ("ladder", SMALL_LADDER)])
 def test_unconditional_map_is_freed_before_the_conditional_one(
-    tmp_path, monkeypatch, module, name, config
+    tmp_path, monkeypatch, command, config
 ):
-    evolve = getattr(module, name)
+    # Each command makes one unit stack per generator, the unconditional
+    # one first, and runs its one point.
+    stack = dynamics.qubit_unit_stack
     score = observables.haar_conditional_fidelity
-    maps = {}
+    maps, scored = [], []
 
-    def spy(*args, conditional=False, **kwargs):
-        if conditional:
+    def spy(*args, **kwargs):
+        if maps:
             gc.collect()
-            alive = any(ref() is not None for ref in maps[False][-1])
+            alive = any(ref() is not None for ref in maps[-1])
             assert not alive, "the unconditional map outlived its readout"
-        traj = evolve(*args, conditional=conditional, **kwargs)
-        refs = [weakref.ref(Y) for _, _, Y in traj.blocks]
-        maps.setdefault(conditional, []).append(refs)
-        return traj
+        evolve = stack(*args, **kwargs)
+
+        def tracked(k):
+            traj = evolve(k)
+            maps.append([weakref.ref(Y) for _, _, Y in traj.blocks])
+            return traj
+
+        return tracked
 
     def scoring(*args, **kwargs):
         gc.collect()
-        alive = any(ref() is not None for ref in maps[True][-1])
+        alive = any(ref() is not None for ref in maps[-1])
         assert not alive, "the conditional map outlived its readout"
-        maps.setdefault("scored", []).append(1)
+        scored.append(1)
         return score(*args, **kwargs)
 
-    monkeypatch.setattr(module, name, spy)
+    monkeypatch.setattr(dynamics, "qubit_unit_stack", spy)
     monkeypatch.setattr(observables, "haar_conditional_fidelity", scoring)
-    command = "ladder" if module is ladder else "simulate"
     cfg_path = write_cfg(tmp_path, **config)
     assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
-    assert {k: len(v) for k, v in maps.items()} == {False: 1, True: 1, "scored": 1}
+    assert (len(maps), len(scored)) == (2, 1)
 
 
 def test_ladder_truncation_guard_covers_every_basis_input(tmp_path, capsys, monkeypatch):
     # Equal amplitudes trip the guard on the superposition; a superposition
     # tilted towards |00> hides the edge population of the other inputs.
-    evolve = dynamics.propagate_reached
+    evolve = dynamics.propagate_stack
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(1)
         return evolve(*args, **kwargs)
 
-    monkeypatch.setattr(dynamics, "propagate_reached", counting)
+    monkeypatch.setattr(dynamics, "propagate_stack", counting)
     tilted = {**LADDER_ABSORPTIVE, "c00": 1.0, "c01": 0.01, "c10": 0.01, "c11": 0.01}
     cfg_path = write_cfg(tmp_path, **tilted)
     out = tmp_path / "out"
@@ -715,12 +722,29 @@ def test_gate_commands_reject_bad_monte_carlo_settings_before_propagating(
     def never(*args, **kwargs):
         raise AssertionError("propagated before validating the Monte Carlo settings")
 
-    monkeypatch.setattr(dynamics, "propagate_reached", never)
+    monkeypatch.setattr(dynamics, "propagate_stack", never)
     cfg_path = write_cfg(tmp_path, **{**SMALL_GATE, **overrides})
     out = tmp_path / "out"
     assert cli.main([*command, "--config", cfg_path, "--out", str(out)]) == 1
     assert key in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate"],
+    ["ladder"],
+    ["scan", "--param", "g_p", "--from", "0.4", "--to", "0.5", "--steps", "2"],
+])
+def test_gate_commands_propagate_through_propagate_stack(tmp_path, monkeypatch, command):
+    # The function the rejection tests above patch is on every gate
+    # command's path, so their "never" cannot pass vacuously.
+    def never(*args, **kwargs):
+        raise AssertionError("propagated")
+
+    monkeypatch.setattr(dynamics, "propagate_stack", never)
+    cfg_path = write_cfg(tmp_path, **(SMALL_LADDER if command == ["ladder"] else SMALL_GATE))
+    with pytest.raises(AssertionError, match="propagated"):
+        cli.main([*command, "--config", cfg_path, "--out", str(tmp_path / "out")])
 
 
 @pytest.mark.parametrize("method", ["exponential", "adaptive-rk"])
@@ -731,7 +755,7 @@ def test_non_positive_tolerances_are_rejected_before_propagating(
     def never(*args, **kwargs):
         raise AssertionError("propagated with a non-positive tolerance")
 
-    monkeypatch.setattr(dynamics, "dense_block", never)
+    monkeypatch.setattr(dynamics, "_plan", never)
     cfg_path = write_cfg(tmp_path, **{**SMALL_GATE, "method": method, key: value})
     out = tmp_path / "out"
     assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 1

@@ -137,7 +137,7 @@ def test_non_finite_or_unordered_times_rejected_before_propagating(monkeypatch, 
     def never(*args, **kwargs):
         raise AssertionError("built a block on a bad time grid")
 
-    monkeypatch.setattr(dynamics, "dense_block", never)
+    monkeypatch.setattr(dynamics, "_plan", never)
     L = dynamics.build_liouvillian_for(BARE)
     with pytest.raises(ValueError, match="times must be finite and strictly increasing"):
         dynamics.evolve_superoperator(L, np.eye(18) / 18.0, np.array(times), method=method)
@@ -166,7 +166,7 @@ def test_non_positive_tolerance_rejected_before_propagating(monkeypatch, method,
     def never(*args, **kwargs):
         raise AssertionError("propagated with a non-positive tolerance")
 
-    monkeypatch.setattr(dynamics, "dense_block", never)
+    monkeypatch.setattr(dynamics, "_plan", never)
     L = dynamics.build_liouvillian_for(BARE)
     with pytest.raises(ValueError, match=f"{next(iter(tols))} must be positive"):
         dynamics.evolve_superoperator(

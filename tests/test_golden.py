@@ -53,6 +53,10 @@ CASES = {
     # The benchmark's scan-coupling point, at four of its g_p values.
     "scan": ("scan", fast_gate_config(),
              ("--param", "g_p", "--from", "0.0022", "--to", "0.0030", "--steps", "4")),
+    # A g_t sweep from zero: the first point's generators store explicit
+    # zeros where the others' do not.
+    "scan_g_t": ("scan", fast_gate_config(),
+                 ("--param", "g_t", "--from", "0", "--to", "0.0022", "--steps", "3")),
 }
 
 
