@@ -46,8 +46,6 @@ M_STATES: tuple[tuple[str, int, int], ...] = (
 
 M_DIM = len(M_STATES)
 
-_M_INDEX = {s: i for i, s in enumerate(M_STATES)}
-
 # Reachable photon-number pairs. The first four form the qubit block in
 # the order |00>, |01>, |10>, |11>; (2,0) and (0,2) are leakage states.
 FIELD_BASIS: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (0, 2))
@@ -102,14 +100,6 @@ def edge_cells(states) -> np.ndarray:
     with n_p or n_t at the table's largest (a ladder's n_max) go to cell 0."""
     top = max(max(s[1:]) for s in states)
     return _diagonal_cells([0 if top in s[1:] else -1 for s in states])
-
-
-def m_index(atom: str, n_p: int, n_t: int) -> int:
-    """Index of a collective product state in the canonical ordering."""
-    try:
-        return _M_INDEX[(atom, n_p, n_t)]
-    except KeyError:
-        raise ValueError(f"({atom},{n_p},{n_t}) is not in the restricted basis") from None
 
 
 def field_index(n_p: int, n_t: int) -> int:

@@ -64,7 +64,7 @@ def expm(A: np.ndarray) -> np.ndarray:
     (V - U)^-1 (V + U) is formed as I + 2 (V - U)^-1 U, which rounds less.
     A diagonal A (every 1x1 block) gives exp of its diagonal exactly. An A
     with a NaN or inf entry, or whose 1-norm overflows, gives an all-NaN
-    result, which propagate_reached reports as a non-finite time sample.
+    result, which propagate_stack reports as a non-finite time sample.
 
     A may be a stack (..., n, n). Each slice takes its own order and
     scaling, as a 2-D call would; the slices that share both run through
@@ -192,51 +192,37 @@ def _components(L: Superoperator, R: np.ndarray) -> list[np.ndarray]:
     return parts
 
 
-def propagate_reached(
+def propagate_stack(
     L: Superoperator, V: np.ndarray, times: np.ndarray, *, method: str = "exponential",
     rel_tol: float = 1e-8, abs_tol: float = 1e-12, exponential=None,
-) -> tuple:
-    """Propagate the k columns of V (n²,k) along times under the sparse L.
+):
+    """run(k): propagate the columns of V (n²,c) along times under matrix
+    k of the stack L, whose data (P, nnz) holds P matrices on one pattern
+    (1-D data, or a scipy CSR matrix, is a stack of one).
 
-    Returns the blocks (units, entries, Y) that hold the vec indices R
-    reachable from the nonzero rows of V: the columns of V touching the
+    A run returns the blocks (units, entries, Y) that hold the vec indices
+    R reachable from the nonzero rows of V: the columns of V touching the
     block, its sorted vec indices and its own array Y (T,units,entries),
     Y[m, i] = vec(ρ_i(t_m)) there; all else stays 0. The exponential
     engine runs each connected component of L[R, R] as a block, and the
     blocks of one shape (entries, units) together: one gather, one expm
     call and one stacked product per time sample, which give each block
     the bits of its own run. adaptive-rk runs R as one block, as its step
-    control couples the blocks through one error norm. Raises ValueError
-    naming rel_tol or abs_tol if it is not positive, or if times is not
-    finite and strictly increasing, whatever the method, and RuntimeError
-    naming the first time sample whose columns are non-finite.
+    control couples the blocks through one error norm.
+
+    Raises ValueError, here and once, naming rel_tol or abs_tol if it is
+    not positive, or if times is not finite and strictly increasing,
+    whatever the method; a run raises RuntimeError naming the first time
+    sample whose columns are non-finite. The plan (reached set, components,
+    shape groups, gather indices) depends on the nonzero mask of a matrix
+    alone, so it is made on the first run of each distinct mask and
+    reused: a matrix whose explicitly stored zeros differ, as at a zero
+    coupling, gets its own plan and the blocks of its own build.
 
     exponential replaces expm for the step propagator, called on each
     block's generator. It is temporary: only groupvel's transient passes
     one (scipy.linalg.expm), until that average no longer amplifies
     rounding. None means the module's expm, looked up at call time.
-
-    L is one matrix, run as a stack of one through propagate_stack.
-    """
-    kw = {"method": method, "rel_tol": rel_tol, "abs_tol": abs_tol, "exponential": exponential}
-    return propagate_stack(L, V, times, **kw)(0)
-
-
-def propagate_stack(
-    L: Superoperator, V: np.ndarray, times: np.ndarray, *, method: str = "exponential",
-    rel_tol: float = 1e-8, abs_tol: float = 1e-12, exponential=None,
-):
-    """run(k): propagate_reached of the columns of V under matrix k of
-    the stack L, whose data (P, nnz) holds P matrices on one pattern (1-D
-    data, or a scipy CSR matrix, is a stack of one).
-
-    The method, tolerances and time grid are checked here, once. The
-    plan (the reached set, its components, their shape groups and the
-    gather indices of their blocks) depends on the nonzero mask of a
-    matrix alone, so it is made on the first run of each distinct mask
-    and reused: a matrix whose explicitly stored zeros differ, as at a
-    zero coupling, gets its own plan and the blocks of its own build.
-    Each run gathers, exponentiates, steps and checks its own matrix.
     """
     if method not in ("exponential", "adaptive-rk"):
         raise ValueError(f"unknown evolution method {method!r}")
@@ -335,7 +321,7 @@ def evolve_superoperator(
 
     Returns (T,n,n) or (T,k,n,n) matching the input rank; rho0 is the
     state at times[0]. Entries outside the reached set are exactly 0.
-    exponential is passed to propagate_reached.
+    exponential is passed to propagate_stack.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     single = rho0.ndim == 2
@@ -347,7 +333,7 @@ def evolve_superoperator(
     if L.shape != (n * n, n * n):
         raise ValueError("superoperator does not match the state dimension")
     kw = {"method": method, "rel_tol": rel_tol, "abs_tol": abs_tol, "exponential": exponential}
-    blocks = propagate_reached(L, _stack(rho0), times, **kw)
+    blocks = propagate_stack(L, _stack(rho0), times, **kw)(0)
     out = _scatter(blocks, np.asarray(times).size, len(rho0), n)
     return out[:, 0] if single else out
 
@@ -425,7 +411,7 @@ def superposition_input(amplitudes) -> np.ndarray:
 class GateTrajectories:
     """Evolution of the sixteen qubit-block matrix units.
 
-    blocks, as propagate_reached returns them, hold the units' images on
+    blocks, as a propagate_stack run returns them, hold the units' images on
     their entries, the vec indices a + dim*b of ρ[a, b]; all else is
     exactly 0. Any superposition input follows by linearity.
     """
@@ -463,17 +449,10 @@ class GateTrajectories:
         return out
 
 
-def evolve_qubit_units(
-    L: Superoperator, positions, times: np.ndarray, amplitudes=None, **kw
-) -> GateTrajectories:
-    """Propagate the sixteen matrix units of the qubit states at the four
-    given positions under the generator L, in one batch."""
-    return qubit_unit_stack(L, positions, times, amplitudes, **kw)(0)
-
-
 def qubit_unit_stack(L: Superoperator, positions, times: np.ndarray, amplitudes=None, **kw):
-    """evolve(k): evolve_qubit_units under matrix k of the generator
-    stack L, planned once per nonzero mask (see propagate_stack)."""
+    """evolve(k): GateTrajectories of the sixteen matrix units of the qubit
+    states at the four given positions under matrix k of the generator
+    stack L, in one batch (see propagate_stack)."""
     c = normalized_amplitudes(amplitudes)
     n = math.isqrt(L.shape[0])
     run = propagate_stack(L, _stack(matrix_units(positions, n)), times, **kw)

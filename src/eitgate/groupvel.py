@@ -19,8 +19,8 @@ import numpy as np
 
 from .dynamics import evolve_superoperator, steady_state
 from .mscheme import (
-    JumpChannel, MSchemeParams, Superoperator, build_hamiltonian, build_jump_channels,
-    build_liouvillian, transition_operator,
+    MSchemeParams, Superoperator, build_hamiltonian, build_jump_channels, build_liouvillian,
+    transition_operator,
 )
 
 # Atomic levels 1..5 at indices 0..4; the ground level is 3. They are the
@@ -79,12 +79,6 @@ def semiclassical_hamiltonian(
     return H
 
 
-def semiclassical_channels(params: MSchemeParams) -> list[JumpChannel]:
-    """Single-atom decay and dephasing channels on the five levels: the
-    collective channels built on the photon-free states."""
-    return build_jump_channels(params, states=_LEVELS)
-
-
 def semiclassical_liouvillian(
     params: MSchemeParams, probe_rabi_classical: float = 1e-3, offset: float | np.ndarray = 0.0
 ) -> Superoperator:
@@ -94,7 +88,7 @@ def semiclassical_liouvillian(
     build_liouvillian)."""
     return build_liouvillian(
         semiclassical_hamiltonian(params, probe_rabi_classical, offset),
-        semiclassical_channels(params),
+        build_jump_channels(params, states=_LEVELS),
     )
 
 

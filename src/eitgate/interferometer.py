@@ -1,12 +1,13 @@
 """Interferometric readout of the gate phases.
 
-Closed-form coincidence fringes for the two proposed measurements: a
-Michelson-type setup with Fock-encoded qubits, where the nonlinear phase
-appears as the offset between two coincidence patterns, and the
-polarization-encoded variant whose four fringe pairs give the phases in
-the diagonal basis. A least-squares fringe fit recovers offset,
-visibility amplitude and phase from sampled patterns, and the expected
-Bell-inequality violation follows directly from the conditional phase.
+Closed-form coincidence fringes of the Michelson-type setup with
+Fock-encoded qubits, where the nonlinear phase appears as the offset
+between two coincidence patterns, and the phase table of the
+polarization-encoded variant (Ottaviani et al., PRA 73, 010301(R)
+(2006)), whose four diagonal-basis phases combine to the conditional
+phase. A least-squares fringe fit recovers offset, visibility amplitude
+and phase from sampled patterns, and the expected Bell-inequality
+violation follows directly from the conditional phase.
 """
 
 from __future__ import annotations
@@ -83,14 +84,6 @@ def ideal_eit_phases(phi_probe: float, phi_trigger: float, cps: float) -> Polari
     )
 
 
-def _flip(i: str) -> str:
-    if i == "p":
-        return "m"
-    if i == "m":
-        return "p"
-    raise ValueError(f"unknown polarization label {i!r}")
-
-
 def diagonal_phases(table: PolarizationPhases) -> dict[str, float]:
     """Fringe phases φ̄_ij = φ_ij - φ_i0 - φ_0j + φ_00 for i,j in {p,m}.
 
@@ -107,18 +100,6 @@ def diagonal_phases(table: PolarizationPhases) -> dict[str, float]:
                 + table.phi_00
             )
     return out
-
-
-def polarization_coincidences(Phi, table: PolarizationPhases, i: str, j: str):
-    """Coincidence fringes for probe polarization i and trigger j."""
-    if i not in ("p", "m") or j not in ("p", "m"):
-        raise ValueError(f"unknown polarization pair {i + j!r}")
-    Phi = np.asarray(Phi, dtype=float)
-    common = table.single(i, "probe") - 2.0 * table.phi_00 + table.single(_flip(i), "probe")
-    shifted = Phi + common
-    p1 = (1.0 + np.cos(shifted + diagonal_phases(table)[i + j])) / 8.0
-    p2 = (1.0 + np.cos(shifted)) / 8.0
-    return p1, p2
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import basis
-from .dynamics import GateTrajectories, conditional_generator, evolve_qubit_units, matrix_units
+from . import basis, dynamics
+from .dynamics import GateTrajectories, conditional_generator, matrix_units
 from .mscheme import (
     JumpChannel, Superoperator, assemble_channels, assemble_hamiltonian, build_liouvillian,
 )
@@ -51,6 +51,9 @@ class LadderParams:
     def __post_init__(self):
         if self.N_a < 1:
             raise ValueError("N_a must be >= 1")
+        for name, g in (("g_p", self.g_p), ("g_t", self.g_t)):
+            if not math.isfinite(g * math.sqrt(self.N_a)):
+                raise ValueError(f"collective coupling {name}·√N_a must be finite")
         if self.gamma21 < 0 or self.gamma32 < 0:
             raise ValueError("decay rates must be >= 0")
         if self.n_max < 1:
@@ -140,6 +143,8 @@ def evolve_ladder_gate(
     perfbench/tracer.py measures the ladder build's memory at this
     module's bindings build_ladder_liouvillian and conditional_generator
     (its RSS_BINDINGS), so the generators are built here under them.
+    dynamics.qubit_unit_stack is looked up at call time, as for the
+    five-level model, so a wrapper set on it sees both media.
     """
     if conditional:
         L = conditional_generator(
@@ -147,7 +152,7 @@ def evolve_ladder_gate(
         )
     else:
         L = build_ladder_liouvillian(params)
-    return evolve_qubit_units(L, qubit_positions(params.n_max), times, amplitudes, **kw)
+    return dynamics.qubit_unit_stack(L, qubit_positions(params.n_max), times, amplitudes, **kw)(0)
 
 
 def reduce_to_photons(rho: np.ndarray, n_max: int) -> np.ndarray:

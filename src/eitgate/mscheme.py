@@ -20,10 +20,6 @@ import numpy as np
 
 from .basis import M_STATES
 
-# Operators are dense arrays.
-OperatorMatrix = np.ndarray
-
-
 class Superoperator(NamedTuple):
     """A square matrix in compressed sparse rows, in numpy arrays alone:
     row i stores data[indptr[i]:indptr[i+1]] at the columns indices[...].
@@ -52,22 +48,14 @@ class Superoperator(NamedTuple):
         return self.indices.size
 
     def toarray(self) -> np.ndarray:
-        """Dense form, a stored -0.0 read as +0.0 (see dense_block)."""
-        return dense_block(self, np.arange(self.shape[0]))
-
-
-def dense_block(L: Superoperator, e: np.ndarray) -> np.ndarray:
-    """Dense L[e][:, e] of a CSR matrix L, a Superoperator or a canonical
-    scipy one, for distinct indices e. Entries are summed into zeros, as
-    scipy's toarray does, so a stored -0.0 reads +0.0. A stack e (g,n) of
-    disjoint index sets gives the stack (g,n,n) of their blocks, in one
-    pass over L, each slice as its own call would give it."""
-    return BlockIndex.of(L, e).gather(L.data)
+        """Dense form, a stored -0.0 read as +0.0 (see BlockIndex.gather)."""
+        return BlockIndex.of(self, np.arange(self.shape[0])).gather(self.data)
 
 
 class BlockIndex(NamedTuple):
-    """Where the stored entries of a CSR pattern land in the dense blocks
-    L[e][:, e] of an index stack e: the data positions source go to the
+    """Where the stored entries of a CSR pattern, a Superoperator's or a
+    canonical scipy one's, land in the dense blocks L[e][:, e] of a stack
+    e (g, n) of disjoint index sets: the data positions source go to the
     flat offsets target of an array of the given shape. It depends on the
     pattern alone, so it serves every matrix of a stack."""
 
@@ -86,7 +74,9 @@ class BlockIndex(NamedTuple):
         return cls(np.flatnonzero(keep), rows[keep] * n + cols[keep] % n, e.shape + (n,))
 
     def gather(self, data: np.ndarray) -> np.ndarray:
-        """The blocks of the matrix with these stored values (see dense_block)."""
+        """The blocks of the matrix with these stored values, each as its
+        own index set gives it. Entries are summed into zeros, as scipy's
+        toarray does, so a stored -0.0 reads +0.0."""
         out = np.zeros(self.shape, dtype=data.dtype)
         np.add.at(out.reshape(-1), self.target, data[self.source])
         return out
@@ -141,6 +131,9 @@ class MSchemeParams:
     def __post_init__(self):
         if self.N_a < 1:
             raise ValueError("N_a must be >= 1")
+        for name, g in (("g_p", self.g_p), ("g_t", self.g_t)):
+            if not math.isfinite(g * math.sqrt(self.N_a)):
+                raise ValueError(f"collective coupling {name}·√N_a must be finite")
         if any(r < 0 for r in channel_rates(self)):
             raise ValueError("decay and dephasing rates must be >= 0")
         if self.gamma_SI <= 0:
@@ -163,11 +156,11 @@ class JumpChannel:
     """One Lindblad channel: rate (units γ), operator, and its kind."""
 
     rate: float
-    op: OperatorMatrix = field(repr=False)
+    op: np.ndarray = field(repr=False)
     kind: str  # "decay" | "dephasing"
 
 
-def transition_operator(states, src, dst, shift=(0, 0), weight=None) -> OperatorMatrix:
+def transition_operator(states, src, dst, shift=(0, 0), weight=None) -> np.ndarray:
     """Σ w(n_p,n_t) |dst,n_p+Δp,n_t+Δt><src,n_p,n_t| on a product basis.
 
     states lists the basis as (label, n_p, n_t) tuples and shift is
@@ -184,7 +177,7 @@ def transition_operator(states, src, dst, shift=(0, 0), weight=None) -> Operator
     return op
 
 
-def assemble_hamiltonian(states, energy, couplings) -> OperatorMatrix:
+def assemble_hamiltonian(states, energy, couplings) -> np.ndarray:
     """Hamiltonian on (label, n_p, n_t) states: energy[label] on the
     diagonal plus strength (T + T†) for each (strength, src, dst, shift,
     weight) row, with T = transition_operator(states, src, dst, shift, weight)."""
@@ -209,7 +202,7 @@ def assemble_channels(states, rows) -> list[JumpChannel]:
     ]
 
 
-def build_hamiltonian(params: MSchemeParams, states=M_STATES) -> OperatorMatrix:
+def build_hamiltonian(params: MSchemeParams, states=M_STATES) -> np.ndarray:
     """Hermitian Hamiltonian on the (label, n_p, n_t) states, units of γ.
 
     Classical fields swap the excited label at fixed photon numbers.
@@ -258,7 +251,7 @@ def channel_rates(params: MSchemeParams) -> tuple[float, ...]:
     return tuple(getattr(params, attr) for _, _, attr in _DECAYS + _DEPHASINGS)
 
 
-def build_liouvillian(H: OperatorMatrix, channels: list[JumpChannel]) -> Superoperator:
+def build_liouvillian(H: np.ndarray, channels: list[JumpChannel]) -> Superoperator:
     """Superoperator L with vec(ρ̇) = L vec(ρ), column-major vectorization.
 
     Encodes -i(Hρ - ρH†) + Σ (γ/2)(2 S ρ S† - S†S ρ - ρ S†S), which is
@@ -337,9 +330,7 @@ SECTORS = (
 )
 
 
-def reduced_hamiltonians(
-    params: MSchemeParams,
-) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
+def reduced_hamiltonians(params: MSchemeParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 3x3, 3x3 and 5x5 single- and two-photon sector Hamiltonians.
 
     Built on the probe sector, the trigger sector, and the probe+trigger

@@ -162,6 +162,18 @@ def _check_blocks(lam: np.ndarray) -> tuple[int, ...]:
     return lam.shape[:-3]
 
 
+def _check_traces(full_traces, lead: tuple[int, ...]) -> np.ndarray:
+    """full_traces as (...,16) traces of blocks of leading shape lead, else
+    ValueError: for another shape, or naming the first non-finite sample."""
+    tr_full = np.asarray(full_traces)
+    if tr_full.shape != lead + (16,):
+        raise ValueError(f"full_traces has shape {tr_full.shape}; the blocks need {lead + (16,)}")
+    nonfinite = ~np.isfinite(tr_full).all(axis=-1)
+    if nonfinite.any():
+        raise ValueError(f"non-finite no-jump trace{_sample_label(nonfinite)}")
+    return tr_full
+
+
 def _rotated_blocks(lam: np.ndarray, target_unitary, lead: tuple[int, ...]) -> np.ndarray:
     """U†Λ_k U for every block, as (...,4,4,4,4) indexed [i,j,a,b]."""
     U = np.broadcast_to(np.asarray(target_unitary, dtype=complex), lead + (4, 4))
@@ -260,13 +272,7 @@ def conditional_fidelity_from_blocks(
     lam = np.asarray(lam)
     lead = _check_blocks(lam)
     T = math.prod(lead)
-    tr_full = np.asarray(full_traces)
-    if tr_full.shape != lead + (16,):
-        raise ValueError(f"full_traces has shape {tr_full.shape}; the blocks need {lead + (16,)}")
-    nonfinite = ~np.isfinite(tr_full).all(axis=-1)
-    if nonfinite.any():
-        raise ValueError(f"non-finite no-jump trace{_sample_label(nonfinite)}")
-    tr_full = tr_full.reshape(T, 16)
+    tr_full = _check_traces(full_traces, lead).reshape(T, 16)
     rotated = _rotated_blocks(lam, target_unitary, lead).reshape(T, 256)
 
     rng = np.random.default_rng(seed)
@@ -355,13 +361,7 @@ def haar_conditional_fidelity(
     lam = np.asarray(lam)
     lead = _check_blocks(lam)
     T = math.prod(lead)
-    tr_full = np.asarray(full_traces)
-    if tr_full.shape != lead + (16,):
-        raise ValueError(f"full_traces has shape {tr_full.shape}; the blocks need {lead + (16,)}")
-    nonfinite = ~np.isfinite(tr_full).all(axis=-1)
-    if nonfinite.any():
-        raise ValueError(f"non-finite no-jump trace{_sample_label(nonfinite)}")
-    tr = tr_full.reshape(T, 4, 4)
+    tr = _check_traces(full_traces, lead).reshape(T, 4, 4)
     off = np.abs(tr[:, ~np.eye(4, dtype=bool)]).max(axis=1) > 1e-12
     if off.any():
         raise ValueError(

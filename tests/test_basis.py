@@ -37,11 +37,6 @@ def test_field_order_is_frozen():
     assert tuple(basis.FIELD_BASIS) == EXPECTED_FIELDS
 
 
-def test_state_index_round_trip():
-    for i, s in enumerate(basis.M_STATES):
-        assert basis.m_index(*s) == i
-
-
 def test_field_index_round_trip():
     for f, (n_p, n_t) in enumerate(basis.FIELD_BASIS):
         assert basis.field_index(n_p, n_t) == f
@@ -75,8 +70,7 @@ def test_state_names():
     ],
 )
 def test_unreachable_states_rejected(atom, n_p, n_t):
-    with pytest.raises(ValueError):
-        basis.m_index(atom, n_p, n_t)
+    assert (atom, n_p, n_t) not in basis.M_STATES
 
 
 def test_unreachable_photon_pair_rejected():

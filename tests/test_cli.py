@@ -779,6 +779,21 @@ def test_simulate_reports_a_non_finite_propagation(tmp_path, capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("command", ["simulate", "ladder", "groupvel", "perturbative"])
+def test_an_infinite_collective_coupling_is_refused_by_name(tmp_path, capsys, command):
+    # g_p·√N_a overflows to inf at N_a = 1e8; the params refuse it before
+    # any build, so no inf·0 reaches numpy.
+    cfg_path = write_cfg(tmp_path, n_atoms=1e8, g_p=1e308, g_t=0.0022, t_max=0.1, n_samples=5)
+    out = [] if command == "perturbative" else ["--out", str(tmp_path / "out")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main([command, "--config", cfg_path, *out]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: collective coupling g_p·√N_a must be finite\n"
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_groupvel_rejects_zero_fd_step(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, n_atoms=1e6, g_p=0.0022, g_t=0.0022, fd_step=0.0)
     assert cli.main(["groupvel", "--config", cfg_path]) == 1

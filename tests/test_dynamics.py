@@ -16,7 +16,7 @@ BARE = mscheme.MSchemeParams(N_a=1.0)
 
 def _ket(atom, n_p, n_t):
     psi = np.zeros(basis.M_DIM, dtype=complex)
-    psi[basis.m_index(atom, n_p, n_t)] = 1.0
+    psi[basis.M_STATES.index((atom, n_p, n_t))] = 1.0
     return psi
 
 
@@ -27,7 +27,7 @@ def test_pure_decay_matches_exponential_law():
     times = np.linspace(0.0, 3.0, 61)
     for method in ("exponential", "adaptive-rk"):
         traj = dynamics.evolve(p, rho0, times, method=method, rel_tol=1e-10, abs_tol=1e-13)
-        e2 = basis.m_index("E2", 0, 0)
+        e2 = basis.M_STATES.index(("E2", 0, 0))
         pop = traj[:, e2, e2].real
         coh = traj[:, 0, e2]
         ground = traj[:, 0, 0].real
@@ -43,7 +43,7 @@ def test_pure_dephasing_damps_coherence_at_half_rate():
     rho0 = np.outer(psi, psi.conj())
     times = np.linspace(0.0, 4.0, 41)
     traj = dynamics.evolve(p, rho0, times)
-    e2 = basis.m_index("E2", 0, 0)
+    e2 = basis.M_STATES.index(("E2", 0, 0))
     assert np.allclose(traj[:, e2, e2].real, 0.5, atol=1e-10)
     assert np.allclose(traj[:, 0, 0].real, 0.5, atol=1e-10)
     assert np.allclose(traj[:, 0, e2], 0.5 * np.exp(-0.3 * times), atol=1e-9)
@@ -54,7 +54,7 @@ def test_classical_coupling_rabi_oscillation():
     rho0 = np.outer(_ket("E2", 0, 0), _ket("E2", 0, 0).conj())
     times = np.linspace(0.0, 2.0, 81)
     traj = dynamics.evolve(p, rho0, times)
-    e1 = basis.m_index("E1", 0, 0)
+    e1 = basis.M_STATES.index(("E1", 0, 0))
     assert np.allclose(traj[:, e1, e1].real, np.sin(1.3 * times) ** 2, atol=1e-9)
 
 
@@ -64,11 +64,11 @@ def test_photon_conversion_rabi_with_bosonic_enhancement():
     times = np.linspace(0.0, 2.0, 81)
     one = np.outer(_ket("G", 1, 0), _ket("G", 1, 0).conj())
     traj = dynamics.evolve(p, one, times)
-    e2 = basis.m_index("E2", 0, 0)
+    e2 = basis.M_STATES.index(("E2", 0, 0))
     assert np.allclose(traj[:, e2, e2].real, np.sin(times) ** 2, atol=1e-9)
     two = np.outer(_ket("G", 2, 0), _ket("G", 2, 0).conj())
     traj2 = dynamics.evolve(p, two, times)
-    e2b = basis.m_index("E2", 1, 0)
+    e2b = basis.M_STATES.index(("E2", 1, 0))
     assert np.allclose(
         traj2[:, e2b, e2b].real, np.sin(math.sqrt(2.0) * times) ** 2, atol=1e-9
     )
@@ -342,8 +342,8 @@ def test_non_finite_propagation_names_the_first_time_sample():
     times = np.linspace(0.0, 1.0, 5)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError, match="non-finite at time sample 2$"):
-            dynamics.propagate_reached(L, np.eye(3, dtype=complex), times)
-    dynamics.propagate_reached(L, np.eye(3, dtype=complex)[:, :2], times[:3])
+            dynamics.propagate_stack(L, np.eye(3, dtype=complex), times)(0)
+    dynamics.propagate_stack(L, np.eye(3, dtype=complex)[:, :2], times[:3])(0)
 
 
 def test_steady_state_of_cascading_model_is_photon_vacuum():
@@ -440,7 +440,7 @@ def test_explicit_stored_zero_is_no_edge():
         np.array([0, 1, 3, 5]),
     )
     assert np.array_equal(dynamics.reachable(L, [0]), [0, 1])
-    blocks = dynamics.propagate_reached(L, np.eye(3, 1, dtype=complex), np.linspace(0.0, 1.0, 3))
+    blocks = dynamics.propagate_stack(L, np.eye(3, 1, dtype=complex), np.linspace(0.0, 1.0, 3))(0)
     assert [e.tolist() for _, e, _ in blocks] == [[0, 1]]
 
 
@@ -513,7 +513,7 @@ def test_blocks_match_the_union_propagation(model):
     L, positions, times = _unit_generator(model)
     V = _units_as_columns(positions, math.isqrt(L.shape[0]))
     R_ref, Y_ref = _union_reference(L, V, times)
-    blocks = dynamics.propagate_reached(L, V, times)
+    blocks = dynamics.propagate_stack(L, V, times)(0)
     assert np.array_equal(np.sort(np.concatenate([e for _, e, _ in blocks])), R_ref)
     union = np.zeros_like(Y_ref)
     for units, entries, Y in blocks:
@@ -531,7 +531,7 @@ def test_superposition_column_is_split_over_the_blocks_it_touches():
     want[:, R] = Y[:, 0]
     want = want.reshape(times.size, basis.M_DIM, basis.M_DIM).transpose(0, 2, 1)
     assert np.max(np.abs(got - want)) < 1e-14
-    blocks = dynamics.propagate_reached(L, mscheme.vec(rho0)[:, None], times[:2])
+    blocks = dynamics.propagate_stack(L, mscheme.vec(rho0)[:, None], times[:2])(0)
     assert len(blocks) > 1 and all(np.array_equal(u, [0]) for u, _, _ in blocks)
 
 
@@ -539,9 +539,9 @@ def test_adaptive_rk_propagates_the_reached_set_as_one_block():
     L, positions, _ = _unit_generator("unconditional")
     V = _units_as_columns(positions, basis.M_DIM)
     R = dynamics.reachable(L, np.flatnonzero(V.any(axis=1)))
-    [(units, entries, Y)] = dynamics.propagate_reached(
+    [(units, entries, Y)] = dynamics.propagate_stack(
         L, V, np.linspace(0.0, 0.01, 3), method="adaptive-rk"
-    )
+    )(0)
     assert np.array_equal(units, np.arange(16)) and np.array_equal(entries, R)
     assert Y.shape == (3, 16, R.size) and Y.flags.owndata
 
@@ -554,7 +554,7 @@ def test_adaptive_rk_propagates_the_reached_set_as_one_block():
 ])
 def test_component_structure_and_packed_size(model, blocks, entries):
     L, positions, times = _unit_generator(model)
-    gt = dynamics.evolve_qubit_units(L, positions, times)
+    gt = dynamics.qubit_unit_stack(L, positions, times)(0)
     got = sorted(((e.size, units.size) for units, e, _ in gt.blocks), reverse=True)
     if model == "conditional":  # one component per matrix unit
         assert len(got) == 16 and {k for _, k in got} == {1}
@@ -634,7 +634,7 @@ def test_stacked_engine_is_the_per_block_loop_bit_for_bit(model):
     # step; every block keeps its order, its own array and its bits.
     L, positions, times = _unit_generator(model)
     V = _units_as_columns(positions, math.isqrt(L.shape[0]))
-    blocks = dynamics.propagate_reached(L, V, times)
+    blocks = dynamics.propagate_stack(L, V, times)(0)
     assert len({(e.size, units.size) for units, e, _ in blocks}) < len(blocks)
     _assert_same_blocks(blocks, _per_block_reference(L, V, times))
 
@@ -653,7 +653,7 @@ def test_group_velocity_runs_are_the_per_block_loop_bit_for_bit():
     V[groupvel._GROUND * 6, 0] = 1.0  # the ground population, vec index a + 5 a
     for offset in (0.0, 1e-3, -1e-3):
         L = groupvel.semiclassical_liouvillian(p, 1e-3, offset)
-        got = dynamics.propagate_reached(L, V, times, exponential=scipy.linalg.expm)
+        got = dynamics.propagate_stack(L, V, times, exponential=scipy.linalg.expm)(0)
         _assert_same_blocks(got, _per_block_reference(L, V, times, scipy.linalg.expm))
 
 
@@ -669,7 +669,7 @@ def _expm_error(A):
 
 
 def _propagated_blocks(L, V, times, monkeypatch):
-    # The step generators propagate_reached hands to expm, one per block,
+    # The step generators propagate_stack hands to expm, one per block,
     # in block order. It makes one stacked call per block shape (entries,
     # units), in the order the shapes first occur; each slice is matched
     # to its block here.
@@ -681,7 +681,7 @@ def _propagated_blocks(L, V, times, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(dynamics, "expm", record)
-        blocks = dynamics.propagate_reached(L, V, times[:2])
+        blocks = dynamics.propagate_stack(L, V, times[:2])(0)
     shapes = {}
     for i, (units, entries, _) in enumerate(blocks):
         shapes.setdefault((entries.size, units.size), []).append(i)
@@ -713,7 +713,7 @@ def test_propagated_blocks_are_scipys_dense_slices(model, monkeypatch):
         assert np.signbit(L.data[L.data == 0].imag).all()
     V = _units_as_columns(positions, math.isqrt(L.shape[0]))
     seen = _propagated_blocks(L, V, times, monkeypatch)
-    entries = [e for _, e, _ in dynamics.propagate_reached(L, V, times[:2])]
+    entries = [e for _, e, _ in dynamics.propagate_stack(L, V, times[:2])(0)]
     assert len(seen) == len(entries)
     S, dt = sp.csr_matrix(L), times[1] - times[0]
     for A, e in zip(seen, entries):

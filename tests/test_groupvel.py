@@ -52,7 +52,7 @@ def _positional_semiclassical_hamiltonian(params, probe_rabi_classical, offset):
     # Reference layout: the photon-free slice of the collective
     # Hamiltonian with the classical couplings written at the positions
     # of levels E2-G and E4-G in the order E1, E2, G, E4, E5.
-    idx = [basis.m_index(label, 0, 0) for label in ("E1", "E2", "G", "E4", "E5")]
+    idx = [basis.M_STATES.index((label, 0, 0)) for label in ("E1", "E2", "G", "E4", "E5")]
     H = mscheme.build_hamiltonian(params)[np.ix_(idx, idx)]
     H[0, 0] += offset
     H[1, 1] -= offset
@@ -74,11 +74,13 @@ def test_semiclassical_hamiltonian_is_bitwise_the_positional_layout():
         assert H.tobytes() == _positional_semiclassical_hamiltonian(params, rabi, offset).tobytes()
 
 
-def test_semiclassical_channels_drop_zero_rates():
-    chans = groupvel.semiclassical_channels(EIT_SET)
+def test_semiclassical_jump_channels_drop_zero_rates():
+    chans = mscheme.build_jump_channels(EIT_SET, states=groupvel._LEVELS)
     assert len(chans) == 6
     assert all(ch.kind == "decay" for ch in chans)
-    with_deph = groupvel.semiclassical_channels(replace(EIT_SET, gamma_deph_1=1e-2))
+    with_deph = mscheme.build_jump_channels(
+        replace(EIT_SET, gamma_deph_1=1e-2), states=groupvel._LEVELS
+    )
     assert len(with_deph) == 7
     assert with_deph[-1].kind == "dephasing"
 

@@ -70,27 +70,6 @@ def test_diagonal_singles_cancel_for_any_table(values):
     assert alt == pytest.approx(direct, abs=1e-12)
 
 
-def test_polarization_fringes_match_fock_pattern():
-    table = itf.ideal_eit_phases(1.3, 0.4, 2.2)
-    p1, p2 = itf.polarization_coincidences(PHI, table, "m", "m")
-    f1, f2 = itf.fock_coincidences(PHI, 2.2, phi10=1.3)
-    assert np.allclose(p1, f1, atol=1e-14)
-    assert np.allclose(p2, f2, atol=1e-14)
-
-
-def test_unaddressed_pair_shows_no_offset():
-    table = itf.ideal_eit_phases(1.3, 0.4, 2.2)
-    for pair in (("p", "m"), ("m", "p"), ("p", "p")):
-        p1, p2 = itf.polarization_coincidences(PHI, table, *pair)
-        assert np.allclose(p1, p2, atol=1e-14)
-
-
-def test_flip_rejects_unknown_label():
-    table = itf.ideal_eit_phases(0.0, 0.0, 1.0)
-    with pytest.raises(ValueError, match="polarization"):
-        itf.polarization_coincidences(PHI, table, "x", "m")
-
-
 def test_fit_fringe_recovers_parameters():
     y = 0.3 + 0.07 * np.cos(PHI + 1.234)
     fit = itf.fit_fringe(PHI, y)
@@ -136,18 +115,6 @@ def test_gate_phase_wraps_to_principal_branch():
     p1, p2 = itf.fock_coincidences(PHI, 3.5, phi10=1.3)
     got = itf.gate_phase_from_fits(itf.fit_fringe(PHI, p1), itf.fit_fringe(PHI, p2))
     assert got == pytest.approx(3.5 - 2.0 * math.pi, abs=1e-9)
-
-
-def test_polarization_pipeline_recovers_cps():
-    table = itf.ideal_eit_phases(0.9, -1.7, 2.9)
-    fits = {}
-    for pair in (("p", "p"), ("p", "m"), ("m", "p"), ("m", "m")):
-        p1, p2 = itf.polarization_coincidences(PHI, table, *pair)
-        fits[pair] = itf.gate_phase_from_fits(
-            itf.fit_fringe(PHI, p1), itf.fit_fringe(PHI, p2)
-        )
-    alt = fits[("p", "p")] - fits[("p", "m")] - fits[("m", "p")] + fits[("m", "m")]
-    assert math.remainder(alt - 2.9, 2.0 * math.pi) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_chsh_parameter():

@@ -44,30 +44,39 @@ def test_parameter_validation(kwargs):
         replace(REF, **kwargs)
 
 
+@pytest.mark.parametrize("name", ["g_p", "g_t"])
+@pytest.mark.parametrize("make", [mscheme.MSchemeParams, ladder.LadderParams])
+def test_an_infinite_collective_coupling_is_refused(make, name):
+    # 1e308·√1e8 overflows to inf; 0.0022·√1e300 = 2.2e147 is finite.
+    with pytest.raises(ValueError, match=f"^collective coupling {name}·√N_a must be finite$"):
+        make(N_a=1e8, **{name: 1e308})
+    make(N_a=1e300, **{name: 0.0022})
+
+
 def test_hamiltonian_frozen_elements():
     H = mscheme.build_hamiltonian(REF)
     gp = 0.3 * 2.0  # g_p sqrt(N_a)
     gt = 0.2 * 2.0
-    idx = basis.m_index
+    idx = basis.M_STATES.index
     # Diagonal carries the rotating-frame detunings, independent of photons.
-    assert H[idx("G", 0, 0), idx("G", 0, 0)] == 0.0
-    assert H[idx("E1", 0, 0), idx("E1", 0, 0)] == pytest.approx(0.25)
-    assert H[idx("E2", 0, 1), idx("E2", 0, 1)] == pytest.approx(2.0)
-    assert H[idx("E4", 1, 0), idx("E4", 1, 0)] == pytest.approx(1.5)
-    assert H[idx("E5", 0, 0), idx("E5", 0, 0)] == pytest.approx(-0.35)
+    assert H[idx(("G", 0, 0)), idx(("G", 0, 0))] == 0.0
+    assert H[idx(("E1", 0, 0)), idx(("E1", 0, 0))] == pytest.approx(0.25)
+    assert H[idx(("E2", 0, 1)), idx(("E2", 0, 1))] == pytest.approx(2.0)
+    assert H[idx(("E4", 1, 0)), idx(("E4", 1, 0))] == pytest.approx(1.5)
+    assert H[idx(("E5", 0, 0)), idx(("E5", 0, 0))] == pytest.approx(-0.35)
     # Classical fields swap excited labels at fixed photon numbers.
-    assert H[idx("E1", 0, 0), idx("E2", 0, 0)] == pytest.approx(1.1)
-    assert H[idx("E1", 0, 1), idx("E2", 0, 1)] == pytest.approx(1.1)
-    assert H[idx("E5", 0, 1), idx("E4", 0, 1)] == pytest.approx(0.9)
+    assert H[idx(("E1", 0, 0)), idx(("E2", 0, 0))] == pytest.approx(1.1)
+    assert H[idx(("E1", 0, 1)), idx(("E2", 0, 1))] == pytest.approx(1.1)
+    assert H[idx(("E5", 0, 1)), idx(("E4", 0, 1))] == pytest.approx(0.9)
     # Photon conversion carries sqrt(N_a) and the bosonic sqrt(n).
-    assert H[idx("G", 1, 0), idx("E2", 0, 0)] == pytest.approx(gp)
-    assert H[idx("G", 1, 1), idx("E2", 0, 1)] == pytest.approx(gp)
-    assert H[idx("G", 2, 0), idx("E2", 1, 0)] == pytest.approx(gp * math.sqrt(2.0))
-    assert H[idx("G", 0, 1), idx("E4", 0, 0)] == pytest.approx(gt)
-    assert H[idx("G", 1, 1), idx("E4", 1, 0)] == pytest.approx(gt)
-    assert H[idx("G", 0, 2), idx("E4", 0, 1)] == pytest.approx(gt * math.sqrt(2.0))
+    assert H[idx(("G", 1, 0)), idx(("E2", 0, 0))] == pytest.approx(gp)
+    assert H[idx(("G", 1, 1)), idx(("E2", 0, 1))] == pytest.approx(gp)
+    assert H[idx(("G", 2, 0)), idx(("E2", 1, 0))] == pytest.approx(gp * math.sqrt(2.0))
+    assert H[idx(("G", 0, 1)), idx(("E4", 0, 0))] == pytest.approx(gt)
+    assert H[idx(("G", 1, 1)), idx(("E4", 1, 0))] == pytest.approx(gt)
+    assert H[idx(("G", 0, 2)), idx(("E4", 0, 1))] == pytest.approx(gt * math.sqrt(2.0))
     # The photonless ground state is fully decoupled.
-    assert np.all(H[idx("G", 0, 0)] == 0.0)
+    assert np.all(H[idx(("G", 0, 0))] == 0.0)
 
 
 def test_hamiltonian_is_hermitian():
@@ -243,7 +252,7 @@ _GENERATOR_CASES = [
     (
         "semiclassical",
         groupvel.semiclassical_hamiltonian(RICH_PARAMS, 1e-3, 0.3),
-        groupvel.semiclassical_channels(RICH_PARAMS),
+        mscheme.build_jump_channels(RICH_PARAMS, states=groupvel._LEVELS),
     ),
 ] + [_ladder_case(n_max, c) for n_max in (1, 2, 3) for c in ladder.CONVENTIONS]
 
@@ -355,7 +364,7 @@ def test_stored_negative_zero_reads_positive_zero():
     assert tiny.toarray().tobytes() == np.array([[0.0, 2.0], [0.0, 0.0]], complex).tobytes()
 
 
-def test_dense_block_of_a_stack_is_each_sets_own_block():
+def test_block_index_of_a_stack_is_each_sets_own_block():
     # A dense 7² matrix with -0.0 entries and every entry stored, so the
     # sets {5, 1, 3} and {0, 6, 2} are linked by stored entries that
     # neither block may take.
@@ -364,10 +373,10 @@ def test_dense_block_of_a_stack_is_each_sets_own_block():
     A[1, 5] = A[6, 6] = complex(-0.0, -0.0)
     L = mscheme.Superoperator(A.reshape(-1), np.tile(np.arange(7), 7), np.arange(0, 50, 7))
     E = np.array([[5, 1, 3], [0, 6, 2]])
-    stack = mscheme.dense_block(L, E)
+    stack = mscheme.BlockIndex.of(L, E).gather(L.data)
     assert stack.shape == (2, 3, 3)
     for e, block in zip(E, stack):
-        assert block.tobytes() == mscheme.dense_block(L, e).tobytes()
+        assert block.tobytes() == mscheme.BlockIndex.of(L, e).gather(L.data).tobytes()
         want = A[np.ix_(e, e)] + 0.0  # the -0.0 entries read +0.0
         assert block.tobytes() == want.tobytes()
 
@@ -376,16 +385,13 @@ def test_reduced_sector_hamiltonians_are_slices():
     H = mscheme.build_hamiltonian(RICH_PARAMS)
     H_p, H_t, H_pt = mscheme.reduced_hamiltonians(RICH_PARAMS)
     assert H_p.shape == (3, 3) and H_t.shape == (3, 3) and H_pt.shape == (5, 5)
-    p_idx = [basis.m_index("G", 1, 0), basis.m_index("E2", 0, 0), basis.m_index("E1", 0, 0)]
+    idx = basis.M_STATES.index
+    p_idx = [idx(("G", 1, 0)), idx(("E2", 0, 0)), idx(("E1", 0, 0))]
     assert np.array_equal(H_p, H[np.ix_(p_idx, p_idx)])
-    t_idx = [basis.m_index("G", 0, 1), basis.m_index("E4", 0, 0), basis.m_index("E5", 0, 0)]
+    t_idx = [idx(("G", 0, 1)), idx(("E4", 0, 0)), idx(("E5", 0, 0))]
     assert np.array_equal(H_t, H[np.ix_(t_idx, t_idx)])
     pt_idx = [
-        basis.m_index("E1", 0, 1),
-        basis.m_index("E2", 0, 1),
-        basis.m_index("G", 1, 1),
-        basis.m_index("E4", 1, 0),
-        basis.m_index("E5", 1, 0),
+        idx(("E1", 0, 1)), idx(("E2", 0, 1)), idx(("G", 1, 1)), idx(("E4", 1, 0)), idx(("E5", 1, 0))
     ]
     assert np.array_equal(H_pt, H[np.ix_(pt_idx, pt_idx)])
 

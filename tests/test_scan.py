@@ -133,7 +133,7 @@ def test_blocks_of_a_stacked_generator_are_each_points_own(conditional, method):
     for k, p in enumerate(params):
         want = dynamics.evolve_gate_inputs(p, times, conditional=conditional, method=method).blocks
         _assert_same_blocks(
-            dynamics.propagate_reached(L._replace(data=L.data[k]), V, times, method=method), want
+            dynamics.propagate_stack(L._replace(data=L.data[k]), V, times, method=method)(0), want
         )
         _assert_same_blocks(evolve(k, conditional=conditional).blocks, want)
 
@@ -161,6 +161,27 @@ def test_a_failing_point_leaves_its_stack_neighbours_alone(tmp_path):
         "5.0000000000000001e+307,,,,propagated columns are non-finite at time sample 1",
         "1.0000000000000000e+308,,,,propagated columns are non-finite at time sample 1",
     ]
+
+
+def test_an_infinite_coupling_is_refused_before_it_joins_a_stack(tmp_path, monkeypatch):
+    # g_p·√N_a = 1e308·√1e8 overflows: the params refuse the point, so
+    # the benchmark point's stack holds it alone and its row is that of a
+    # one-point scan.
+    stacks, original = [], dynamics.gate_input_stack
+
+    def recording(params, *args, **kwargs):
+        stacks.append(len(params))
+        return original(params, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "gate_input_stack", recording)
+    rows = _run_scan(tmp_path, fast_gate_config(), "g_p", 0.0022, 1e308, 2)
+    assert rows == [
+        "2.2000000000000001e-03,3.7559807344574370e-01,8.7244221899655239e-01,"
+        "9.1347052879784274e-01,",
+        "1.0000000000000000e+308,,,,collective coupling g_p·√N_a must be finite",
+    ]
+    assert stacks == [1]
+    assert _run_scan(tmp_path, fast_gate_config(), "g_p", 0.0022, 0.0022, 1) == rows[:1]
 
 
 def test_scan_points_take_the_checks_simulate_applies(tmp_path, capsys):
