@@ -15,7 +15,6 @@ bytes.
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
 import itertools
 import json
@@ -139,7 +138,11 @@ def load_config(path: str | None) -> dict:
 def _check_finite_number(name: str, value) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
         raise ValueError(f"{name} must be finite")
 
 
@@ -147,18 +150,18 @@ def _amplitude_value(key: str, value) -> complex:
     if isinstance(value, bool):
         raise ValueError(f"config key {key!r} must be a number or [re, im]")
     if isinstance(value, (int, float)):
-        c = complex(value)
+        parts = (value,)
     elif (
         isinstance(value, list)
         and len(value) == 2
         and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
     ):
-        c = complex(value[0], value[1])
+        parts = value
     else:
         raise ValueError(f"config key {key!r} must be a number or [re, im]")
-    if not cmath.isfinite(c):
-        raise ValueError(f"config key {key!r} must be finite")
-    return c
+    for part in parts:
+        _check_finite_number(f"config key {key!r}", part)
+    return complex(*parts)
 
 
 def amplitudes_from_config(cfg: dict) -> np.ndarray:
@@ -240,19 +243,19 @@ def _metrics_from_blocks(propagate, states) -> dict:
     Fidelities use the instantaneous ideal phase gate, one call per series;
     the conditional one is the exact Haar average, which draws no samples.
     """
-    n, qubit = len(states), basis.qubit_cells(states)
+    qubit = basis.qubit_cells(states)
     gt = propagate(conditional=False)
     times, w = gt.times, gt.weights
-    blocks = gt.image(qubit, 16).reshape(-1, 16, 4, 4)
+    blocks = gt.image(qubit).reshape(-1, 16, 4, 4)
     super_blocks = np.einsum("k,tkab->tab", w, blocks)
     phases = observables.phases_from_coherences(super_blocks[:, 1:4, 0], gt.amplitudes)
     U = observables.ideal_phase_unitary(phases)
     fid = observables.average_fidelity_from_blocks(blocks, U)
-    populations = np.einsum("k,tki->ti", w, gt.image(basis.population_cells(states), n)).real
+    populations = np.einsum("k,tki->ti", w, gt.image(basis.population_cells(states))).real
     del gt, blocks
     cond = propagate(conditional=True)
-    cond_blocks = cond.image(qubit, 16).reshape(-1, 16, 4, 4)
-    cond_traces = cond.image(basis.trace_cells(states), 1)[..., 0]
+    cond_blocks = cond.image(qubit).reshape(-1, 16, 4, 4)
+    cond_traces = cond.image(basis.trace_cells(states))[..., 0]
     del cond
     cond_fid, p_success = observables.haar_conditional_fidelity(cond_blocks, cond_traces, U)
     return {
@@ -301,7 +304,7 @@ def run_ladder_analysis(cfg: dict) -> dict:
         if not conditional:
             # Guard the superposition and the four basis inputs the
             # fidelities average over, before the conditional map is run.
-            leak = traj.image(basis.edge_cells(states), 1)[..., 0]
+            leak = traj.image(basis.edge_cells(states))[..., 0]
             ladder.check_leakage((leak @ traj.weights).real)
             ladder.check_leakage(leak[:, dynamics.BASIS_UNITS].real, labels=dynamics.BASIS_LABELS)
         return traj

@@ -37,6 +37,7 @@ from .mscheme import (
 
 _UNIFORM_RTOL = 1e-9
 _KERNEL_RTOL = 1e-10
+_RESIDUAL_TOL = 1e-10
 
 
 # Higham (2005), Table 2.3: the [m/m] Padé orders with the largest 1-norm
@@ -438,10 +439,12 @@ class GateTrajectories:
         parts = [(one, e, np.einsum("k,tkr->tr", w[u], Y)[:, None]) for u, e, Y in self.blocks]
         return _scatter(parts, self.times.size, 1, self.dim)[:, 0]
 
-    def image(self, cells: np.ndarray, size: int) -> np.ndarray:
+    def image(self, cells: np.ndarray) -> np.ndarray:
         """Readout (T,16,size) of every unit through the index map cells
-        (basis.qubit_cells and the like): vec entry a + dim*b adds to cell
-        cells[a + dim*b], -1 drops it; one 0/1 product per block."""
+        (basis.qubit_cells and the like), size = cells.max() + 1: vec entry
+        a + dim*b adds to cell cells[a + dim*b], -1 drops it; one 0/1
+        product per block."""
+        size = int(cells.max()) + 1
         out = np.zeros((self.times.size, 16, size), dtype=complex)
         for units, e, Y in self.blocks:
             F = (cells[e, None] == np.arange(size)).astype(complex)
@@ -508,12 +511,12 @@ def gate_input_stack(
     return evolve
 
 
-def steady_state(L: Superoperator, *, residual_tol: float = 1e-10) -> np.ndarray:
+def steady_state(L: Superoperator) -> np.ndarray:
     """Unique trace-one stationary state of L, from the SVD null space.
 
     Raises if the kernel at the relative tolerance is empty or has
     dimension above one, or if the residual ||L vec(ρ)|| exceeds the
-    absolute bound.
+    absolute bound _RESIDUAL_TOL.
     """
     n = math.isqrt(L.shape[0])
     if L.shape != (n * n, n * n):
@@ -530,6 +533,6 @@ def steady_state(L: Superoperator, *, residual_tol: float = 1e-10) -> np.ndarray
         raise ValueError("stationary kernel vector is traceless")
     rho /= tr
     residual = float(np.linalg.norm(L @ vec(rho)))
-    if residual > residual_tol:
+    if residual > _RESIDUAL_TOL:
         raise RuntimeError(f"stationary-state residual {residual:.3e} above tolerance")
     return rho

@@ -56,17 +56,6 @@ class PolarizationPhases:
     phi_mp: float = 0.0
     phi_mm: float = 0.0
 
-    def single(self, i: str, side: str) -> float:
-        """Phase with only one photon present: side "probe" or "trigger"."""
-        if side == "probe":
-            return getattr(self, f"phi_{i}0")
-        if side == "trigger":
-            return getattr(self, f"phi_0{i}")
-        raise ValueError(f"unknown side {side!r}")
-
-    def pair(self, i: str, j: str) -> float:
-        return getattr(self, f"phi_{i}{j}")
-
 
 def ideal_eit_phases(phi_probe: float, phi_trigger: float, cps: float) -> PolarizationPhases:
     """Phase table of an ideal medium.
@@ -94,9 +83,9 @@ def diagonal_phases(table: PolarizationPhases) -> dict[str, float]:
     for i in ("p", "m"):
         for j in ("p", "m"):
             out[i + j] = (
-                table.pair(i, j)
-                - table.single(i, "probe")
-                - table.single(j, "trigger")
+                getattr(table, f"phi_{i}{j}")
+                - getattr(table, f"phi_{i}0")
+                - getattr(table, f"phi_0{j}")
                 + table.phi_00
             )
     return out

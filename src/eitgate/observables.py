@@ -32,11 +32,6 @@ def _field_projectors() -> np.ndarray:
 _B = _field_projectors()
 
 
-# (324,36) 0/1 readout: entry ((i,j),(f,g)) is Σ_l B[l,f,i] B[l,g,j], so a
-# row-flattened state times _R is its row-flattened field reduction.
-_R = np.einsum("lfi,lgj->ijfg", _B, _B).reshape(M_DIM * M_DIM, FIELD_DIM * FIELD_DIM)
-
-
 def check_states(rho, dim: int, n_max: int | None = None) -> np.ndarray:
     """rho as (...,dim,dim) states, else ValueError naming dim and any n_max."""
     rho = np.asarray(rho)
@@ -47,17 +42,9 @@ def check_states(rho, dim: int, n_max: int | None = None) -> np.ndarray:
 
 
 def reduce_to_fields(rho: np.ndarray) -> np.ndarray:
-    """Trace out the atomic label: (...,18,18) -> (...,6,6).
-
-    The reduction Σ_l B_l ρ B_lᵀ is linear in the entries of ρ, so a
-    whole batch of states goes through one matrix product with the
-    fixed readout matrix.
-    """
+    """Trace out the atomic label, Σ_l B_l ρ B_lᵀ: (...,18,18) -> (...,6,6)."""
     rho = check_states(rho, M_DIM)
-    # One 2-d product: a stacked or mixed-type matmul does not reach BLAS.
-    R = _R.astype(np.result_type(rho, _R), copy=False)
-    out = rho.reshape(-1, M_DIM * M_DIM) @ R
-    return out.reshape(rho.shape[:-2] + (FIELD_DIM, FIELD_DIM))
+    return np.einsum("lfi,...ij,lgj->...fg", _B, rho, _B, optimize=True)
 
 
 def qubit_block(field_rho: np.ndarray) -> np.ndarray:
@@ -217,15 +204,11 @@ def average_fidelity_from_blocks(
 
 @dataclass(frozen=True)
 class ConditionalFidelityResult:
-    """Monte Carlo conditional fidelity and success probabilities.
+    """Monte Carlo conditional fidelity and success probability of one time sample."""
 
-    For a series the first three fields carry its leading (time) shape.
-    """
-
-    fidelity: float | np.ndarray
-    p_success: float | np.ndarray
-    basis_success: np.ndarray  # no-jump probability per qubit basis input, (...,4)
-    samples_used: int  # fewest samples kept at any time sample
+    fidelity: float
+    p_success: float
+    samples_used: int  # draws kept, those with a success probability of 1e-12 or more
 
 
 def check_sampling(mc_samples: int, seed: int) -> None:
@@ -235,9 +218,7 @@ def check_sampling(mc_samples: int, seed: int) -> None:
             raise ValueError(f"{key} must be at least {low}, got {value}")
 
 
-# Time samples per Monte Carlo product; bounds the (chunk, tile) temporaries.
-_MC_CHUNK = 32
-# Haar samples per weight tile; bounds the (256, tile) weights whatever mc_samples is.
+# Haar samples per weight tile; bounds the (tile, 16) weights whatever mc_samples is.
 _MC_TILE = 250
 
 
@@ -249,71 +230,49 @@ def conditional_fidelity_from_blocks(
     mc_samples: int = 2000,
     seed: int = 42,
 ) -> ConditionalFidelityResult:
-    """Haar-average fidelity of the renormalized no-jump state.
+    """Haar-average fidelity of the renormalized no-jump state, by Monte Carlo.
 
-    lam[..., 4*i+j, :, :] is the qubit-block image of |q_i><q_j| under
-    the conditional (trace-decreasing) map and full_traces[..., 4*i+j]
-    its trace on the complete space. Each sampled pure input ψ gives the
-    unnormalized output by linearity; its full trace is the no-jump
-    probability and the overlap with U|ψ> is taken after renormalizing.
-
-    A leading time axis is allowed: blocks (...,16,4,4), traces (...,16)
-    and targets (...,4,4). One Haar set, drawn from (seed, mc_samples),
-    serves every time sample, so each sample gets the estimate a call on
-    it alone would give. With the target folded into the blocks as
-    U†Λ_ij U, all overlaps come from products with the per-draw weights
-    conj(ψ_c)ψ_i conj(ψ_j)ψ_d, formed one tile of draws at a time and
-    taken a few time samples at a time, so only the drawn set itself
-    grows with mc_samples. Samples with trace below 1e-12 are skipped; more than
-    1% of them at any time sample aborts the estimate. Traces of another
-    shape, or non-finite ones, raise ValueError naming the time sample.
+    One time sample: lam (16,4,4), where lam[4*i+j] is the qubit-block
+    image of |q_i><q_j| under the conditional (trace-decreasing) map,
+    full_traces (16,) their traces on the complete space and target_unitary
+    (4,4). Blocks with a leading (time) axis raise ValueError. Each pure
+    input ψ, drawn from (seed, mc_samples), gives the unnormalized output
+    by linearity; its full trace is the no-jump probability and the overlap
+    with U|ψ> is taken after renormalizing. With the target folded into the
+    blocks as R = U†ΛU, a (16,16) matrix, the overlaps of a tile of draws
+    with weights W = ψ_i conj(ψ_j) are ((W @ R) * conj(W)).sum(axis=1), so
+    only the drawn set itself grows with mc_samples. Samples with trace
+    below 1e-12 are skipped; more than 1% of them aborts the estimate.
     """
     check_sampling(mc_samples, seed)
     lam = np.asarray(lam)
-    lead = _check_blocks(lam)
-    T = math.prod(lead)
-    tr_full = _check_traces(full_traces, lead).reshape(T, 16)
-    rotated = _rotated_blocks(lam, target_unitary, lead).reshape(T, 256)
+    if lam.ndim > 3:
+        raise ValueError(f"expected one time sample of (16, 4, 4) blocks, got shape {lam.shape}")
+    _check_blocks(lam)
+    tr = _check_traces(full_traces, ())
+    R = _rotated_blocks(lam, target_unitary, ()).reshape(16, 16)
 
-    rng = np.random.default_rng(seed)
-    Z = rng.standard_normal((2, mc_samples, 4))  # the real, then the imaginary parts
-
-    ratio_sum = np.zeros(T)
-    p_sum = np.zeros(T)
-    kept = np.zeros(T, dtype=int)
+    # The real, then the imaginary parts of the draws.
+    Z = np.random.default_rng(seed).standard_normal((2, mc_samples, 4))
+    ratio_sum, p_sum, kept = 0.0, 0.0, 0
     for s in range(0, mc_samples, _MC_TILE):
         psi = Z[0, s : s + _MC_TILE] + 1j * Z[1, s : s + _MC_TILE]
         psi /= np.linalg.norm(psi, axis=1, keepdims=True)
         W = (psi[:, :, None] * psi.conj()[:, None, :]).reshape(-1, 16)  # c_i c_j*
-        Q = (W[:, :, None] * W.conj()[:, None, :]).reshape(-1, 256).T
-        for a in range(0, T, _MC_CHUNK):
-            b = min(a + _MC_CHUNK, T)
-            num = (rotated[a:b] @ Q).real
-            p = (tr_full[a:b] @ W.T).real
-            keep = p >= 1e-12
-            kept[a:b] += np.count_nonzero(keep, axis=1)
-            ratio_sum[a:b] += np.divide(num, p, out=np.zeros_like(num), where=keep).sum(axis=1)
-            p_sum[a:b] += p.sum(axis=1)
-        del W, Q  # free this tile's weights before the next tile forms its own
+        num = ((W @ R) * W.conj()).sum(axis=1).real
+        p = (W @ tr).real
+        keep = p >= 1e-12
+        kept += int(np.count_nonzero(keep))
+        ratio_sum += np.divide(num, p, out=np.zeros_like(num), where=keep).sum()
+        p_sum += p.sum()
 
     skipped = mc_samples - kept
-    too_many = skipped > 0.01 * mc_samples
-    if np.any(too_many):
-        raise RuntimeError(
-            f"{skipped[np.argmax(too_many)]} of {mc_samples} samples had "
-            f"negligible success probability{_sample_label(too_many.reshape(lead))}"
-        )
-    mean_f = ratio_sum / kept
-    p_success = p_sum / mc_samples
-
-    fid = np.sqrt(np.maximum(mean_f, 0.0)).reshape(lead)
-    p_success = p_success.reshape(lead)
-    basis = np.diagonal(tr_full.reshape(lead + (4, 4)), axis1=-2, axis2=-1).real.copy()
+    if skipped > 0.01 * mc_samples:
+        raise RuntimeError(f"{skipped} of {mc_samples} samples had negligible success probability")
     return ConditionalFidelityResult(
-        fidelity=float(fid) if not lead else fid,
-        p_success=float(p_success) if not lead else p_success,
-        basis_success=basis,
-        samples_used=int(kept.min()),
+        fidelity=math.sqrt(max(ratio_sum / kept, 0.0)),
+        p_success=float(p_sum / mc_samples),
+        samples_used=kept,
     )
 
 
@@ -331,10 +290,14 @@ def haar_conditional_fidelity(
 ) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Exact Haar average of what conditional_fidelity_from_blocks samples.
 
-    Arguments as there. The no-jump maps of the gate conserve the photon
-    numbers, so only the basis inputs carry trace: p(ψ) = Σ p_i x_i with
-    x_i = |ψ_i|² and p_i = full_traces[..., 5i]. Averaging the overlap over
-    the phases of ψ leaves xᵀMx with M_ia = Re R[i,i,a,a] + [i≠a] Re R[i,a,i,a]
+    Blocks lam (...,16,4,4), lam[..., 4*i+j] the qubit-block image of
+    |q_i><q_j| under the conditional map, full traces (...,16) and targets
+    (...,4,4), for any leading (time) shape.
+
+    The no-jump maps of the gate conserve the photon numbers, so only the
+    basis inputs carry trace: p(ψ) = Σ p_i x_i with x_i = |ψ_i|² and
+    p_i = full_traces[..., 5i]. Averaging the overlap over the phases of ψ
+    leaves xᵀMx with M_ia = Re R[i,i,a,a] + [i≠a] Re R[i,a,i,a]
     for R = U†ΛU, and the Haar moduli x are uniform on the 3-simplex, so
     F_c² = E[xᵀMx / p·x] and p_success = Σ p_i / 4.
 

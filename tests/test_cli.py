@@ -17,6 +17,9 @@ from eitgate import basis, cli, dynamics, groupvel, interferometer, ladder, obse
 from eitgate.mscheme import GAMMA_SI_DEFAULT
 
 
+_HUGE = 10**401 - 1  # a JSON integer beyond the float range
+
+
 def write_cfg(tmp_path, name="cfg.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(overrides), encoding="utf-8")
@@ -99,6 +102,8 @@ def test_load_config_without_file_copies_defaults():
         {"t_max": float("inf")},
         {"c10": [0.5, float("-inf")]},
         {"c11": float("nan")},
+        {"c01": _HUGE},
+        {"c01": [0.5, -_HUGE]},
     ],
 )
 def test_load_config_rejects_bad_values(tmp_path, payload):
@@ -109,7 +114,10 @@ def test_load_config_rejects_bad_values(tmp_path, payload):
         cli.load_config(str(path))
 
 
-@pytest.mark.parametrize("value, reason", [("fast", "a number"), (float("nan"), "finite")])
+@pytest.mark.parametrize(
+    "value, reason",
+    [("fast", "a number"), (float("nan"), "finite"), pytest.param(_HUGE, "finite", id="huge-int")],
+)
 def test_config_and_phase_table_name_the_rejected_number(tmp_path, value, reason):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"cps": value}), encoding="utf-8")

@@ -44,11 +44,6 @@ def test_ideal_phase_table():
     assert table.phi_0m == -0.3
     assert table.phi_pm == -0.3
     assert table.phi_mm == pytest.approx(0.7 - 0.3 + 2.9)
-    assert table.single("m", "probe") == 0.7
-    assert table.single("m", "trigger") == -0.3
-    assert table.pair("m", "p") == 0.7
-    with pytest.raises(ValueError, match="side"):
-        table.single("m", "diagonal")
 
 
 @settings(max_examples=50, deadline=None)

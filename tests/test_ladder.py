@@ -392,8 +392,8 @@ def test_as_printed_qubit_block_does_not_depend_on_n_max():
                          gamma21=1.0, gamma32=1.0, n_max=n_max, convention="as-printed")
         gt, states = ladder.evolve_ladder_gate(p, times), ladder.ladder_states(n_max)
         if n_max == 2:
-            leak = gt.image(basis.edge_cells(states), 1).real
+            leak = gt.image(basis.edge_cells(states)).real
             assert leak.max() > 0.5
-        blocks.append(gt.image(basis.qubit_cells(states), 16))
+        blocks.append(gt.image(basis.qubit_cells(states)))
     assert np.max(np.abs(blocks[1])) > 0.1
     assert np.max(np.abs(blocks[0] - blocks[1])) < 1e-13

@@ -276,21 +276,26 @@ def test_non_finite_blocks_raise_naming_the_time_sample():
     series[1:] = np.nan
     with pytest.raises(ValueError, match="non-finite qubit-block image at time sample 1$"):
         observables.average_fidelity_from_blocks(series, np.eye(4))
-    traces = np.full((3, 16), 0.25, dtype=complex)
-    with pytest.raises(ValueError, match="non-finite qubit-block image at time sample 1$"):
-        observables.conditional_fidelity_from_blocks(series, traces, np.eye(4))
+    with pytest.raises(ValueError, match="non-finite qubit-block image$"):
+        observables.conditional_fidelity_from_blocks(one, np.full(16, 0.25), np.eye(4))
 
 
 def test_conditional_fidelity_checks_the_traces():
+    traces = np.repeat(np.eye(4, dtype=complex).reshape(1, 16), 2, axis=0)
+    traces[1, 5] = np.nan
+    with pytest.raises(ValueError, match="non-finite no-jump trace$"):
+        observables.conditional_fidelity_from_blocks(_units(), traces[1], np.eye(4))
+    with pytest.raises(ValueError, match=r"full_traces has shape \(2, 16\)"):
+        observables.conditional_fidelity_from_blocks(_units(), traces, np.eye(4))
+
+
+def test_conditional_fidelity_refuses_a_leading_axis():
     series = np.repeat(_units()[None], 3, axis=0)
     traces = np.repeat(np.eye(4, dtype=complex).reshape(1, 16), 3, axis=0)
-    traces[2, 5] = np.nan
-    with pytest.raises(ValueError, match="non-finite no-jump trace at time sample 2$"):
-        observables.conditional_fidelity_from_blocks(series, traces, np.eye(4))
-    with pytest.raises(ValueError, match="non-finite no-jump trace$"):
-        observables.conditional_fidelity_from_blocks(_units(), traces[2], np.eye(4))
-    with pytest.raises(ValueError, match=r"full_traces has shape \(2, 16\)"):
-        observables.conditional_fidelity_from_blocks(series, traces[:2], np.eye(4))
+    for T in (3, 1):
+        want = rf"^expected one time sample of \(16, 4, 4\) blocks, got shape \({T}, 16, 4, 4\)$"
+        with pytest.raises(ValueError, match=want):
+            observables.conditional_fidelity_from_blocks(series[:T], traces[:T], np.eye(4))
 
 
 def test_conditional_fidelity_of_identity_map():
@@ -298,7 +303,6 @@ def test_conditional_fidelity_of_identity_map():
     r = observables.conditional_fidelity_from_blocks(_units(), tr, np.eye(4))
     assert r.fidelity == pytest.approx(1.0, abs=1e-12)
     assert r.p_success == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(r.basis_success, 1.0)
     assert r.samples_used == 2000
 
 
@@ -308,7 +312,6 @@ def test_conditional_fidelity_of_uniform_loss():
     r = observables.conditional_fidelity_from_blocks(s * _units(), tr, np.eye(4))
     assert r.fidelity == pytest.approx(1.0, abs=1e-12)
     assert r.p_success == pytest.approx(s, abs=1e-12)
-    assert np.allclose(r.basis_success, s)
 
 
 def test_conditional_fidelity_is_seed_deterministic():
@@ -320,7 +323,6 @@ def test_conditional_fidelity_is_seed_deterministic():
     c = observables.conditional_fidelity_from_blocks(lam, tr, np.eye(4), seed=6)
     assert a.fidelity == b.fidelity
     assert a.p_success == b.p_success
-    assert np.array_equal(a.basis_success, b.basis_success)
     assert a.samples_used == b.samples_used
     assert a.fidelity != c.fidelity
     assert abs(a.fidelity - c.fidelity) < 5e-3
@@ -396,40 +398,24 @@ def _direct_average_fidelity(lam, U):
     return math.sqrt((16.0 * F_e + identity_image) / 20.0)
 
 
-def test_batched_fidelities_match_per_sample_calls(monkeypatch):
-    # Three time samples per product, so the series spans two full chunks and a partial one.
-    monkeypatch.setattr(observables, "_MC_CHUNK", 3)
+def test_batched_fidelities_match_per_sample_calls():
     rng = np.random.default_rng(21)
     T = 7
     lam, traces = _random_lossy_blocks(rng, T)
     U = np.stack([_random_unitary(rng) for _ in range(T)])
     assert np.all(np.abs(U[:, 0, 1]) > 1e-3)  # non-diagonal targets
     F = observables.average_fidelity_from_blocks(lam, U)
-    r = observables.conditional_fidelity_from_blocks(lam, traces, U, mc_samples=500, seed=3)
-    assert F.shape == r.fidelity.shape == r.p_success.shape == (T,)
-    assert r.basis_success.shape == (T, 4)
-    used = []
+    assert F.shape == (T,)
     for m in range(T):
-        one = observables.conditional_fidelity_from_blocks(
-            lam[m], traces[m], U[m], mc_samples=500, seed=3
-        )
         one_F = observables.average_fidelity_from_blocks(lam[m], U[m])
         assert F[m] == pytest.approx(one_F, rel=1e-12)
         assert one_F == pytest.approx(_direct_average_fidelity(lam[m], U[m]), rel=1e-12)
-        assert r.fidelity[m] == pytest.approx(one.fidelity, rel=1e-12)
-        assert r.p_success[m] == pytest.approx(one.p_success, rel=1e-12)
-        assert np.array_equal(r.basis_success[m], one.basis_success)
+        one = observables.conditional_fidelity_from_blocks(
+            lam[m], traces[m], U[m], mc_samples=500, seed=3
+        )
         direct_f, direct_p = _direct_conditional_fidelity(lam[m], traces[m], U[m], 500, 3)
         assert one.fidelity == pytest.approx(direct_f, rel=1e-12)
         assert one.p_success == pytest.approx(direct_p, rel=1e-12)
-        used.append(one.samples_used)
-    assert r.samples_used == min(used)
-    # Any leading shape: the first six samples as a 3 x 2 grid.
-    grid = observables.conditional_fidelity_from_blocks(
-        lam[:6].reshape(3, 2, 16, 4, 4), traces[:6].reshape(3, 2, 16), U[:6].reshape(3, 2, 4, 4),
-        mc_samples=500, seed=3,
-    )
-    assert np.allclose(grid.fidelity.reshape(6), r.fidelity[:6], rtol=1e-12, atol=0.0)
 
 
 def test_single_sample_fidelities_return_scalars():
@@ -442,65 +428,42 @@ def test_single_sample_fidelities_return_scalars():
     assert type(r.fidelity) is float
     assert type(r.p_success) is float
     assert type(r.samples_used) is int
-    assert r.basis_success.shape == (4,)
-
-
-def test_negligible_success_error_names_the_time_sample():
-    rng = np.random.default_rng(23)
-    lam, traces = _random_lossy_blocks(rng, 6)
-    lam[4] = 0.0
-    traces[4] = 0.0
-    with pytest.raises(RuntimeError, match="negligible success probability at time sample 4"):
-        observables.conditional_fidelity_from_blocks(lam, traces, np.eye(4), mc_samples=200)
 
 
 def _unblocked_conditional_fidelity(lam, traces, U, mc_samples, seed):
     """The estimator as one product with the whole (256, mc_samples) weight
     matrix Q: returns (fidelity, p_success, samples_used) or raises."""
-    lam = np.asarray(lam)
-    lead = lam.shape[:-3]
-    T = math.prod(lead)
-    U = np.broadcast_to(U, lead + (4, 4))[..., None, :, :]
-    rotated = (U.conj().swapaxes(-1, -2) @ lam @ U).reshape(T, 256)
+    rotated = np.einsum("ai,kij,jb->kab", U.conj().T, lam, U).reshape(256)
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((mc_samples, 4)) + 1j * rng.standard_normal((mc_samples, 4))
     psi = X / np.linalg.norm(X, axis=1, keepdims=True)
     W = (psi[:, :, None] * psi.conj()[:, None, :]).reshape(mc_samples, 16)
     Q = (W[:, :, None] * W.conj()[:, None, :]).reshape(mc_samples, 256).T
     num = (rotated @ Q).real
-    p = (np.asarray(traces).reshape(T, 16) @ W.T).real
+    p = (traces @ W.T).real
     keep = p >= 1e-12
-    kept = np.count_nonzero(keep, axis=1)
-    too_many = mc_samples - kept > 0.01 * mc_samples
-    if np.any(too_many):
-        m = int(np.argmax(too_many))
-        where = f" at time sample {m}" if lead else ""
+    kept = np.count_nonzero(keep)
+    if mc_samples - kept > 0.01 * mc_samples:
         raise RuntimeError(
-            f"{mc_samples - kept[m]} of {mc_samples} samples had "
-            f"negligible success probability{where}"
+            f"{mc_samples - kept} of {mc_samples} samples had negligible success probability"
         )
-    mean_f = np.divide(num, p, out=np.zeros_like(num), where=keep).sum(axis=1) / kept
-    return np.sqrt(np.maximum(mean_f, 0.0)).reshape(lead), p.mean(axis=1).reshape(lead), kept.min()
+    mean_f = np.divide(num, p, out=np.zeros_like(num), where=keep).sum() / kept
+    return math.sqrt(max(mean_f, 0.0)), p.mean(), kept
 
 
 _TILE = observables._MC_TILE
 
 
 @pytest.mark.parametrize("mc_samples", [1, _TILE - 1, _TILE, _TILE + 1, 2000])
-@pytest.mark.parametrize("lead", [(), (1,), (33,)])
-def test_streamed_estimate_matches_the_unblocked_weight_matrix(mc_samples, lead):
-    # T = 33 leaves a ragged last time chunk; the sample counts a ragged last tile.
-    T = math.prod(lead)
+def test_streamed_estimate_matches_the_unblocked_weight_matrix(mc_samples):
+    # The sample counts leave a ragged last tile.
     rng = np.random.default_rng(24)
-    lam, traces = _random_lossy_blocks(rng, T)
-    U = np.stack([_random_unitary(rng) for _ in range(T)])
-    lam, traces = lam.reshape(lead + (16, 4, 4)), traces.reshape(lead + (16,))
-    U = U.reshape(lead + (4, 4))
+    lam, traces = _random_lossy_blocks(rng, 1)
+    lam, traces, U = lam[0], traces[0], _random_unitary(rng)
     r = observables.conditional_fidelity_from_blocks(lam, traces, U, mc_samples=mc_samples, seed=9)
     f, p, used = _unblocked_conditional_fidelity(lam, traces, U, mc_samples, 9)
-    assert np.shape(r.fidelity) == np.shape(r.p_success) == lead
-    assert np.allclose(r.fidelity, f, rtol=1e-13, atol=0.0)
-    assert np.allclose(r.p_success, p, rtol=1e-13, atol=0.0)
+    assert r.fidelity == pytest.approx(f, rel=1e-13, abs=0.0)
+    assert r.p_success == pytest.approx(p, rel=1e-13, abs=0.0)
     assert r.samples_used == used == mc_samples
 
 
@@ -511,25 +474,22 @@ def _blind_trace(X):
 
 
 def test_skipped_samples_in_a_later_tile_give_the_same_error():
-    # At time sample 1 the success probability vanishes on three draws of the
-    # second tile only: above 1% of 260 draws.
+    # The success probability vanishes on three draws of the second tile
+    # only: above 1% of 260 draws.
     mc_samples, bad = _TILE + 10, [_TILE + 1, _TILE + 4, _TILE + 9]
     rng = np.random.default_rng(7)
     X = rng.standard_normal((mc_samples, 4)) + 1j * rng.standard_normal((mc_samples, 4))
-    lam = np.stack([_units(), _units()])
-    traces = np.stack([np.eye(4, dtype=complex).reshape(16), _blind_trace(X[bad])])
+    lam, traces = _units(), _blind_trace(X[bad])
     with pytest.raises(RuntimeError) as want:
         _unblocked_conditional_fidelity(lam, traces, np.eye(4), mc_samples, 7)
-    assert str(want.value) == (
-        "3 of 260 samples had negligible success probability at time sample 1"
-    )
+    assert str(want.value) == "3 of 260 samples had negligible success probability"
     with pytest.raises(RuntimeError) as got:
         observables.conditional_fidelity_from_blocks(
             lam, traces, np.eye(4), mc_samples=mc_samples, seed=7
         )
     assert str(got.value) == str(want.value)
     # Two vanishing draws are within 1%: the estimate skips them.
-    traces[1] = _blind_trace(X[bad[:2]])
+    traces = _blind_trace(X[bad[:2]])
     r = observables.conditional_fidelity_from_blocks(
         lam, traces, np.eye(4), mc_samples=mc_samples, seed=7
     )
@@ -549,8 +509,7 @@ def test_conditional_fidelity_memory_does_not_grow_with_the_sample_count():
     # Only the Haar set itself (64 B per draw, a few times that while it is
     # drawn) grows with mc_samples; a (256, mc_samples) complex weight matrix
     # would add 74 MB between these two calls.
-    rng = np.random.default_rng(25)
-    lam, traces = _random_lossy_blocks(rng, 1)
+    lam, traces = (x[0] for x in _random_lossy_blocks(np.random.default_rng(25), 1))
     observables.conditional_fidelity_from_blocks(lam, traces, np.eye(4), mc_samples=10)
     small = _traced_peak(2000, lam, traces)
     large = _traced_peak(20000, lam, traces)
@@ -561,8 +520,7 @@ def test_haar_set_is_the_only_memory_that_grows_with_the_draws():
     # The drawn parts take 64 B per draw and each tile forms and normalizes
     # its own states, so the call peaks near 14 MB here. Complex draws
     # a + 1j*b normalized as one set would hold 144 B per draw (28.8 MB).
-    rng = np.random.default_rng(25)
-    lam, traces = _random_lossy_blocks(rng, 1)
+    lam, traces = (x[0] for x in _random_lossy_blocks(np.random.default_rng(25), 1))
     observables.conditional_fidelity_from_blocks(lam, traces, np.eye(4), mc_samples=10)
     peak = _traced_peak(200000, lam, traces)
     assert peak < 23e6, f"traced peak {peak / 1e6:.1f} MB"

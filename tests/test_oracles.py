@@ -42,19 +42,19 @@ def test_c1_no_jump_probability_is_the_models_and_the_band_quotes_an_amplitude()
     # The pure-state route equals the conditional map with dephasing in the drift.
     excluded = dynamics.evolve_gate_inputs(
         TRANSIENT, times, conditional=True, dephasing_mode="excluded"
-    ).image(_TRACE, 1)[-1, :, 0]
+    ).image(_TRACE)[-1, :, 0]
     assert np.max(np.abs(excluded[_DIAGONAL] - p_basis)) < 1e-10
     # The map criterion 1 scores keeps the dephasing dissipator. Unequal
     # photon numbers leave every off-diagonal unit traceless, so the
     # Haar-average no-jump probability is Tr Λ(I)/4.
     co = dynamics.evolve_gate_inputs(TRANSIENT, times, conditional=True)
-    traces = co.image(_TRACE, 1)[-1, :, 0]
+    traces = co.image(_TRACE)[-1, :, 0]
     assert np.all(np.delete(traces, _DIAGONAL) == 0)
     exact = float(np.sum(traces[_DIAGONAL].real)) / 4.0
     assert exact == pytest.approx(0.87989, abs=1e-5)
     # The Monte Carlo figure is the sample mean over the seed-42 Haar set,
     # 3.1 standard errors below the exact value.
-    lam = co.image(basis.qubit_cells(basis.M_STATES), 16)[-1].reshape(16, 4, 4)
+    lam = co.image(basis.qubit_cells(basis.M_STATES))[-1].reshape(16, 4, 4)
     mc = observables.conditional_fidelity_from_blocks(lam, traces, np.eye(4), mc_samples=2000)
     rng = np.random.default_rng(42)
     X = rng.standard_normal((2000, 4)) + 1j * rng.standard_normal((2000, 4))
@@ -119,8 +119,8 @@ def scored_maps():
 
 def _haar_ratios(lam, traces, U, mc_samples, seed=42):
     """Per-draw renormalized overlaps of the Haar set that
-    conditional_fidelity_from_blocks draws from (seed, mc_samples), for
-    one time sample; their mean is its F_c²."""
+    conditional_fidelity_from_blocks draws from (seed, mc_samples); their
+    mean is its F_c²."""
     Z = np.random.default_rng(seed).standard_normal((2, mc_samples, 4))
     R = np.einsum("ai,kij,jb->kab", U.conj().T, lam, U).reshape(16, 16)
     out = []
@@ -144,12 +144,12 @@ def test_exact_conditional_fidelity_is_the_monte_carlo_limit(scored_maps, name):
     samples = list(_SCORED[name][2])
     exact, _ = observables.haar_conditional_fidelity(lam[samples], traces[samples], U[samples])
     for mc_samples in (2000, 200000):
-        mc = observables.conditional_fidelity_from_blocks(
-            lam[samples], traces[samples], U[samples], mc_samples=mc_samples, seed=42
-        )
         for k, m in enumerate(samples):
+            mc = observables.conditional_fidelity_from_blocks(
+                lam[m], traces[m], U[m], mc_samples=mc_samples, seed=42
+            )
             draws = _haar_ratios(lam[m], traces[m], U[m], mc_samples)
-            assert mc.fidelity[k] ** 2 == pytest.approx(draws.mean(), rel=1e-12)
+            assert mc.fidelity**2 == pytest.approx(draws.mean(), rel=1e-12)
             z = (exact[k] ** 2 - draws.mean()) / (draws.std(ddof=1) / math.sqrt(mc_samples))
             pinned = _PINNED_Z.get((name, mc_samples))
             if pinned is not None:

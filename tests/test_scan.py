@@ -151,6 +151,32 @@ def test_a_stack_needs_equal_channel_rates():
         dynamics.gate_input_stack([base, replace(base, gamma21=0.5)], np.linspace(0.0, 0.1, 3))
 
 
+def _shared_by_a_stack(cfg):
+    """What a generator stack takes from its first point's config."""
+    return (
+        mscheme.channel_rates(cli.params_from_config(cfg)),
+        cli._times_from_config(cfg).tobytes(),
+        cli.amplitudes_from_config(cfg).tobytes(),
+        cfg["dephasing_mode"],
+        cli._engine_kwargs(cfg),
+    )
+
+
+def test_hamiltonian_keys_are_the_float_keys_that_change_the_hamiltonian_alone():
+    # A stack takes all but the Hamiltonian from its first point, so a key
+    # wrongly listed would silently give every later row the first's value.
+    base = {**cli.DEFAULTS, **fast_gate_config()}
+    H = mscheme.build_hamiltonian(cli.params_from_config(base))
+    changes_h = set()
+    for key in (k for k, v in cli.DEFAULTS.items() if type(v) is float):
+        cfg = {**base, key: 1.5 * base[key] + 0.25}
+        if not np.array_equal(mscheme.build_hamiltonian(cli.params_from_config(cfg)), H):
+            changes_h.add(key)
+        if key in cli._HAMILTONIAN_KEYS:
+            assert _shared_by_a_stack(cfg) == _shared_by_a_stack(base), key
+    assert changes_h == cli._HAMILTONIAN_KEYS
+
+
 def test_a_failing_point_leaves_its_stack_neighbours_alone(tmp_path):
     # delta2 = 5e307 and 1e308 overflow the step propagator; the first
     # point of the same stack is the benchmark point's row.
