@@ -455,16 +455,24 @@ _TILE = observables._MC_TILE
 
 
 @pytest.mark.parametrize("mc_samples", [1, _TILE - 1, _TILE, _TILE + 1, 2000])
-def test_streamed_estimate_matches_the_unblocked_weight_matrix(mc_samples):
-    # The sample counts leave a ragged last tile.
+@pytest.mark.parametrize("lead", [(), (1,), (33,)])
+def test_streamed_estimate_matches_the_unblocked_weight_matrix(mc_samples, lead):
+    # The sample counts leave a ragged last tile. A lead-shaped batch of
+    # random maps and targets is scored one time sample at a time.
+    T = math.prod(lead)
     rng = np.random.default_rng(24)
-    lam, traces = _random_lossy_blocks(rng, 1)
-    lam, traces, U = lam[0], traces[0], _random_unitary(rng)
-    r = observables.conditional_fidelity_from_blocks(lam, traces, U, mc_samples=mc_samples, seed=9)
-    f, p, used = _unblocked_conditional_fidelity(lam, traces, U, mc_samples, 9)
-    assert r.fidelity == pytest.approx(f, rel=1e-13, abs=0.0)
-    assert r.p_success == pytest.approx(p, rel=1e-13, abs=0.0)
-    assert r.samples_used == used == mc_samples
+    lam, traces = _random_lossy_blocks(rng, T)
+    U = np.stack([_random_unitary(rng) for _ in range(T)])
+    lam, traces = lam.reshape(lead + (16, 4, 4)), traces.reshape(lead + (16,))
+    U = U.reshape(lead + (4, 4))
+    for m in np.ndindex(lead):
+        r = observables.conditional_fidelity_from_blocks(
+            lam[m], traces[m], U[m], mc_samples=mc_samples, seed=9
+        )
+        f, p, used = _unblocked_conditional_fidelity(lam[m], traces[m], U[m], mc_samples, 9)
+        assert r.fidelity == pytest.approx(f, rel=1e-13, abs=0.0)
+        assert r.p_success == pytest.approx(p, rel=1e-13, abs=0.0)
+        assert r.samples_used == used == mc_samples
 
 
 def _blind_trace(X):
