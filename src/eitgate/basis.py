@@ -73,7 +73,8 @@ def qubit_cells(states) -> np.ndarray:
     a + n·b goes to cell 4i + j when states a and b share their label and
     carry the photon pairs FIELD_BASIS[i] and FIELD_BASIS[j]; else -1."""
     q = np.array([_FIELD_INDEX.get((n_p, n_t), 4) for _, n_p, n_t in states])
-    label = np.unique([s[0] for s in states], return_inverse=True)[1]
+    codes: dict[str, int] = {}
+    label = np.array([codes.setdefault(s[0], len(codes)) for s in states])
     same = (label[:, None] == label) & (q[:, None] < 4) & (q < 4)
     return np.where(same, 4 * q[:, None] + q, -1).ravel(order="F")
 

@@ -105,6 +105,9 @@ _HAMILTONIAN_KEYS = frozenset(
 # scan point the two builds cost ~2.5 ms for one point and ~0.2 ms per
 # point from 16 on, while the traced peak grows ~0.11 MB per point.
 SCAN_STACK = 16
+# The most float64 time samples one numpy array can index; numpy refuses
+# a longer np.linspace with an error that names no key.
+_MAX_SAMPLES = np.iinfo(np.intp).max // 8
 
 
 def load_config(path: str | None) -> dict:
@@ -222,6 +225,8 @@ def _times_from_config(cfg: dict) -> np.ndarray:
         raise ValueError("t_max must be positive")
     if cfg["n_samples"] < 2:
         raise ValueError("n_samples must be at least 2")
+    if cfg["n_samples"] > _MAX_SAMPLES:
+        raise ValueError(f"n_samples must be at most {_MAX_SAMPLES} (the longest float64 array)")
     return np.linspace(0.0, float(cfg["t_max"]), int(cfg["n_samples"]))
 
 
@@ -251,7 +256,7 @@ def _metrics_from_blocks(propagate, states) -> dict:
     phases = observables.phases_from_coherences(super_blocks[:, 1:4, 0], gt.amplitudes)
     U = observables.ideal_phase_unitary(phases)
     fid = observables.average_fidelity_from_blocks(blocks, U)
-    populations = np.einsum("k,tki->ti", w, gt.image(basis.population_cells(states))).real
+    populations = gt.image(basis.population_cells(states), superposed=True).real
     del gt, blocks
     cond = propagate(conditional=True)
     cond_blocks = cond.image(qubit).reshape(-1, 16, 4, 4)

@@ -432,24 +432,33 @@ class GateTrajectories:
         """Zero-filled states (T,16,n,n) of the sixteen units."""
         return _scatter(self.blocks, self.times.size, 16, self.dim)
 
+    def _superposed(self):
+        """The blocks of the superposition input, one unit each: every
+        block's units summed with their weights, (T,1,entries), each made
+        as it is read."""
+        w, one = self.weights, np.zeros(1, dtype=int)
+        return ((one, e, np.einsum("k,tkr->tr", w[u], Y)[:, None]) for u, e, Y in self.blocks)
+
     @property
     def superposition(self) -> np.ndarray:
         """Trajectory (T,n,n) of the pure superposition input."""
-        w, one = self.weights, np.zeros(1, dtype=int)
-        parts = [(one, e, np.einsum("k,tkr->tr", w[u], Y)[:, None]) for u, e, Y in self.blocks]
-        return _scatter(parts, self.times.size, 1, self.dim)[:, 0]
+        return _scatter(self._superposed(), self.times.size, 1, self.dim)[:, 0]
 
-    def image(self, cells: np.ndarray) -> np.ndarray:
+    def image(self, cells: np.ndarray, *, superposed: bool = False) -> np.ndarray:
         """Readout (T,16,size) of every unit through the index map cells
         (basis.qubit_cells and the like), size = cells.max() + 1: vec entry
         a + dim*b adds to cell cells[a + dim*b], -1 drops it; one 0/1
-        product per block."""
+        product per block. superposed reads the superposition input alone,
+        (T,size), its units summed before the map. Where each cell takes
+        one entry, as for basis.population_cells, that equals the weighted
+        sum of the units' images bit for bit."""
         size = int(cells.max()) + 1
-        out = np.zeros((self.times.size, 16, size), dtype=complex)
-        for units, e, Y in self.blocks:
+        blocks = self._superposed() if superposed else self.blocks
+        out = np.zeros((self.times.size, 1 if superposed else 16, size), dtype=complex)
+        for units, e, Y in blocks:
             F = (cells[e, None] == np.arange(size)).astype(complex)
             out[:, units] += (Y.reshape(-1, e.size) @ F).reshape(Y.shape[:2] + (size,))
-        return out
+        return out[:, 0] if superposed else out
 
 
 def qubit_unit_stack(L: Superoperator, positions, times: np.ndarray, amplitudes=None, **kw):

@@ -33,6 +33,10 @@ CONVENTIONS = ("as-printed", "absorptive")
 # Largest edge population the truncation guard accepts.
 LEAKAGE_LIMIT = 1e-3
 
+# Largest n_max whose generator pattern fits build_liouvillian's int64
+# keys row·n² + col, n = ladder_dim(n_max): n⁴ < 2⁶³.
+_N_MAX_LIMIT = 134
+
 
 @dataclass(frozen=True)
 class LadderParams:
@@ -58,6 +62,10 @@ class LadderParams:
             raise ValueError("decay rates must be >= 0")
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
+        if self.n_max > _N_MAX_LIMIT:
+            raise ValueError(
+                f"n_max must be at most {_N_MAX_LIMIT} (where the generator's keys fit int64)"
+            )
         if self.convention not in CONVENTIONS:
             raise ValueError(f"unknown coupling convention {self.convention!r}")
 

@@ -251,6 +251,18 @@ def channel_rates(params: MSchemeParams) -> tuple[float, ...]:
     return tuple(getattr(params, attr) for _, _, attr in _DECAYS + _DEPHASINGS)
 
 
+def _union(keys: list[np.ndarray]) -> np.ndarray:
+    """The sorted distinct keys of the arrays, np.unique of their
+    concatenation, by a sort and a neighbour mask: numpy's np.unique runs
+    a slower hash path on integers and imports numpy.ma. Empty arrays, as
+    a zero H with no channels gives, have an empty union."""
+    union = np.concatenate(keys)
+    union.sort()
+    first = np.ones(union.size, dtype=bool)
+    np.not_equal(union[1:], union[:-1], out=first[1:])
+    return union[first]
+
+
 def build_liouvillian(H: np.ndarray, channels: list[JumpChannel]) -> Superoperator:
     """Superoperator L with vec(ρ̇) = L vec(ρ), column-major vectorization.
 
@@ -290,7 +302,7 @@ def build_liouvillian(H: np.ndarray, channels: list[JumpChannel]) -> Superoperat
         ((ia[:, None] * n + ib) * (n * n) + ja[:, None] * n + jb).ravel()
         for _, _, (ia, ja), (ib, jb) in pairs
     ]
-    union = np.unique(np.concatenate(keys))
+    union = _union(keys)
 
     def term(i: int) -> np.ndarray:
         """Term i on the union pattern, made only when it is summed, so

@@ -399,6 +399,55 @@ def test_scan_propagates_programming_errors(tmp_path, monkeypatch):
         ])
 
 
+@pytest.mark.parametrize("n_max", [135, _HUGE])
+def test_ladder_refuses_an_n_max_whose_generator_keys_overflow(tmp_path, capsys, monkeypatch,
+                                                               n_max):
+    # A 401-digit n_max used to grow a state table until the process was
+    # killed; the params refuse it before any table is built.
+    def never(*args, **kwargs):
+        raise AssertionError("built a state table")
+
+    monkeypatch.setattr(ladder, "ladder_states", never)
+    cfg_path = write_cfg(tmp_path, **{**SMALL_LADDER, "n_max": n_max})
+    out = tmp_path / "out"
+    assert cli.main(["ladder", "--config", cfg_path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: n_max must be at most 134 (where the generator's keys fit int64)\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("n_samples", [2**63, _HUGE])
+@pytest.mark.parametrize("command", ["simulate", "ladder"])
+def test_gate_commands_refuse_an_oversized_n_samples_by_name(tmp_path, capsys, monkeypatch,
+                                                             command, n_samples):
+    # np.linspace refused these with "Maximum allowed size exceeded" or an
+    # IndexError, neither naming the key.
+    def never(*args, **kwargs):
+        raise AssertionError("propagated")
+
+    monkeypatch.setattr(dynamics, "propagate_stack", never)
+    config = SMALL_LADDER if command == "ladder" else SMALL_GATE
+    cfg_path = write_cfg(tmp_path, **{**config, "n_samples": n_samples})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg_path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: n_samples must be at most {2**60 - 1} (the longest float64 array)\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_scan_records_an_oversized_n_samples_by_name(tmp_path):
+    cfg_path = write_cfg(tmp_path, **SMALL_GATE)
+    out = tmp_path / "scan"
+    assert cli.main([
+        "scan", "--config", cfg_path, "--out", str(out),
+        "--param", "n_samples", "--from", "6", "--to", "1e300", "--steps", "2",
+    ]) == 0
+    _, (ok, refused) = _read_csv(out / "scan.csv")
+    assert ok[-1] == ""
+    error = f"n_samples must be at most {2**60 - 1} (the longest float64 array)"
+    assert refused[1:] == ["", "", "", error]
+
+
 def test_scan_rejects_bad_parameters(tmp_path, capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("propagated before validating the scan range")
@@ -907,12 +956,13 @@ def test_commands_load_scipy_linalg_only_for_groupvel(tmp_path, command, config,
     # dynamics.expm, so a run other than groupvel loads no scipy module at
     # all, and with it neither scipy.linalg nor the second BLAS it brings.
     # The conditional fidelity is the exact Haar average, so the gate runs
-    # draw nothing and leave numpy.random unloaded too.
+    # draw nothing and leave numpy.random unloaded too. They call no
+    # np.unique either, whose first call imports numpy.ma.
     cfg_path = write_cfg(tmp_path, **config)
     code = (
         "import sys, eitgate.cli; rc = eitgate.cli.main(sys.argv[1:]); "
         "print(rc, 'scipy.linalg' in sys.modules, 'scipy' in sys.modules, "
-        "'numpy.random' in sys.modules)"
+        "'numpy.random' in sys.modules, 'numpy.ma' in sys.modules)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code, command, "--config", cfg_path, *extra]
@@ -922,7 +972,7 @@ def test_commands_load_scipy_linalg_only_for_groupvel(tmp_path, command, config,
         check=True,
         cwd=Path(cli.__file__).resolve().parents[1],
     )
-    rc, linalg, scipy, random = proc.stdout.splitlines()[-1].split()
+    rc, linalg, scipy, random, ma = proc.stdout.splitlines()[-1].split()
     assert (rc, linalg, scipy) == ("0", str(loaded), str(loaded))
     if command != "groupvel":
-        assert random == "False"
+        assert (random, ma) == ("False", "False")

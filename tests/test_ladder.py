@@ -83,6 +83,17 @@ def test_parameter_validation(kw):
         LadderParams(**kw)
 
 
+def test_n_max_stops_where_the_generator_keys_overflow_int64():
+    # A generator key is row·n² + col < n⁴, n = ladder_dim(n_max).
+    limit = ladder._N_MAX_LIMIT
+    int64 = np.iinfo(np.int64).max
+    assert ladder.ladder_dim(limit) ** 4 <= int64 < ladder.ladder_dim(limit + 1) ** 4
+    assert LadderParams(n_max=limit).n_max == limit
+    for n_max in (limit + 1, 10**400):
+        with pytest.raises(ValueError, match=rf"^n_max must be at most {limit} "):
+            LadderParams(n_max=n_max)
+
+
 @pytest.mark.parametrize("convention", ladder.CONVENTIONS)
 def test_hamiltonian_matches_product_structure(convention):
     params = LadderParams(

@@ -308,6 +308,27 @@ def test_empty_stack_keeps_the_channel_pattern():
     assert np.array_equal(L.indptr, channels_only.indptr)
 
 
+@pytest.mark.parametrize("keys", [
+    [np.random.default_rng(5).integers(0, 1000, size=m) for m in (300, 0, 41, 1)],
+    [np.full(7, 12), np.full(3, 12)],
+    [np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)],
+], ids=["random", "duplicates-only", "empty"])
+def test_union_is_numpys_unique(keys):
+    union = mscheme._union(keys)
+    assert union.dtype == np.int64
+    assert np.array_equal(union, np.unique(np.concatenate(keys)))
+
+
+@pytest.mark.parametrize("n", [1, 4, 18])
+def test_zero_generator_without_channels_builds_empty(n):
+    # Its key set is empty: the union pattern has no entries and every row
+    # is empty.
+    L = mscheme.build_liouvillian(np.zeros((n, n)), [])
+    assert L.nnz == 0 and L.data.shape == (0,)
+    assert np.array_equal(L.indptr, np.zeros(n * n + 1))
+    assert not L.toarray().any() and L.toarray().shape == (n * n, n * n)
+
+
 def test_conditional_generator_matches_the_dense_assembly():
     L = dynamics.conditional_generator(_H_RICH, _CHANNELS_RICH)
     reference = _dense_liouvillian(*_conditional_parts(_H_RICH, _CHANNELS_RICH))
