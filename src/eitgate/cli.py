@@ -88,8 +88,8 @@ DEFAULTS: dict = {
 }
 
 _STRING_KEYS = {
-    "method": ("exponential", "adaptive-rk"),
-    "dephasing_mode": ("lindblad", "excluded"),
+    "method": dynamics.METHODS,
+    "dephasing_mode": dynamics.DEPHASING_MODES,
     "ladder_convention": ladder.CONVENTIONS,
 }
 _INT_KEYS = {key for key, value in DEFAULTS.items() if type(value) is int}
@@ -108,6 +108,9 @@ SCAN_STACK = 16
 # The most float64 time samples one numpy array can index; numpy refuses
 # a longer np.linspace with an error that names no key.
 _MAX_SAMPLES = np.iinfo(np.intp).max // 8
+# The errors a run reports by name: main prints them on one line and exits
+# 1, a scan records them in the failing point's row.
+_RUN_FAILURES = (ValueError, RuntimeError, MemoryError)
 
 
 def load_config(path: str | None) -> dict:
@@ -227,7 +230,10 @@ def _times_from_config(cfg: dict) -> np.ndarray:
         raise ValueError("n_samples must be at least 2")
     if cfg["n_samples"] > _MAX_SAMPLES:
         raise ValueError(f"n_samples must be at most {_MAX_SAMPLES} (the longest float64 array)")
-    return np.linspace(0.0, float(cfg["t_max"]), int(cfg["n_samples"]))
+    try:
+        return np.linspace(0.0, float(cfg["t_max"]), int(cfg["n_samples"]))
+    except MemoryError as exc:
+        raise ValueError(f"n_samples {cfg['n_samples']} does not fit in memory: {exc}") from exc
 
 
 def _engine_kwargs(cfg: dict) -> dict:
@@ -455,7 +461,7 @@ def cmd_scan(args) -> int:
     for value, res in zip(values, _scan_results(_scan_points(cfg, args.param, values))):
         pi_s = fid_s = cond_s = err = ""
         if isinstance(res, Exception):  # keep scanning, record the failure
-            err = str(res).replace(",", ";").replace("\n", " ")
+            err = (str(res) or type(res).__name__).replace(",", ";").replace("\n", " ")
         else:
             t_pi = pi_crossing_time(res["times"], res["cps"])
             if t_pi is not None:
@@ -476,7 +482,7 @@ def _scan_points(cfg: dict, param: str, values):
             _check_gate_config(cfg_i)
             params_from_config(cfg_i)
             _times_from_config(cfg_i)
-        except ValueError as exc:
+        except _RUN_FAILURES as exc:
             cfg_i = exc
         yield cfg_i
 
@@ -495,7 +501,7 @@ def _scan_results(points):
             for run in _gate_runs(stack):
                 try:
                     yield run()
-                except (ValueError, RuntimeError) as exc:
+                except _RUN_FAILURES as exc:
                     yield exc
 
 
@@ -508,6 +514,8 @@ def _stack_key(point) -> dict | None:
 
 def cmd_groupvel(args) -> int:
     cfg = _checked_config(args)
+    if cfg["t_max"] <= 0:
+        raise ValueError("t_max must be positive")
     params = params_from_config(cfg)
     constants = constants_from_config(cfg)
     common = {
@@ -647,8 +655,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (*_RUN_FAILURES, OSError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -35,6 +35,10 @@ from .mscheme import (
     vec,
 )
 
+# The engines of propagate_stack and the dephasing modes of conditional_generator.
+METHODS = ("exponential", "adaptive-rk")
+DEPHASING_MODES = ("lindblad", "excluded")
+
 _UNIFORM_RTOL = 1e-9
 _KERNEL_RTOL = 1e-10
 _RESIDUAL_TOL = 1e-10
@@ -225,7 +229,7 @@ def propagate_stack(
     one (scipy.linalg.expm), until that average no longer amplifies
     rounding. None means the module's expm, looked up at call time.
     """
-    if method not in ("exponential", "adaptive-rk"):
+    if method not in METHODS:
         raise ValueError(f"unknown evolution method {method!r}")
     for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
         if not tol > 0:
@@ -361,7 +365,7 @@ def conditional_generator(
     channels are treated: "lindblad" keeps their full dissipator,
     "excluded" moves them into the drift as well.
     """
-    if dephasing_mode not in ("lindblad", "excluded"):
+    if dephasing_mode not in DEPHASING_MODES:
         raise ValueError(f"unknown dephasing_mode {dephasing_mode!r}")
     K = np.asarray(H, dtype=complex).copy()
     kept = []

@@ -327,25 +327,15 @@ def vec(rho: np.ndarray) -> np.ndarray:
     return rho.reshape(-1, order="F")
 
 
-def unvec(v: np.ndarray, n: int | None = None) -> np.ndarray:
-    """Inverse of vec."""
-    if n is None:
-        n = round(math.isqrt(v.size))
+def unvec(v: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of vec for (n, n) matrices."""
     return v.reshape((n, n), order="F")
 
 
-# The probe, trigger and probe+trigger sectors of one and two photons.
+# The probe, trigger and probe+trigger sectors of one and two photons:
+# build_hamiltonian on each gives its 3x3, 3x3 or 5x5 block.
 SECTORS = (
     (("G", 1, 0), ("E2", 0, 0), ("E1", 0, 0)),
     (("G", 0, 1), ("E4", 0, 0), ("E5", 0, 0)),
     (("E1", 0, 1), ("E2", 0, 1), ("G", 1, 1), ("E4", 1, 0), ("E5", 1, 0)),
 )
-
-
-def reduced_hamiltonians(params: MSchemeParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 3x3, 3x3 and 5x5 single- and two-photon sector Hamiltonians.
-
-    Built on the probe sector, the trigger sector, and the probe+trigger
-    sector (ordered E1, E2, ground, E4, E5).
-    """
-    return tuple(build_hamiltonian(params, states=states) for states in SECTORS)

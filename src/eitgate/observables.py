@@ -1,10 +1,10 @@
 """Readout of gate quantities from propagated states.
 
 Covers the partial trace onto the two field modes, the phases picked up
-by the photonic basis states, the average gate fidelity against the
-ideal phase unitary from the images of the qubit matrix units, and the
-conditional (no-decay) fidelity: its exact Haar average, and the Monte
-Carlo estimate that serves as its oracle.
+by the photonic basis states along a time series, the average gate
+fidelity against the ideal phase unitary from the images of the qubit
+matrix units, and the conditional (no-decay) fidelity: its exact Haar
+average, and the Monte Carlo estimate that serves as its oracle.
 """
 
 from __future__ import annotations
@@ -70,33 +70,28 @@ def _sample_label(flags: np.ndarray) -> str:
     return f" at time sample {m[0] if len(m) == 1 else tuple(int(i) for i in m)}"
 
 
-def phases_from_coherences(coherences: np.ndarray, amplitudes=None) -> np.ndarray:
+def phases_from_coherences(coherences: np.ndarray, amplitudes) -> np.ndarray:
     """Unwrap the phases of the qubit coherences against the vacuum.
 
-    coherences[t] holds <q_k|ρ(t)|q_0> for k = 1, 2, 3. The phase
-    already present in the input amplitudes is removed, then each time
-    step is moved to the nearest 2π branch. Non-finite coherences and
-    steps of magnitude π or more raise ValueError; vanishing coherences
-    raise UndefinedPhaseError. All three name the time sample that tripped.
+    coherences[t] (T, 3) holds <q_k|ρ(t)|q_0> for k = 1, 2, 3; another
+    shape raises ValueError. The phase of the four input amplitudes is
+    removed, then each time step is moved to the nearest 2π branch.
+    Non-finite coherences and steps of magnitude π or more raise ValueError;
+    vanishing coherences raise UndefinedPhaseError, all naming the sample.
     """
     coh = np.asarray(coherences, dtype=complex)
-    single = coh.ndim == 1
-    if single:
-        coh = coh[None]
-    if coh.shape[-1] != 3:
-        raise ValueError("expected three coherence series")
-    c = np.full(4, 0.5, dtype=complex) if amplitudes is None else np.asarray(
-        amplitudes, dtype=complex
-    ).reshape(4)
+    if coh.ndim != 2 or coh.shape[1] != 3:
+        raise ValueError(f"expected a (T, 3) coherence series, got shape {coh.shape}")
+    c = np.asarray(amplitudes, dtype=complex).reshape(4)
     nrm = np.linalg.norm(c)
     if nrm == 0 or abs(c[0]) < 1e-12 * nrm:
         raise UndefinedPhaseError("vacuum amplitude below 1e-12 of the norm; phases undefined")
-    if not np.isfinite(coh).all():
-        where = "" if single else _sample_label(~np.isfinite(coh).all(axis=-1))
-        raise ValueError(f"non-finite qubit coherence{where}")
+    nonfinite = ~np.isfinite(coh).all(axis=-1)
+    if nonfinite.any():
+        raise ValueError(f"non-finite qubit coherence{_sample_label(nonfinite)}")
     vanishing = np.abs(coh) < 1e-12
     if np.any(vanishing):
-        where = "" if single else _sample_label(np.any(vanishing, axis=-1))
+        where = _sample_label(np.any(vanishing, axis=-1))
         raise UndefinedPhaseError(f"qubit coherence below threshold{where}; phase undefined")
     raw = np.angle(coh) - np.angle(c[1:4] * np.conj(c[0]))[None, :]
     phases = np.empty_like(raw)
@@ -110,11 +105,11 @@ def phases_from_coherences(coherences: np.ndarray, amplitudes=None) -> np.ndarra
                 f"({largest / np.pi:.6f}π); refine the grid"
             )
         phases[m] = phases[m - 1] + step
-    return phases[0] if single else phases
+    return phases
 
 
-def extract_phases(field_rhos: np.ndarray, amplitudes=None) -> np.ndarray:
-    """Accumulated phases of |01>, |10>, |11> along a field trajectory."""
+def extract_phases(field_rhos: np.ndarray, amplitudes) -> np.ndarray:
+    """Accumulated phases of |01>, |10>, |11> along a (T, 6, 6) field trajectory."""
     return phases_from_coherences(check_states(field_rhos, FIELD_DIM)[..., 1:4, 0], amplitudes)
 
 

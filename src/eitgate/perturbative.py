@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mscheme import SECTORS, MSchemeParams, reduced_hamiltonians
+from .mscheme import SECTORS, MSchemeParams, build_hamiltonian
 
 # Position of the purely photonic component, all atoms in G, within each
 # reduced block: probe, trigger and probe+trigger sector.
@@ -56,10 +56,9 @@ def dark_eigenvalue(H: np.ndarray, bare_index: int) -> float:
 
 
 def phase_rates(params: MSchemeParams) -> tuple[float, float, float]:
-    """Dark eigenvalues (λ_p, λ_t, λ_pt) of the reduced sectors."""
-    return tuple(
-        dark_eigenvalue(H, i) for H, i in zip(reduced_hamiltonians(params), _BARE_INDICES)
-    )
+    """Dark eigenvalues (λ_p, λ_t, λ_pt) of the Hamiltonian on each of SECTORS."""
+    sectors = (build_hamiltonian(params, states) for states in SECTORS)
+    return tuple(dark_eigenvalue(H, i) for H, i in zip(sectors, _BARE_INDICES))
 
 
 def eigenvalue_phase(params: MSchemeParams, t: float) -> float:

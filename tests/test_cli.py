@@ -386,7 +386,7 @@ def test_scan_records_per_point_failures(tmp_path):
 
 def test_scan_propagates_programming_errors(tmp_path, monkeypatch):
     # Raised inside a point's propagation, below the scan's per-point
-    # handler: only ValueError and RuntimeError become row errors.
+    # handler: only the errors of cli._RUN_FAILURES become row errors.
     def broken(A):
         raise TypeError("not a domain error")
 
@@ -433,6 +433,47 @@ def test_gate_commands_refuse_an_oversized_n_samples_by_name(tmp_path, capsys, m
     err = capsys.readouterr().err
     assert err == f"error: n_samples must be at most {2**60 - 1} (the longest float64 array)\n"
     assert not out.exists() or not any(out.iterdir())
+
+
+# 8 PiB of float64 samples: beyond a 47-bit user address space, so the
+# allocation fails at once whatever the overcommit setting.
+_BEYOND_MEMORY = 2**50
+
+
+def test_simulate_reports_an_n_samples_beyond_memory_by_name(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("propagated")
+
+    monkeypatch.setattr(dynamics, "propagate_stack", never)
+    cfg_path = write_cfg(tmp_path, **{**SMALL_GATE, "n_samples": _BEYOND_MEMORY})
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: n_samples {_BEYOND_MEMORY} does not fit in memory: ")
+    assert err.count("\n") == 1
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_groupvel_reports_an_avg_grid_beyond_memory(tmp_path, capsys):
+    cfg_path = write_cfg(
+        tmp_path, n_atoms=1e6, g_p=0.0022, g_t=0.0022, omega1=4.0, omega4=4.0, delta2=15.0,
+        delta3=15.0, avg_grid=_BEYOND_MEMORY,
+    )
+    assert cli.main(["groupvel", "--config", cfg_path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_groupvel_refuses_a_non_positive_t_max_before_propagating(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("propagated")
+
+    monkeypatch.setattr(groupvel, "steady_state", never)
+    cfg_path = write_cfg(tmp_path, n_atoms=1e6, g_p=0.0022, g_t=0.0022, t_max=-1.0)
+    assert cli.main(["groupvel", "--config", cfg_path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: t_max must be positive\n" and captured.out == ""
 
 
 def test_scan_records_an_oversized_n_samples_by_name(tmp_path):

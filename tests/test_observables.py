@@ -1,5 +1,6 @@
 """Field reduction, phase extraction and fidelity measures."""
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -89,11 +90,15 @@ def test_population_names_follow_canonical_order():
     assert np.array_equal(observables.populations(rho), np.arange(18.0))
 
 
+# The equal superposition of the four qubit states.
+EQUAL = np.full(4, 0.5)
+
+
 def test_phase_extraction_recovers_linear_drift():
     lam = np.array([0.7, -1.1, 0.4])
     times = np.linspace(0.0, 2.0, 201)
     coh = 0.3 * np.exp(-1j * np.outer(times, lam))
-    phases = observables.phases_from_coherences(coh)
+    phases = observables.phases_from_coherences(coh, EQUAL)
     assert np.allclose(phases, -np.outer(times, lam), atol=1e-10)
     cps = observables.conditional_phase_shift(phases)
     assert np.allclose(cps, -(lam[2] - lam[1] - lam[0]) * times, atol=1e-9)
@@ -102,7 +107,7 @@ def test_phase_extraction_recovers_linear_drift():
 def test_phase_extraction_unwraps_beyond_two_pi():
     times = np.linspace(0.0, 30.0, 301)
     coh = 0.5 * np.exp(-1j * np.outer(times, np.array([1.0, 1.0, 1.0])))
-    phases = observables.phases_from_coherences(coh)
+    phases = observables.phases_from_coherences(coh, EQUAL)
     assert phases[-1, 0] == pytest.approx(-30.0, abs=1e-9)
 
 
@@ -131,10 +136,10 @@ def test_phases_depend_only_on_amplitude_ratios():
 def test_phase_step_of_pi_is_rejected_as_ambiguous():
     coh = 0.5 * np.exp(1j * np.array([[0.0] * 3, [np.pi] * 3]))
     with pytest.raises(ValueError, match="refine the grid"):
-        observables.phases_from_coherences(coh)
+        observables.phases_from_coherences(coh, EQUAL)
     # Anything measurably under pi still lands on the nearest branch.
     near = 0.5 * np.exp(1j * np.array([[0.0] * 3, [3.0] * 3]))
-    phases = observables.phases_from_coherences(near)
+    phases = observables.phases_from_coherences(near, EQUAL)
     assert np.allclose(phases[1], 3.0, atol=1e-12)
 
 
@@ -142,48 +147,58 @@ def test_phase_step_error_names_the_time_sample():
     angles = np.array([0.0, 0.5, 1.0, 1.5, 1.5 + np.pi, 2.0])
     coh = 0.5 * np.exp(1j * np.repeat(angles[:, None], 3, axis=1))
     with pytest.raises(ValueError, match="phase step of π or more between samples 3 and 4"):
-        observables.phases_from_coherences(coh)
+        observables.phases_from_coherences(coh, EQUAL)
 
 
 def test_undefined_phase_error_names_the_time_sample():
     coh = np.full((5, 3), 0.5, dtype=complex)
     coh[2, 1] = 1e-13
     with pytest.raises(observables.UndefinedPhaseError, match="at time sample 2;"):
-        observables.phases_from_coherences(coh)
+        observables.phases_from_coherences(coh, EQUAL)
 
 
 def test_vanishing_coherence_raises_undefined_phase():
     coh = np.full((3, 3), 1e-13, dtype=complex)
     with pytest.raises(observables.UndefinedPhaseError):
-        observables.phases_from_coherences(coh)
+        observables.phases_from_coherences(coh, EQUAL)
     good = np.full((3, 3), 0.5, dtype=complex)
     with pytest.raises(observables.UndefinedPhaseError):
         observables.phases_from_coherences(good, [0.0, 1.0, 1.0, 1.0])
 
 
 def test_non_finite_coherences_raise_naming_the_time_sample():
-    with pytest.raises(ValueError, match="non-finite qubit coherence$"):
-        observables.phases_from_coherences(np.array([0.5, np.nan, 0.5]))
     with pytest.raises(ValueError, match="non-finite qubit coherence at time sample 0$"):
-        observables.phases_from_coherences(np.full((2, 3), np.nan))
+        observables.phases_from_coherences(np.array([[0.5, np.nan, 0.5]]), EQUAL)
+    with pytest.raises(ValueError, match="non-finite qubit coherence at time sample 0$"):
+        observables.phases_from_coherences(np.full((2, 3), np.nan), EQUAL)
     coh = np.full((5, 3), 0.5, dtype=complex)
     coh[3, 1] = np.inf
     coh[4, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite qubit coherence at time sample 3$"):
-        observables.phases_from_coherences(coh)
+        observables.phases_from_coherences(coh, EQUAL)
 
 
 def test_extract_phases_single_state_and_trajectory():
     f = np.zeros((6, 6), dtype=complex)
     f[1:4, 0] = 0.25 * np.exp(1j * np.array([0.1, 0.2, 0.3]))
     f[0, 1:4] = np.conj(f[1:4, 0])
-    single = observables.extract_phases(f)
-    assert single.shape == (3,)
-    assert np.allclose(single, [0.1, 0.2, 0.3], atol=1e-12)
-    traj = observables.extract_phases(np.stack([f, f]))
+    traj = observables.extract_phases(np.stack([f, f]), EQUAL)
     assert traj.shape == (2, 3)
+    assert np.allclose(traj, [0.1, 0.2, 0.3], atol=1e-12)
+    with pytest.raises(ValueError, match=r"got shape \(3,\)"):
+        observables.extract_phases(f, EQUAL)
     with pytest.raises(ValueError):
-        observables.extract_phases(np.eye(5))
+        observables.extract_phases(np.eye(5), EQUAL)
+
+
+def test_phases_are_read_from_series_only():
+    # A single sample, a stack of series and a series of other than three
+    # coherences are each refused, naming the shape.
+    for shape in [(3,), (2, 4, 3), (4, 2)]:
+        coh = np.full(shape, 0.5, dtype=complex)
+        with pytest.raises(ValueError, match=rf"got shape {re.escape(str(shape))}$"):
+            observables.phases_from_coherences(coh, EQUAL)
+    assert observables.phases_from_coherences(np.full((1, 3), 0.5), EQUAL).shape == (1, 3)
 
 
 def test_ideal_phase_unitary_layout():

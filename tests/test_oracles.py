@@ -212,8 +212,10 @@ def test_c5_closed_form_is_the_models_fourth_order_phase_and_lies_above_the_band
     g = np.linspace(0.1, 0.3, 11)
     ratios = []
     for gi in g:
-        sectors = mscheme.reduced_hamiltonians(replace(WEAK, g_p=gi, g_t=gi))
-        lam_p, lam_t, lam_pt = map(dark, sectors, mscheme.SECTORS)
+        params = replace(WEAK, g_p=gi, g_t=gi)
+        lam_p, lam_t, lam_pt = (
+            dark(mscheme.build_hamiltonian(params, s), s) for s in mscheme.SECTORS
+        )
         ratios.append((lam_pt - lam_p - lam_t) / gi**4)
     coefficient = np.polynomial.polynomial.polyfit(g**2, ratios, 2)[0]
     assert coefficient == pytest.approx(-6.9081e-5, rel=1e-4)

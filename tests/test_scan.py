@@ -54,7 +54,7 @@ def _own_row(value, cfg) -> str:
     """The scan row of one point from its own run_gate_analysis."""
     try:
         res = cli.run_gate_analysis(cfg)
-    except (ValueError, RuntimeError) as exc:
+    except cli._RUN_FAILURES as exc:
         return f"{cli._fmt(value)},,,,{str(exc).replace(',', ';').replace(chr(10), ' ')}"
     t_pi = cli.pi_crossing_time(res["times"], res["cps"])
     cells = ["", "", ""]
@@ -187,6 +187,28 @@ def test_a_failing_point_leaves_its_stack_neighbours_alone(tmp_path):
         "5.0000000000000001e+307,,,,propagated columns are non-finite at time sample 1",
         "1.0000000000000000e+308,,,,propagated columns are non-finite at time sample 1",
     ]
+
+
+@pytest.mark.parametrize(
+    "message, cell", [("", "MemoryError"), ("Unable to allocate", "Unable to allocate")]
+)
+def test_a_point_out_of_memory_is_recorded_in_its_row(tmp_path, monkeypatch, message, cell):
+    # A bare MemoryError, as a failed Python allocation raises, has no
+    # message: its row names the type.
+    want = _run_scan(tmp_path, fast_gate_config(), "g_p", 0.0022, 0.0030, 3)
+    original = cli._metrics_from_blocks
+    calls = []
+
+    def second_out_of_memory(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise MemoryError(message)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_metrics_from_blocks", second_out_of_memory)
+    rows = _run_scan(tmp_path, fast_gate_config(), "g_p", 0.0022, 0.0030, 3)
+    assert rows[0] == want[0] and rows[2] == want[2]
+    assert rows[1] == want[1].split(",")[0] + ",,,," + cell
 
 
 def test_an_infinite_coupling_is_refused_before_it_joins_a_stack(tmp_path, monkeypatch):
