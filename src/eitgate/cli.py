@@ -223,17 +223,18 @@ def constants_from_config(cfg: dict) -> OpticalConstants:
     )
 
 
-def _times_from_config(cfg: dict) -> np.ndarray:
+def _times_from_config(cfg: dict, key: str = "n_samples") -> np.ndarray:
+    """cfg[key] samples over [0, t_max]; a grid too long is refused naming key."""
     if cfg["t_max"] <= 0:
         raise ValueError("t_max must be positive")
-    if cfg["n_samples"] < 2:
-        raise ValueError("n_samples must be at least 2")
-    if cfg["n_samples"] > _MAX_SAMPLES:
-        raise ValueError(f"n_samples must be at most {_MAX_SAMPLES} (the longest float64 array)")
+    if cfg[key] < 2:
+        raise ValueError(f"{key} must be at least 2")
+    if cfg[key] > _MAX_SAMPLES:
+        raise ValueError(f"{key} must be at most {_MAX_SAMPLES} (the longest float64 array)")
     try:
-        return np.linspace(0.0, float(cfg["t_max"]), int(cfg["n_samples"]))
+        return np.linspace(0.0, float(cfg["t_max"]), int(cfg[key]))
     except MemoryError as exc:
-        raise ValueError(f"n_samples {cfg['n_samples']} does not fit in memory: {exc}") from exc
+        raise ValueError(f"{key} {cfg[key]} does not fit in memory: {exc}") from exc
 
 
 def _engine_kwargs(cfg: dict) -> dict:
@@ -303,10 +304,11 @@ def _gate_runs(cfgs: list[dict]) -> list:
 
 
 def run_ladder_analysis(cfg: dict) -> dict:
-    """Same metrics for the three-level comparison model."""
+    """Same metrics for the three-level comparison model. A run that does
+    not fit in memory after its time grid is refused naming n_max."""
     params = ladder_params_from_config(cfg)
-    states = ladder.ladder_states(params.n_max)
     times = _times_from_config(cfg)
+    states = ladder.ladder_states(params.n_max)
     amps = amplitudes_from_config(cfg)
     kw = _engine_kwargs(cfg)
 
@@ -320,7 +322,12 @@ def run_ladder_analysis(cfg: dict) -> dict:
             ladder.check_leakage(leak[:, dynamics.BASIS_UNITS].real, labels=dynamics.BASIS_LABELS)
         return traj
 
-    return _metrics_from_blocks(propagate, states)
+    try:
+        return _metrics_from_blocks(propagate, states)
+    except MemoryError as exc:
+        raise ValueError(
+            f"n_max {params.n_max} with n_samples {times.size} does not fit in memory: {exc}"
+        ) from exc
 
 
 def pi_crossing_time(times: np.ndarray, cps: np.ndarray) -> float | None:
@@ -514,8 +521,7 @@ def _stack_key(point) -> dict | None:
 
 def cmd_groupvel(args) -> int:
     cfg = _checked_config(args)
-    if cfg["t_max"] <= 0:
-        raise ValueError("t_max must be positive")
+    _times_from_config(cfg, "avg_grid")  # the transient's grid, checked before any solve
     params = params_from_config(cfg)
     constants = constants_from_config(cfg)
     common = {
@@ -557,6 +563,8 @@ def cmd_groupvel(args) -> int:
 
 def cmd_perturbative(args) -> int:
     cfg = _checked_config(args)
+    if cfg["t_max"] <= 0:
+        raise ValueError("t_max must be positive")
     params = params_from_config(cfg)
     t = float(cfg["t_max"])
     lam_p, lam_t, lam_pt = perturbative.phase_rates(params)

@@ -145,12 +145,6 @@ def _checked_times(times, uniform: bool) -> np.ndarray:
     return times
 
 
-def _stack(rhos: np.ndarray) -> np.ndarray:
-    """(k,n,n) batch -> (n²,k) matrix whose columns are vec(ρ_i)."""
-    k, n = rhos.shape[0], rhos.shape[1]
-    return rhos.transpose(0, 2, 1).reshape(k, n * n).T
-
-
 def _edges(L: Superoperator) -> tuple[np.ndarray, np.ndarray]:
     """(source, target) of the edges i -> j of the CSR matrix L, one per
     stored L[j, i] != 0; an explicitly stored zero is no edge."""
@@ -338,7 +332,8 @@ def evolve_superoperator(
     if L.shape != (n * n, n * n):
         raise ValueError("superoperator does not match the state dimension")
     kw = {"method": method, "rel_tol": rel_tol, "abs_tol": abs_tol, "exponential": exponential}
-    blocks = propagate_stack(L, _stack(rho0), times, **kw)(0)
+    V = rho0.transpose(0, 2, 1).reshape(len(rho0), n * n).T  # column i is vec(ρ_i)
+    blocks = propagate_stack(L, V, times, **kw)(0)
     out = _scatter(blocks, np.asarray(times).size, len(rho0), n)
     return out[:, 0] if single else out
 
@@ -468,10 +463,13 @@ class GateTrajectories:
 def qubit_unit_stack(L: Superoperator, positions, times: np.ndarray, amplitudes=None, **kw):
     """evolve(k): GateTrajectories of the sixteen matrix units of the qubit
     states at the four given positions under matrix k of the generator
-    stack L, in one batch (see propagate_stack)."""
+    stack L, in one batch (see propagate_stack). Column 4i + j, the vec of
+    |q_i><q_j|, gets its one at a + n*b for the positions a, b of q_i, q_j."""
     c = normalized_amplitudes(amplitudes)
     n = math.isqrt(L.shape[0])
-    run = propagate_stack(L, _stack(matrix_units(positions, n)), times, **kw)
+    V = np.zeros((n * n, 16), dtype=complex)
+    V[[a + n * b for a in positions for b in positions], np.arange(16)] = 1.0
+    run = propagate_stack(L, V, times, **kw)
     times = np.asarray(times, dtype=float)
     return lambda k: GateTrajectories(times, run(k), n, c)
 

@@ -13,7 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eitgate import basis, cli, dynamics, groupvel, interferometer, ladder, observables
+from eitgate import (
+    basis, cli, dynamics, groupvel, interferometer, ladder, observables, perturbative,
+)
 from eitgate.mscheme import GAMMA_SI_DEFAULT
 
 
@@ -454,14 +456,26 @@ def test_simulate_reports_an_n_samples_beyond_memory_by_name(tmp_path, capsys, m
     assert not out.exists() or not any(out.iterdir())
 
 
-def test_groupvel_reports_an_avg_grid_beyond_memory(tmp_path, capsys):
+@pytest.mark.parametrize("avg_grid, message", [
+    (1, "avg_grid must be at least 2\n"),
+    (2**62, f"avg_grid must be at most {2**60 - 1} (the longest float64 array)\n"),
+    (_BEYOND_MEMORY, f"avg_grid {_BEYOND_MEMORY} does not fit in memory: "),
+], ids=["one", "beyond-indexing", "beyond-memory"])
+def test_groupvel_refuses_an_avg_grid_by_name_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                               avg_grid, message):
+    # numpy's own refusals of these grids named no key, and came only
+    # after the steady solves and the χ sweep.
+    def never(*args, **kwargs):
+        raise AssertionError("solved a steady state")
+
+    monkeypatch.setattr(groupvel, "steady_state", never)
     cfg_path = write_cfg(
         tmp_path, n_atoms=1e6, g_p=0.0022, g_t=0.0022, omega1=4.0, omega4=4.0, delta2=15.0,
-        delta3=15.0, avg_grid=_BEYOND_MEMORY,
+        delta3=15.0, avg_grid=avg_grid,
     )
     assert cli.main(["groupvel", "--config", cfg_path]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: " + message) and captured.err.count("\n") == 1
     assert captured.out == ""
 
 
@@ -474,6 +488,39 @@ def test_groupvel_refuses_a_non_positive_t_max_before_propagating(tmp_path, caps
     assert cli.main(["groupvel", "--config", cfg_path]) == 1
     captured = capsys.readouterr()
     assert captured.err == "error: t_max must be positive\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("t_max", [-1.0, 0.0])
+def test_perturbative_refuses_a_non_positive_t_max_before_any_eigen_solve(tmp_path, capsys,
+                                                                          monkeypatch, t_max):
+    # It used to exit 0, printing a phase accumulated over negative time.
+    def never(*args, **kwargs):
+        raise AssertionError("solved for an eigenvalue")
+
+    monkeypatch.setattr(perturbative, "dark_eigenvalue", never)
+    cfg_path = write_cfg(tmp_path, n_atoms=1e6, g_p=0.0022, g_t=0.0022, omega1=4.0,
+                         omega4=4.0, delta2=15.0, delta3=15.0, eps12=0.1, eps34=0.1, t_max=t_max)
+    assert cli.main(["perturbative", "--config", cfg_path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: t_max must be positive\n" and captured.out == ""
+
+
+def test_ladder_reports_a_run_beyond_memory_naming_n_max(tmp_path, capsys, monkeypatch):
+    # Near n_max 134 the first failing allocation is the (n², ) qubit
+    # readout map, built from an (n, n) bool mask; numpy's message named
+    # no key. The failure is simulated: nothing that large is allocated.
+    def beyond_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.78 GiB for an array with shape (54675, 54675) "
+                          "and data type bool")
+
+    monkeypatch.setattr(basis, "qubit_cells", beyond_memory)
+    cfg_path = write_cfg(tmp_path, **SMALL_LADDER)
+    out = tmp_path / "out"
+    assert cli.main(["ladder", "--config", cfg_path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: n_max 2 with n_samples 4 does not fit in memory: Unable to allocate "
+                   "2.78 GiB for an array with shape (54675, 54675) and data type bool\n")
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_scan_records_an_oversized_n_samples_by_name(tmp_path):
@@ -785,7 +832,8 @@ def test_ladder_analysis_memory_is_set_by_the_build_not_the_readout():
     # readout that lifts 64 vec entries to dense 363² matrix units at a
     # time traces 153 MB here, 129 MB of it one chunk of units. Through
     # the index maps the readout takes a few MB, and the whole call
-    # traces about 117 MB, set by the 131769² Liouvillian build.
+    # traces about 65 MB, set by the 131769² Liouvillian build and the
+    # (131769, 16) unit columns.
     cfg = {**cli.DEFAULTS, **LADDER_ABSORPTIVE, "ladder_convention": "as-printed",
            "n_max": 10, "mc_samples": 2000}
     tracemalloc.start()
@@ -843,6 +891,28 @@ def test_gate_commands_propagate_through_propagate_stack(tmp_path, monkeypatch, 
     cfg_path = write_cfg(tmp_path, **(SMALL_LADDER if command == ["ladder"] else SMALL_GATE))
     with pytest.raises(AssertionError, match="propagated"):
         cli.main([*command, "--config", cfg_path, "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate"],
+    ["ladder"],
+    ["scan", "--param", "g_p", "--from", "0.4", "--to", "0.5", "--steps", "2"],
+])
+def test_gate_commands_form_no_matrix_unit_tensor(tmp_path, monkeypatch, command):
+    # qubit_unit_stack writes the sixteen unit columns in place.
+    def never(*args, **kwargs):
+        raise AssertionError("formed the (16, n, n) unit tensor")
+
+    monkeypatch.setattr(dynamics, "matrix_units", never)
+    monkeypatch.setattr(ladder, "matrix_units", never)
+    cfg_path = write_cfg(tmp_path, **(SMALL_LADDER if command == ["ladder"] else SMALL_GATE))
+    out = tmp_path / "out"
+    assert cli.main([*command, "--config", cfg_path, "--out", str(out)]) == 0
+    if command[0] == "scan":
+        rows = (out / "scan.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2 and all(row.endswith(",") for row in rows)
+    else:
+        assert (out / "timeseries.csv").exists()
 
 
 @pytest.mark.parametrize("method", ["exponential", "adaptive-rk"])

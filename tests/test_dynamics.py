@@ -573,6 +573,34 @@ def test_blocks_match_the_union_propagation(model):
     assert np.max(np.abs(union - Y_ref)) < 1e-14
 
 
+@pytest.mark.parametrize("model", ["unconditional", "conditional", "ladder", "ladder conditional"])
+def test_unit_stack_writes_the_unit_columns_in_place(model, monkeypatch):
+    # The columns of the matrix_units tensor, transposed and reshaped, are
+    # the reference: qubit_unit_stack writes their ones in place and its
+    # blocks are a run on them bit for bit, holding one (n², 16) array.
+    L, positions, times = _unit_generator(model)
+    n = math.isqrt(L.shape[0])
+    columns = dynamics.matrix_units(positions, n).transpose(0, 2, 1).reshape(16, n * n).T
+    want = dynamics.propagate_stack(L, columns, times)(0)
+
+    def never(*args, **kwargs):
+        raise AssertionError("formed the (16, n, n) unit tensor")
+
+    monkeypatch.setattr(dynamics, "matrix_units", never)
+    tracemalloc.start()
+    try:
+        evolve = dynamics.qubit_unit_stack(L, positions, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * columns.nbytes, f"traced peak {peak} B, columns {columns.nbytes} B"
+    got = evolve(0).blocks
+    assert len(got) == len(want)
+    for (u, e, Y), (u_ref, e_ref, Y_ref) in zip(got, want):
+        assert np.array_equal(u, u_ref) and np.array_equal(e, e_ref)
+        assert Y.shape == Y_ref.shape and Y.tobytes() == Y_ref.tobytes()
+
+
 def test_superposition_column_is_split_over_the_blocks_it_touches():
     L, _, times = _unit_generator("unconditional")
     rho0 = dynamics.superposition_input([0.5, -0.5j, 0.5, 0.5j])

@@ -128,7 +128,9 @@ def test_blocks_of_a_stacked_generator_are_each_points_own(conditional, method):
         L = dynamics.conditional_generator(H, channels)
     else:
         L = mscheme.build_liouvillian(H, channels)
-    V = dynamics._stack(dynamics.matrix_units(basis.QUBIT_M_INDICES, basis.M_DIM))
+    n = basis.M_DIM
+    V = np.zeros((n * n, 16), dtype=complex)  # column 4i + j is vec|q_i><q_j|
+    V[[a + n * b for a in basis.QUBIT_M_INDICES for b in basis.QUBIT_M_INDICES], range(16)] = 1
     evolve = dynamics.gate_input_stack(params, times, method=method)
     for k, p in enumerate(params):
         want = dynamics.evolve_gate_inputs(p, times, conditional=conditional, method=method).blocks
