@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -30,76 +31,76 @@ from .groupvel import OpticalConstants
 from .ladder import LadderParams
 from .mscheme import GAMMA_SI_DEFAULT, MSchemeParams
 
-DEFAULTS: dict = {
+# One row per config key: its default; its kind (float, int, complex for an
+# amplitude given as a number or [re, im], or the tuple of its allowed
+# strings); the model fields it sets, by class, each read as its kind; how a
+# gate run reads it (_HAMILTONIAN: in the five-level Hamiltonian alone, so
+# scan points that differ in nothing else run as one generator stack; _GATE:
+# otherwise; None: not at all); and the bound load_config checks (_POSITIVE,
+# _SAMPLES for 2 to _MAX_SAMPLES, or an integer's least value).
+_Key = namedtuple("_Key", "default kind fields gate bound", defaults=({}, None, None))
+_HAMILTONIAN, _GATE = "hamiltonian", "gate"
+_POSITIVE, _SAMPLES = "positive", "samples"
+_CONFIG = {
     # medium and drive, units of γ
-    "n_atoms": 1.0,
-    "g_p": 0.0,
-    "g_t": 0.0,
-    "omega1": 0.0,
-    "omega4": 0.0,
-    "delta2": 0.0,
-    "delta3": 0.0,
-    "eps12": 0.0,
-    "eps34": 0.0,
-    "gamma_21": 1.0 / 3.0,
-    "gamma_23": 1.0 / 3.0,
-    "gamma_25": 1.0 / 3.0,
-    "gamma_41": 1.0 / 3.0,
-    "gamma_43": 1.0 / 3.0,
-    "gamma_45": 1.0 / 3.0,
-    "deph_1": 1e-3,
-    "deph_2": 1e-3,
-    "deph_4": 1e-3,
-    "deph_5": 1e-3,
-    "gamma_si": GAMMA_SI_DEFAULT,
+    "n_atoms": _Key(1.0, float, {MSchemeParams: "N_a", LadderParams: "N_a"}, _HAMILTONIAN),
+    "g_p": _Key(0.0, float, {MSchemeParams: "g_p", LadderParams: "g_p"}, _HAMILTONIAN),
+    "g_t": _Key(0.0, float, {MSchemeParams: "g_t", LadderParams: "g_t"}, _HAMILTONIAN),
+    "omega1": _Key(0.0, float, {MSchemeParams: "Omega1"}, _HAMILTONIAN),
+    "omega4": _Key(0.0, float, {MSchemeParams: "Omega4"}, _HAMILTONIAN),
+    "delta2": _Key(0.0, float, {MSchemeParams: "delta2"}, _HAMILTONIAN),
+    "delta3": _Key(0.0, float, {MSchemeParams: "delta3"}, _HAMILTONIAN),
+    "eps12": _Key(0.0, float, {MSchemeParams: "eps12"}, _HAMILTONIAN),
+    "eps34": _Key(0.0, float, {MSchemeParams: "eps34"}, _HAMILTONIAN),
+    "gamma_21": _Key(1.0 / 3.0, float, {MSchemeParams: "gamma21"}, _GATE),
+    "gamma_23": _Key(1.0 / 3.0, float, {MSchemeParams: "gamma23"}, _GATE),
+    "gamma_25": _Key(1.0 / 3.0, float, {MSchemeParams: "gamma25"}, _GATE),
+    "gamma_41": _Key(1.0 / 3.0, float, {MSchemeParams: "gamma41"}, _GATE),
+    "gamma_43": _Key(1.0 / 3.0, float, {MSchemeParams: "gamma43"}, _GATE),
+    "gamma_45": _Key(1.0 / 3.0, float, {MSchemeParams: "gamma45"}, _GATE),
+    "deph_1": _Key(1e-3, float, {MSchemeParams: "gamma_deph_1"}, _GATE),
+    "deph_2": _Key(1e-3, float, {MSchemeParams: "gamma_deph_2"}, _GATE),
+    "deph_4": _Key(1e-3, float, {MSchemeParams: "gamma_deph_4"}, _GATE),
+    "deph_5": _Key(1e-3, float, {MSchemeParams: "gamma_deph_5"}, _GATE),
+    "gamma_si": _Key(GAMMA_SI_DEFAULT, float, {MSchemeParams: "gamma_SI"}, _GATE),
     # integration and readout
-    "t_max": 1.0,
-    "n_samples": 201,
-    "method": "exponential",
-    "rel_tol": 1e-8,
-    "abs_tol": 1e-12,
-    "dephasing_mode": "lindblad",
-    "mc_samples": 2000,
-    "seed": 42,
-    # input superposition amplitudes (real or [re, im])
-    "c00": 0.5,
-    "c01": 0.5,
-    "c10": 0.5,
-    "c11": 0.5,
+    "t_max": _Key(1.0, float, gate=_GATE, bound=_POSITIVE),
+    "n_samples": _Key(201, int, gate=_GATE, bound=_SAMPLES),
+    "method": _Key("exponential", dynamics.METHODS, gate=_GATE),
+    "rel_tol": _Key(1e-8, float, gate=_GATE),
+    "abs_tol": _Key(1e-12, float, gate=_GATE),
+    "dephasing_mode": _Key("lindblad", dynamics.DEPHASING_MODES, gate=_GATE),
+    "mc_samples": _Key(2000, int, bound=1),
+    "seed": _Key(42, int, bound=0),
+    # input superposition amplitudes
+    "c00": _Key(0.5, complex, gate=_GATE),
+    "c01": _Key(0.5, complex, gate=_GATE),
+    "c10": _Key(0.5, complex, gate=_GATE),
+    "c11": _Key(0.5, complex, gate=_GATE),
     # SI constants and transition data
-    "c": 299792458.0,
-    "hbar": 1.054571817e-34,
-    "epsilon0": 8.8541878128e-12,
-    "omega_p": 2.0 * math.pi * 377.228e12,
-    "omega_t": 2.0 * math.pi * 384.225e12,
-    "mu_p": 2.5e-29,
-    "mu_t": 2.5e-29,
+    "c": _Key(299792458.0, float, {OpticalConstants: "c"}),
+    "hbar": _Key(1.054571817e-34, float, {OpticalConstants: "hbar"}),
+    "epsilon0": _Key(8.8541878128e-12, float, {OpticalConstants: "epsilon0"}),
+    "omega_p": _Key(2.0 * math.pi * 377.228e12, float, {OpticalConstants: "omega_p"}),
+    "omega_t": _Key(2.0 * math.pi * 384.225e12, float),
+    "mu_p": _Key(2.5e-29, float, {OpticalConstants: "mu_p"}),
+    "mu_t": _Key(2.5e-29, float),
     # susceptibility probing
-    "probe_rabi_classical": 1e-3,
-    "fd_step": 1e-3,
-    "avg_grid": 200,
+    "probe_rabi_classical": _Key(1e-3, float),
+    "fd_step": _Key(1e-3, float),
+    "avg_grid": _Key(200, int, bound=_SAMPLES),
     # ladder comparison model
-    "delta_p": 0.0,
-    "delta_t": 0.0,
-    "ladder_gamma21": 1.0,
-    "ladder_gamma32": 1.0,
-    "n_max": 3,
-    "ladder_convention": "as-printed",
+    "delta_p": _Key(0.0, float, {LadderParams: "delta_p"}),
+    "delta_t": _Key(0.0, float, {LadderParams: "delta_t"}),
+    "ladder_gamma21": _Key(1.0, float, {LadderParams: "gamma21"}),
+    "ladder_gamma32": _Key(1.0, float, {LadderParams: "gamma32"}),
+    "n_max": _Key(3, int, {LadderParams: "n_max"}),
+    "ladder_convention": _Key("as-printed", ladder.CONVENTIONS, {LadderParams: "convention"}),
 }
-
-_STRING_KEYS = {
-    "method": dynamics.METHODS,
-    "dephasing_mode": dynamics.DEPHASING_MODES,
-    "ladder_convention": ladder.CONVENTIONS,
-}
-_INT_KEYS = {key for key, value in DEFAULTS.items() if type(value) is int}
-_AMPLITUDE_KEYS = ("c00", "c01", "c10", "c11")
-# The keys that enter the five-level Hamiltonian alone: scan points that
-# differ in nothing else share channels, time grid, amplitudes and engine
-# settings, and run as one generator stack.
-_HAMILTONIAN_KEYS = frozenset(
-    ("n_atoms", "g_p", "g_t", "omega1", "omega4", "delta2", "delta3", "eps12", "eps34")
-)
+DEFAULTS: dict = {key: row.default for key, row in _CONFIG.items()}
+_INT_KEYS = {key for key, row in _CONFIG.items() if row.kind is int}
+_AMPLITUDE_KEYS = tuple(key for key, row in _CONFIG.items() if row.kind is complex)
+_HAMILTONIAN_KEYS = frozenset(key for key, row in _CONFIG.items() if row.gate == _HAMILTONIAN)
 # Points per generator stack of a scan, so the stacked generators and
 # their build temporaries do not grow with --steps. At the benchmark's
 # scan point the two builds cost ~2.5 ms for one point and ~0.2 ms per
@@ -113,32 +114,64 @@ _MAX_SAMPLES = np.iinfo(np.intp).max // 8
 _RUN_FAILURES = (ValueError, RuntimeError, MemoryError)
 
 
+def _load_object(path: str, name: str, key_name: str) -> dict:
+    """The JSON object in path, named name; a key given twice is refused."""
+
+    def unique(pairs: list) -> dict:
+        data = {}
+        for key, value in pairs:
+            if key in data:
+                raise ValueError(f"{key_name} {key!r} is given more than once")
+            data[key] = value
+        return data
+
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh, object_pairs_hook=unique)
+    if not isinstance(data, dict):
+        raise ValueError(f"{name} must be a JSON object")
+    return data
+
+
 def load_config(path: str | None) -> dict:
-    """Defaults overlaid with the JSON file; unknown keys are fatal."""
+    """Defaults overlaid with the JSON file; unknown keys are fatal, and
+    each value must be of its key's kind and within its bound."""
     cfg = dict(DEFAULTS)
     if path is None:
         return cfg
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("config must be a JSON object")
-    for key, value in data.items():
-        if key not in DEFAULTS:
+    for key, value in _load_object(path, "config", "config key").items():
+        if key not in _CONFIG:
             raise ValueError(f"unknown config key {key!r}")
-        if key in _STRING_KEYS:
-            if value not in _STRING_KEYS[key]:
-                raise ValueError(
-                    f"config key {key!r} must be one of {_STRING_KEYS[key]}"
-                )
-        elif key in _AMPLITUDE_KEYS:
-            _amplitude_value(key, value)
-        elif key in _INT_KEYS:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"config key {key!r} must be an integer")
-        else:
-            _check_finite_number(f"config key {key!r}", value)
+        _check_value(key, value)
         cfg[key] = value
     return cfg
+
+
+def _check_value(key: str, value) -> None:
+    """Refuse, naming key, a value not of its row's kind or outside its bound."""
+    kind = _CONFIG[key].kind
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ValueError(f"config key {key!r} must be one of {kind}")
+    elif kind is complex:
+        _amplitude_value(key, value)
+    elif kind is int:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"config key {key!r} must be an integer")
+    else:
+        _check_finite_number(f"config key {key!r}", value)
+    _check_bound(key, value)
+
+
+def _check_bound(key: str, value) -> None:
+    bound = _CONFIG[key].bound
+    if bound == _POSITIVE and value <= 0:
+        raise ValueError(f"{key} must be positive")
+    if bound == _SAMPLES and value < 2:
+        raise ValueError(f"{key} must be at least 2")
+    if bound == _SAMPLES and value > _MAX_SAMPLES:
+        raise ValueError(f"{key} must be at most {_MAX_SAMPLES} (the longest float64 array)")
+    if type(bound) is int and value < bound:
+        raise ValueError(f"{key} must be at least {bound}, got {value}")
 
 
 def _check_finite_number(name: str, value) -> None:
@@ -153,19 +186,10 @@ def _check_finite_number(name: str, value) -> None:
 
 
 def _amplitude_value(key: str, value) -> complex:
-    if isinstance(value, bool):
-        raise ValueError(f"config key {key!r} must be a number or [re, im]")
-    if isinstance(value, (int, float)):
-        parts = (value,)
-    elif (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
-        parts = value
-    else:
-        raise ValueError(f"config key {key!r} must be a number or [re, im]")
+    parts = value if isinstance(value, list) and len(value) == 2 else [value]
     for part in parts:
+        if isinstance(part, bool) or not isinstance(part, (int, float)):
+            raise ValueError(f"config key {key!r} must be a number or [re, im]")
         _check_finite_number(f"config key {key!r}", part)
     return complex(*parts)
 
@@ -174,67 +198,40 @@ def amplitudes_from_config(cfg: dict) -> np.ndarray:
     return np.array([_amplitude_value(k, cfg[k]) for k in _AMPLITUDE_KEYS])
 
 
+def _from_config(cls, cfg: dict):
+    """cls from the keys whose rows set its fields, each read as its kind."""
+    return cls(**{
+        row.fields[cls]: row.kind(cfg[key]) if row.kind in (float, int) else cfg[key]
+        for key, row in _CONFIG.items() if cls in row.fields
+    })
+
+
 def params_from_config(cfg: dict) -> MSchemeParams:
-    return MSchemeParams(
-        N_a=float(cfg["n_atoms"]),
-        g_p=float(cfg["g_p"]),
-        g_t=float(cfg["g_t"]),
-        Omega1=float(cfg["omega1"]),
-        Omega4=float(cfg["omega4"]),
-        delta2=float(cfg["delta2"]),
-        delta3=float(cfg["delta3"]),
-        eps12=float(cfg["eps12"]),
-        eps34=float(cfg["eps34"]),
-        gamma21=float(cfg["gamma_21"]),
-        gamma23=float(cfg["gamma_23"]),
-        gamma25=float(cfg["gamma_25"]),
-        gamma41=float(cfg["gamma_41"]),
-        gamma43=float(cfg["gamma_43"]),
-        gamma45=float(cfg["gamma_45"]),
-        gamma_deph_1=float(cfg["deph_1"]),
-        gamma_deph_2=float(cfg["deph_2"]),
-        gamma_deph_4=float(cfg["deph_4"]),
-        gamma_deph_5=float(cfg["deph_5"]),
-        gamma_SI=float(cfg["gamma_si"]),
-    )
+    return _from_config(MSchemeParams, cfg)
 
 
 def ladder_params_from_config(cfg: dict) -> LadderParams:
-    return LadderParams(
-        N_a=float(cfg["n_atoms"]),
-        g_p=float(cfg["g_p"]),
-        g_t=float(cfg["g_t"]),
-        delta_p=float(cfg["delta_p"]),
-        delta_t=float(cfg["delta_t"]),
-        gamma21=float(cfg["ladder_gamma21"]),
-        gamma32=float(cfg["ladder_gamma32"]),
-        n_max=int(cfg["n_max"]),
-        convention=cfg["ladder_convention"],
-    )
+    return _from_config(LadderParams, cfg)
 
 
 def constants_from_config(cfg: dict) -> OpticalConstants:
-    return OpticalConstants(
-        c=float(cfg["c"]),
-        hbar=float(cfg["hbar"]),
-        epsilon0=float(cfg["epsilon0"]),
-        omega_p=float(cfg["omega_p"]),
-        mu_p=float(cfg["mu_p"]),
-    )
+    return _from_config(OpticalConstants, cfg)
 
 
 def _times_from_config(cfg: dict, key: str = "n_samples") -> np.ndarray:
-    """cfg[key] samples over [0, t_max]; a grid too long is refused naming key."""
-    if cfg["t_max"] <= 0:
-        raise ValueError("t_max must be positive")
-    if cfg[key] < 2:
-        raise ValueError(f"{key} must be at least 2")
-    if cfg[key] > _MAX_SAMPLES:
-        raise ValueError(f"{key} must be at most {_MAX_SAMPLES} (the longest float64 array)")
+    """cfg[key] samples over [0, t_max], both keys within their bounds."""
+    _check_bound("t_max", cfg["t_max"])
+    _check_bound(key, cfg[key])
+    return _linspace(key, 0.0, float(cfg["t_max"]), int(cfg[key]))
+
+
+def _linspace(name: str, start: float, stop: float, num: int) -> np.ndarray:
+    """np.linspace; a grid that does not fit in memory is refused naming name.
+    numpy raises ValueError, not MemoryError, for the longest grids."""
     try:
-        return np.linspace(0.0, float(cfg["t_max"]), int(cfg[key]))
-    except MemoryError as exc:
-        raise ValueError(f"{key} {cfg[key]} does not fit in memory: {exc}") from exc
+        return np.linspace(start, stop, num)
+    except (MemoryError, ValueError) as exc:
+        raise ValueError(f"{name} {num} does not fit in memory: {exc}") from exc
 
 
 def _engine_kwargs(cfg: dict) -> dict:
@@ -406,16 +403,9 @@ def _outdir(args) -> Path:
 
 
 def _checked_config(args) -> dict:
+    """The loaded config, refused if the phase readout would refuse its
+    amplitudes only after propagating."""
     cfg = load_config(getattr(args, "config", None))
-    _check_gate_config(cfg)
-    return cfg
-
-
-def _check_gate_config(cfg: dict) -> None:
-    # The sampling keys are still validated, though the exact conditional
-    # fidelity uses neither. Settings the phase readout would refuse only
-    # after propagating are rejected here, before any propagation.
-    observables.check_sampling(cfg["mc_samples"], cfg["seed"])
     c = amplitudes_from_config(cfg)
     nrm = np.linalg.norm(c)
     if nrm == 0:
@@ -428,6 +418,7 @@ def _check_gate_config(cfg: dict) -> None:
             raise ValueError(
                 f"config key {key!r} times 'c00' is below 1e-12 of the squared amplitude norm"
             )
+    return cfg
 
 
 def _write_gate_outputs(args, cfg: dict, res: dict, derived: dict) -> int:
@@ -454,16 +445,21 @@ def cmd_ladder(args) -> int:
 
 def cmd_scan(args) -> int:
     cfg = _checked_config(args)
-    if args.param not in DEFAULTS:
+    row = _CONFIG.get(args.param)
+    if row is None:
         raise ValueError(f"unknown scan parameter {args.param!r}")
-    if args.param in _STRING_KEYS or args.param in _AMPLITUDE_KEYS:
+    if row.kind not in (float, int):
         raise ValueError(f"scan parameter {args.param!r} is not numeric")
+    if row.gate is None:
+        raise ValueError(f"scan parameter {args.param!r} is not read by a gate run")
     if args.steps < 1:
         raise ValueError("steps must be at least 1")
+    if args.steps > _MAX_SAMPLES:
+        raise ValueError(f"--steps must be at most {_MAX_SAMPLES} (the longest float64 array)")
     for flag, bound in (("--from", args.from_), ("--to", args.to)):
         if not math.isfinite(bound):
             raise ValueError(f"{flag} must be finite")
-    values = np.linspace(args.from_, args.to, args.steps)
+    values = _linspace("--steps", args.from_, args.to, args.steps)
     lines = ["value,pi_time,fidelity,cond_fidelity,error"]
     for value, res in zip(values, _scan_results(_scan_points(cfg, args.param, values))):
         pi_s = fid_s = cond_s = err = ""
@@ -480,13 +476,13 @@ def cmd_scan(args) -> int:
 
 
 def _scan_points(cfg: dict, param: str, values):
-    """The config of each scan point, or the error of the checks simulate
-    applies and of those a generator stack needs of its points."""
+    """The config of each scan point, or the error of the checks load_config
+    applies to its value and of those a generator stack needs of its points."""
     for value in values:
         cfg_i = dict(cfg)
         cfg_i[param] = int(round(value)) if param in _INT_KEYS else float(value)
         try:
-            _check_gate_config(cfg_i)
+            _check_value(param, cfg_i[param])
             params_from_config(cfg_i)
             _times_from_config(cfg_i)
         except _RUN_FAILURES as exc:
@@ -563,8 +559,6 @@ def cmd_groupvel(args) -> int:
 
 def cmd_perturbative(args) -> int:
     cfg = _checked_config(args)
-    if cfg["t_max"] <= 0:
-        raise ValueError("t_max must be positive")
     params = params_from_config(cfg)
     t = float(cfg["t_max"])
     lam_p, lam_t, lam_pt = perturbative.phase_rates(params)
@@ -586,12 +580,8 @@ _FRINGE_KEYS = ("cps", "phi10", "phi00", "phi_plus0")
 def load_phase_table(path: str) -> dict:
     """Flat JSON phase table in radians, keyed by the fock_coincidences
     parameters; unknown keys are fatal."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("phase table must be a JSON object")
     table = {k: 0.0 for k in _FRINGE_KEYS}
-    for key, value in data.items():
+    for key, value in _load_object(path, "phase table", "phase key").items():
         if key not in table:
             raise ValueError(f"unknown phase key {key!r}")
         _check_finite_number(f"phase key {key!r}", value)

@@ -145,8 +145,11 @@ def _velocity_from_chi(
     chi: np.ndarray, fd_step: float, params: MSchemeParams, constants: OpticalConstants
 ) -> np.ndarray:
     """Group velocity from χ at the three _fd_offsets, along axis 0."""
+    scale = constants.omega_p / (2.0 * params.gamma_SI)
+    if not math.isfinite(scale):
+        raise ValueError("the dispersion factor omega_p / (2 gamma_SI) is not finite")
     slope = (np.real(chi[1]) - np.real(chi[2])) / (2.0 * fd_step)
-    n_g = 1.0 + np.real(chi[0]) / 2.0 + constants.omega_p / (2.0 * params.gamma_SI) * slope
+    n_g = 1.0 + np.real(chi[0]) / 2.0 + scale * slope
     return constants.c / n_g
 
 
@@ -230,21 +233,25 @@ def cell_geometry(
     The mode volume follows from the probe vacuum coupling, the length
     from the distance the slowed pulse covers during the interaction
     time t_int (γ units), and the diameter from treating the cell as a
-    cylinder of that volume and length.
+    cylinder of that volume and length. A quantity that comes out not
+    finite and positive is refused by name.
     """
     g_si = params.g_p * params.gamma_SI
     if g_si == 0.0:
         raise ValueError("probe coupling is zero; the mode volume is undefined")
-    volume = constants.mu_p**2 * constants.omega_p / (
-        2.0 * constants.hbar * constants.epsilon0 * g_si**2
-    )
     length = v_g * t_int / params.gamma_SI
     if length <= 0:
         raise ValueError("interaction length must be positive")
-    diameter = 2.0 * math.sqrt(volume / (math.pi * length))
-    return CellGeometry(
-        volume=volume,
-        length=length,
-        diameter=diameter,
-        density=params.N_a / volume,
-    )
+    # float64 scalars overflow to inf and divide by zero to inf where Python
+    # floats raise; their power is the same pow as Python's.
+    with np.errstate(all="ignore"):
+        volume = np.float64(constants.mu_p) ** 2 * constants.omega_p / (
+            2.0 * constants.hbar * constants.epsilon0 * np.float64(g_si) ** 2
+        )
+        diameter = 2.0 * np.sqrt(volume / (math.pi * length))
+        density = params.N_a / volume
+    geometry = CellGeometry(*map(float, (volume, length, diameter, density)))
+    for name, value in vars(geometry).items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"cell {name} {value} is not finite and positive")
+    return geometry

@@ -1,5 +1,6 @@
 """Command-line interface: config handling, outputs, determinism."""
 
+import dataclasses
 import gc
 import json
 import math
@@ -16,7 +17,9 @@ import pytest
 from eitgate import (
     basis, cli, dynamics, groupvel, interferometer, ladder, observables, perturbative,
 )
-from eitgate.mscheme import GAMMA_SI_DEFAULT
+from eitgate.groupvel import OpticalConstants
+from eitgate.ladder import LadderParams
+from eitgate.mscheme import GAMMA_SI_DEFAULT, MSchemeParams
 
 
 _HUGE = 10**401 - 1  # a JSON integer beyond the float range
@@ -555,10 +558,22 @@ def test_scan_rejects_bad_parameters(tmp_path, capsys, monkeypatch):
         (["--param", "g_p", "--from", "0.002", "--to", "-inf", "--steps", "2"],
          "--to must be finite"),
         (["--param", "n_samples", "--from", "2", "--to", "nan", "--steps", "1"], "--to"),
+        # Keys no gate run reads gave identical rows.
+        *((["--param", key, "--from", "1", "--to", "50", "--steps", "3"],
+           f"scan parameter {key!r} is not read by a gate run")
+          for key in ("n_max", "hbar", "mc_samples", "seed", "fd_step", "avg_grid")),
+        # numpy's refusals of these grids ("Unable to allocate 7.11 PiB ...")
+        # named no flag.
+        (["--param", "g_p", "--from", "0", "--to", "1", "--steps", str(2**62)],
+         f"--steps must be at most {2**60 - 1} (the longest float64 array)"),
+        (["--param", "g_p", "--from", "0", "--to", "1", "--steps", str(2**60 - 1)],
+         f"--steps {2**60 - 1} does not fit in memory: "),
+        (["--param", "g_p", "--from", "0", "--to", "1", "--steps", str(2**50)],
+         f"--steps {2**50} does not fit in memory: "),
     ):
         assert cli.main(base + extra) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and named in err
+        assert err.startswith("error:") and named in err and err.count("\n") == 1
         assert not out.exists()
     # The patched function is the one a valid scan propagates through.
     with pytest.raises(AssertionError, match="propagated before validating"):
@@ -1087,3 +1102,75 @@ def test_commands_load_scipy_linalg_only_for_groupvel(tmp_path, command, config,
     assert (rc, linalg, scipy) == ("0", str(loaded), str(loaded))
     if command != "groupvel":
         assert (random, ma) == ("False", "False")
+
+
+@pytest.mark.parametrize("cls", [MSchemeParams, LadderParams, OpticalConstants])
+def test_config_rows_set_every_model_field_once(cls):
+    named = [row.fields[cls] for row in cli._CONFIG.values() if cls in row.fields]
+    assert sorted(named) == sorted(f.name for f in dataclasses.fields(cls))
+
+
+def test_readme_names_every_config_key_and_each_bound_the_cli_checks():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = " ".join(readme.split())  # a phrase may wrap
+    assert [key for key in cli._CONFIG if f"`{key}`" not in readme] == []
+    assert cli._MAX_SAMPLES == 2**60 - 1
+    bounds = {key: row.bound for key, row in cli._CONFIG.items() if row.bound is not None}
+    assert set(bounds) == {"t_max", "n_samples", "avg_grid", "mc_samples", "seed"}
+    for key, bound in bounds.items():
+        phrase = {cli._POSITIVE: f"`{key}` > 0", cli._SAMPLES: f"`{key}` in [2, 2⁶⁰ − 1]"}.get(
+            bound, f"`{key}` ≥ {bound}"
+        )
+        assert phrase in readme, phrase
+
+
+@pytest.mark.parametrize("loader, text, key", [
+    (cli.load_config, '{"g_p": 0.0022, "g_p": 0.0}', "config key 'g_p'"),
+    (cli.load_phase_table, '{"cps": 2.9, "phi10": 0.1, "cps": 0.0}', "phase key 'cps'"),
+])
+def test_loaders_refuse_a_repeated_key_by_name(tmp_path, loader, text, key):
+    # json.load kept the last value silently, and summary.json echoed it.
+    path = tmp_path / "twice.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{key} is given more than once$"):
+        loader(str(path))
+
+
+def test_scan_accepts_only_the_numeric_keys_a_gate_run_reads(tmp_path, capsys, monkeypatch):
+    # Before, a key no gate run reads (n_max, hbar, ...) gave identical rows.
+    monkeypatch.setattr(cli, "_scan_results", lambda points: iter(()))
+    cfg_path = write_cfg(tmp_path, **SMALL_GATE)
+    accepted = set()
+    for key in cli.DEFAULTS:
+        argv = ["scan", "--config", cfg_path, "--out", str(tmp_path / key), "--param", key,
+                "--from", "1", "--to", "50", "--steps", "3"]
+        if cli.main(argv) == 0:
+            accepted.add(key)
+    # The keys of the five-level model's fields, and the time grid and
+    # engine settings.
+    base = cli.params_from_config(cli.DEFAULTS)
+    model = {k for k in cli.DEFAULTS if cli.params_from_config({**cli.DEFAULTS, k: 2}) != base}
+    assert len(model) == len(dataclasses.fields(MSchemeParams))
+    assert accepted == model | {"t_max", "n_samples", "rel_tol", "abs_tol"}
+
+
+# The transient operating point with extreme but finite constants. Python
+# floats raised ZeroDivisionError or OverflowError on them, or printed a
+# density of Infinity, which is not JSON.
+@pytest.mark.parametrize("key, value, message", [
+    ("gamma_si", 1e-300, "the dispersion factor omega_p / (2 gamma_SI) is not finite"),
+    ("hbar", 1e-320, "cell volume inf is not finite and positive"),
+    ("mu_p", 1e-300, "cell volume 0.0 is not finite and positive"),
+    ("gamma_si", 1e300, "cell volume 0.0 is not finite and positive"),
+    ("mu_p", 1e300, "cell volume inf is not finite and positive"),
+    ("epsilon0", 1e300, "cell density inf is not finite and positive"),
+])
+def test_groupvel_refuses_a_geometry_that_is_not_finite_by_name(tmp_path, capsys, key, value,
+                                                                message):
+    cfg_path = write_cfg(
+        tmp_path, n_atoms=1e8, g_p=0.0022, g_t=0.0022, omega1=4.0, omega4=4.0, delta2=15.0,
+        delta3=15.0, eps12=0.01, eps34=0.01, avg_grid=20, **{key: value},
+    )
+    assert cli.main(["groupvel", "--config", cfg_path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""

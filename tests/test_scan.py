@@ -235,21 +235,21 @@ def test_an_infinite_coupling_is_refused_before_it_joins_a_stack(tmp_path, monke
 
 
 def test_scan_points_take_the_checks_simulate_applies(tmp_path, capsys):
-    rows = _run_scan(tmp_path, fast_gate_config(), "mc_samples", -3, 3, 2)
-    values, cfgs = _point_configs(fast_gate_config(), "mc_samples", -3, 3, 2)
+    rows = _run_scan(tmp_path, fast_gate_config(), "n_samples", 1, 6, 2)
+    values, cfgs = _point_configs(fast_gate_config(), "n_samples", 1, 6, 2)
     assert rows == [
-        "-3.0000000000000000e+00,,,,mc_samples must be at least 1; got -3",
-        _own_row(values[1], {**cfgs[1], "mc_samples": 3}),
+        "1.0000000000000000e+00,,,,n_samples must be at least 2",
+        _own_row(values[1], {**cfgs[1], "n_samples": 6}),
     ]
-    assert _run_scan(tmp_path, fast_gate_config(), "seed", -3, -1, 2) == [
-        "-3.0000000000000000e+00,,,,seed must be at least 0; got -3",
-        "-1.0000000000000000e+00,,,,seed must be at least 0; got -1",
+    assert _run_scan(tmp_path, fast_gate_config(), "t_max", -3, 0, 2) == [
+        "-3.0000000000000000e+00,,,,t_max must be positive",
+        "0.0000000000000000e+00,,,,t_max must be positive",
     ]
     # simulate refuses the same config with the same message.
     cfg_path = tmp_path / "bad.json"
-    cfg_path.write_text(json.dumps({**fast_gate_config(), "mc_samples": -3}), encoding="utf-8")
+    cfg_path.write_text(json.dumps({**fast_gate_config(), "n_samples": 1}), encoding="utf-8")
     assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "s")]) == 1
-    assert capsys.readouterr().err == "error: mc_samples must be at least 1, got -3\n"
+    assert capsys.readouterr().err == "error: n_samples must be at least 2\n"
 
 
 def _count_calls(monkeypatch, module, name) -> list:
