@@ -62,7 +62,7 @@ _CONFIG = {
     "deph_2": _Key(1e-3, float, {MSchemeParams: "gamma_deph_2"}, _GATE),
     "deph_4": _Key(1e-3, float, {MSchemeParams: "gamma_deph_4"}, _GATE),
     "deph_5": _Key(1e-3, float, {MSchemeParams: "gamma_deph_5"}, _GATE),
-    "gamma_si": _Key(GAMMA_SI_DEFAULT, float, {MSchemeParams: "gamma_SI"}, _GATE),
+    "gamma_si": _Key(GAMMA_SI_DEFAULT, float, {MSchemeParams: "gamma_SI"}),
     # integration and readout
     "t_max": _Key(1.0, float, gate=_GATE, bound=_POSITIVE),
     "n_samples": _Key(201, int, gate=_GATE, bound=_SAMPLES),
@@ -109,6 +109,15 @@ SCAN_STACK = 16
 # The most float64 time samples one numpy array can index; numpy refuses
 # a longer np.linspace with an error that names no key.
 _MAX_SAMPLES = np.iinfo(np.intp).max // 8
+# Time samples a gate run steps, reads out and scores at once, so that its
+# memory grows with n_samples by its output columns alone: a budget of
+# 1 MiB at 32 KiB a sample. A sample's blocks, images and metric
+# temporaries take 17 KB (the n_max 3 ladder) to 21 KB (the five-level
+# gate) of traced memory in a whole run, and below 32 samples the ladder
+# benchmark's peak RSS falls no further. It must be a multiple of four:
+# OpenBLAS's gemv sums the rows of the exact conditional fidelity's
+# quadrature in blocks of four, and a row rounds otherwise in a shorter one.
+_CHUNK_SAMPLES = 2**20 // 2**15
 # The errors a run reports by name: main prints them on one line and exits
 # 1, a scan records them in the failing point's row.
 _RUN_FAILURES = (ValueError, RuntimeError, MemoryError)
@@ -242,31 +251,64 @@ def _engine_kwargs(cfg: dict) -> dict:
     }
 
 
-def _metrics_from_blocks(propagate, states) -> dict:
-    """Phases, fidelities and populations of one gate model.
+def _metrics_from_blocks(propagate, states, times, guard=None) -> dict:
+    """Phases, fidelities and populations of one gate model along times.
 
-    propagate(conditional=...) returns the trajectories of the sixteen
-    matrix units on the states; the index maps of basis read them out. Each
-    map is dropped once read: the unconditional one before the conditional
-    one is propagated, the conditional one before its fidelity is taken.
-    Fidelities use the instantaneous ideal phase gate, one call per series;
-    the conditional one is the exact Haar average, which draws no samples.
+    propagate(conditional=..., chunk=...) returns the trajectories of the
+    sixteen matrix units on the states, as GateTrajectories of consecutive
+    chunks of chunk time samples; the index maps of basis read them out.
+    Each chunk is read, scored into the output columns and dropped before
+    the next is stepped. The unconditional map is taken to its end, and
+    guard, if given, called on its edge series (T, 16) and the
+    superposition's weights, before the conditional map is propagated. A
+    run whose scoring fails is scored again as one chunk, which raises
+    what a whole run raises: each check of the readout names the first
+    failing sample of the series, and a later chunk may fail a check that
+    ranks above.
     """
-    qubit = basis.qubit_cells(states)
-    gt = propagate(conditional=False)
-    times, w = gt.times, gt.weights
-    blocks = gt.image(qubit).reshape(-1, 16, 4, 4)
-    super_blocks = np.einsum("k,tkab->tab", w, blocks)
-    phases = observables.phases_from_coherences(super_blocks[:, 1:4, 0], gt.amplitudes)
-    U = observables.ideal_phase_unitary(phases)
-    fid = observables.average_fidelity_from_blocks(blocks, U)
-    populations = gt.image(basis.population_cells(states), superposed=True).real
-    del gt, blocks
-    cond = propagate(conditional=True)
-    cond_blocks = cond.image(qubit).reshape(-1, 16, 4, 4)
-    cond_traces = cond.image(basis.trace_cells(states))[..., 0]
-    del cond
-    cond_fid, p_success = observables.haar_conditional_fidelity(cond_blocks, cond_traces, U)
+    try:
+        return _scored(propagate, states, times, guard, _CHUNK_SAMPLES)
+    except ValueError:
+        pass  # rescored once the failed run's chunks are released
+    return _scored(propagate, states, times, guard, _MAX_SAMPLES)
+
+
+def _scored(propagate, states, times, guard, chunk: int) -> dict:
+    """_metrics_from_blocks in chunks of chunk time samples. Fidelities use
+    the instantaneous ideal phase gate, one call per chunk; the conditional
+    one is the exact Haar average, which draws no samples."""
+    T, qubit, pop_cells = times.size, basis.qubit_cells(states), basis.population_cells(states)
+    phases, fid, populations = np.empty((T, 3)), np.empty(T), np.empty((T, len(states)))
+    leak = None if guard is None else np.empty((T, 16), dtype=complex)
+    start = 0
+    for gt in propagate(conditional=False, chunk=chunk):
+        at = slice(start, start + gt.times.size)
+        blocks = gt.image(qubit).reshape(-1, 16, 4, 4)
+        super_blocks = np.einsum("k,tkab->tab", gt.weights, blocks)
+        phases[at] = observables._phases_after(
+            phases[start - 1] if start else None, super_blocks[:, 1:4, 0], gt.amplitudes
+        )
+        fid[at] = observables.average_fidelity_from_blocks(
+            blocks, observables.ideal_phase_unitary(phases[at])
+        )
+        populations[at] = gt.image(pop_cells, superposed=True).real
+        if guard is not None:
+            leak[at] = gt.image(basis.edge_cells(states))[..., 0]
+        start, weights = at.stop, gt.weights
+        del gt, blocks  # before the next chunk is stepped
+    if guard is not None:
+        guard(leak, weights)
+        del leak
+    cond_fid, p_success, start = np.empty(T), np.empty(T), 0
+    for gt in propagate(conditional=True, chunk=chunk):
+        at = slice(start, start + gt.times.size)
+        cond_blocks = gt.image(qubit).reshape(-1, 16, 4, 4)
+        cond_traces = gt.image(basis.trace_cells(states))[..., 0]
+        del gt
+        cond_fid[at], p_success[at] = observables.haar_conditional_fidelity(
+            cond_blocks, cond_traces, observables.ideal_phase_unitary(phases[at])
+        )
+        start = at.stop
     return {
         "times": times,
         "phases": phases,
@@ -289,13 +331,16 @@ def _gate_runs(cfgs: list[dict]) -> list:
     """One call per config that returns its run_gate_analysis result,
     the configs being one generator stack: they differ in
     _HAMILTONIAN_KEYS alone. Call them in order."""
-    cfg = cfgs[0]
+    cfg, params = cfgs[0], [params_from_config(c) for c in cfgs]
+    times = _times_from_config(cfg)
     evolve = dynamics.gate_input_stack(
-        [params_from_config(c) for c in cfgs], _times_from_config(cfg),
-        amplitudes_from_config(cfg), dephasing_mode=cfg["dephasing_mode"], **_engine_kwargs(cfg),
+        params, times, amplitudes_from_config(cfg), dephasing_mode=cfg["dephasing_mode"],
+        **_engine_kwargs(cfg),
     )
     return [
-        functools.partial(_metrics_from_blocks, functools.partial(evolve, k), basis.M_STATES)
+        functools.partial(
+            _metrics_from_blocks, functools.partial(evolve, k), basis.M_STATES, times
+        )
         for k in range(len(cfgs))
     ]
 
@@ -306,21 +351,16 @@ def run_ladder_analysis(cfg: dict) -> dict:
     params = ladder_params_from_config(cfg)
     times = _times_from_config(cfg)
     states = ladder.ladder_states(params.n_max)
-    amps = amplitudes_from_config(cfg)
-    kw = _engine_kwargs(cfg)
+    amps, kw = amplitudes_from_config(cfg), _engine_kwargs(cfg)
+    propagate = functools.partial(ladder.evolve_ladder_gate, params, times, amps, **kw)
 
-    def propagate(conditional):
-        traj = ladder.evolve_ladder_gate(params, times, amps, conditional=conditional, **kw)
-        if not conditional:
-            # Guard the superposition and the four basis inputs the
-            # fidelities average over, before the conditional map is run.
-            leak = traj.image(basis.edge_cells(states))[..., 0]
-            ladder.check_leakage((leak @ traj.weights).real)
-            ladder.check_leakage(leak[:, dynamics.BASIS_UNITS].real, labels=dynamics.BASIS_LABELS)
-        return traj
+    def guard(leak, weights):
+        # The superposition and the four basis inputs the fidelities average over.
+        ladder.check_leakage((leak @ weights).real)
+        ladder.check_leakage(leak[:, dynamics.BASIS_UNITS].real, labels=dynamics.BASIS_LABELS)
 
     try:
-        return _metrics_from_blocks(propagate, states)
+        return _metrics_from_blocks(propagate, states, times, guard)
     except MemoryError as exc:
         raise ValueError(
             f"n_max {params.n_max} with n_samples {times.size} does not fit in memory: {exc}"
@@ -477,10 +517,12 @@ def cmd_scan(args) -> int:
 
 def _scan_points(cfg: dict, param: str, values):
     """The config of each scan point, or the error of the checks load_config
-    applies to its value and of those a generator stack needs of its points."""
+    applies to its value (an integer key's must be integral) and of those a
+    generator stack needs of its points."""
     for value in values:
         cfg_i = dict(cfg)
-        cfg_i[param] = int(round(value)) if param in _INT_KEYS else float(value)
+        integral = param in _INT_KEYS and float(value).is_integer()
+        cfg_i[param] = int(value) if integral else float(value)
         try:
             _check_value(param, cfg_i[param])
             params_from_config(cfg_i)
@@ -579,13 +621,20 @@ _FRINGE_KEYS = ("cps", "phi10", "phi00", "phi_plus0")
 
 def load_phase_table(path: str) -> dict:
     """Flat JSON phase table in radians, keyed by the fock_coincidences
-    parameters; unknown keys are fatal."""
+    parameters; unknown keys are fatal, and so is a table whose phases
+    sum to no finite fringe shift."""
     table = {k: 0.0 for k in _FRINGE_KEYS}
     for key, value in _load_object(path, "phase table", "phase key").items():
         if key not in table:
             raise ValueError(f"unknown phase key {key!r}")
         _check_finite_number(f"phase key {key!r}", value)
         table[key] = float(value)
+    # The phase fock_coincidences adds to the interferometer's.
+    shift = table["phi10"] - 2.0 * table["phi00"] + table["phi_plus0"] + table["cps"]
+    if not math.isfinite(shift):
+        raise ValueError(
+            f"phase keys phi10 - 2 phi00 + phi_plus0 + cps sum to {shift}, not a finite phase"
+        )
     return table
 
 

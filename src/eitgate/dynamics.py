@@ -17,6 +17,7 @@ which makes the trace decay with the accumulated jump probability.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -195,28 +196,35 @@ def propagate_stack(
     L: Superoperator, V: np.ndarray, times: np.ndarray, *, method: str = "exponential",
     rel_tol: float = 1e-8, abs_tol: float = 1e-12, exponential=None,
 ):
-    """run(k): propagate the columns of V (n²,c) along times under matrix
-    k of the stack L, whose data (P, nnz) holds P matrices on one pattern
-    (1-D data, or a scipy CSR matrix, is a stack of one).
+    """run(k, chunk=None): propagate the columns of V (n²,c) along times
+    under matrix k of the stack L, whose data (P, nnz) holds P matrices on
+    one pattern (1-D data, or a scipy CSR matrix, is a stack of one).
 
-    A run returns the blocks (units, entries, Y) that hold the vec indices
+    run(k) returns the blocks (units, entries, Y) that hold the vec indices
     R reachable from the nonzero rows of V: the columns of V touching the
     block, its sorted vec indices and its own array Y (T,units,entries),
-    Y[m, i] = vec(ρ_i(t_m)) there; all else stays 0. The exponential
-    engine runs each connected component of L[R, R] as a block, and the
-    blocks of one shape (entries, units) together: one gather, one expm
-    call and one stacked product per time sample, which give each block
-    the bits of its own run. adaptive-rk runs R as one block, as its step
-    control couples the blocks through one error norm.
+    Y[m, i] = vec(ρ_i(t_m)) there; all else stays 0. run(k, chunk) returns
+    an iterator over the blocks of consecutive chunks of chunk time samples
+    (see _spans for the last one), each Y its own (size,units,entries)
+    array, and steps a chunk only when the previous one has been taken, so
+    a caller that reads and drops each chunk holds one; run(k) is its one
+    chunk of T. The exponential engine runs each connected component of
+    L[R, R] as a block, and the blocks of one shape (entries, units)
+    together: one gather, one expm call and one stacked product per time
+    sample, which give each block the bits of its own run. adaptive-rk
+    runs R as one block, as its step control couples the blocks through
+    one error norm; its solver returns the whole grid at once, which it
+    holds while the chunks are taken.
 
     Raises ValueError, here and once, naming rel_tol or abs_tol if it is
     not positive, or if times is not finite and strictly increasing,
     whatever the method; a run raises RuntimeError naming the first time
-    sample whose columns are non-finite. The plan (reached set, components,
-    shape groups, gather indices) depends on the nonzero mask of a matrix
-    alone, so it is made on the first run of each distinct mask and
-    reused: a matrix whose explicitly stored zeros differ, as at a zero
-    coupling, gets its own plan and the blocks of its own build.
+    sample whose columns are non-finite, as it steps the chunk of it. The
+    plan (reached set, components, shape groups, gather indices) depends
+    on the nonzero mask of a matrix alone, so it is made on the first run
+    of each distinct mask and reused: a matrix whose explicitly stored
+    zeros differ, as at a zero coupling, gets its own plan and the blocks
+    of its own build.
 
     exponential replaces expm for the step propagator, called on each
     block's generator. It is temporary: only groupvel's transient passes
@@ -233,12 +241,17 @@ def propagate_stack(
     data = data.reshape(math.prod(data.shape[:-1]), data.shape[-1])
     plans = {}
 
-    def run(k: int) -> tuple:
+    def run(k: int, chunk: int | None = None):
         Lk = Superoperator(data[k], L.indices, L.indptr)
         mask = (Lk.data != 0).tobytes()
         if mask not in plans:
             plans[mask] = _plan(Lk, V, method)
-        return _run(plans[mask], Lk.data, V, times, method, rel_tol, abs_tol, exponential)
+        chunks = _run(plans[mask], Lk.data, V, times, chunk or times.size, method, rel_tol,
+                      abs_tol, exponential)
+        if chunk is not None:
+            return chunks
+        (blocks,) = chunks
+        return blocks
 
     return run
 
@@ -260,46 +273,85 @@ def _plan(L: Superoperator, V: np.ndarray, method: str) -> tuple:
     return blocks, groups
 
 
-def _run(plan, data, V, times, method, rel_tol, abs_tol, exponential) -> tuple:
-    """Propagate V under the matrix with stored values data along a
-    plan of its nonzero mask."""
+def _run(plan, data, V, times, chunk, method, rel_tol, abs_tol, exponential):
+    """Propagate V under the matrix with stored values data along a plan
+    of its nonzero mask: a generator of the blocks of each chunk, which
+    keeps no reference to a chunk it has handed out."""
     blocks, groups = plan
-    T = times.size
-    Ys, bad = [None] * len(blocks), np.zeros(T, dtype=bool)
-    for group, E, U, index in groups:
-        Vb = V[E[:, :, None], U[:, None, :]]  # (g, entries, units)
+    # Each group's columns (g, entries, units) at one time sample after another.
+    states = [_states(V[E[:, :, None], U[:, None, :]], index, data, times, method, rel_tol,
+                      abs_tol, exponential) for _, E, U, index in groups]
+    del V, data  # the generator is held by the states alone, until gathered
+    for start, stop in _spans(times.size, chunk):
+        yield _chunk(blocks, groups, states, start, stop - start, stop == times.size)
+
+
+def _spans(T: int, chunk: int) -> list[tuple[int, int]]:
+    """(start, stop) of the chunks of chunk samples, the last one shorter,
+    that a run of T samples is taken in. A last chunk of one sample joins
+    the one before: numpy takes a one-row matrix-vector product as a dot
+    product, which rounds otherwise than the rows of a longer one."""
+    stops = [*range(chunk, T, chunk), T]
+    if len(stops) > 1 and stops[-1] - stops[-2] == 1:
+        del stops[-2]
+    return list(zip([0, *stops[:-1]], stops))
+
+
+def _chunk(blocks, groups, states, start: int, size: int, last: bool) -> tuple:
+    """The blocks of the next size time samples from start, each group's
+    taken from its states; the last chunk closes them, so each group's
+    step propagator is freed before the next group's is made."""
+    Ys, bad = [None] * len(blocks), np.zeros(size, dtype=bool)
+    for (group, E, U, _), group_states in zip(groups, states):
         # One array per block, filled at each step: one group array copied
         # out per block raised the ladder benchmark's peak RSS by 0.9 MB.
-        Ys_g = [np.empty((T, U.shape[1], E.shape[1]), complex) for _ in group]
-        for Y, v in zip(Ys_g, Vb):
-            Y[0] = v.T
-        if T > 1 and method == "exponential":
-            A = index.gather(data) * (times[1] - times[0])
-            P = expm(A) if exponential is None else np.stack([exponential(a) for a in A])
-            for m in range(1, T):
-                Vb = P @ Vb
-                for Y, v in zip(Ys_g, Vb):
-                    Y[m] = v.T
-        elif T > 1:
-            # Imported here: scipy.integrate adds ~0.3 s to every start-up.
-            from scipy.integrate import solve_ivp
-
-            A, Vb, Y = index.gather(data)[0], Vb[0], Ys_g[0]
-
-            def rhs(_t, y):
-                return (A @ y.reshape(Vb.shape, order="F")).reshape(-1, order="F")
-
-            sol = solve_ivp(rhs, times[[0, -1]], Vb.reshape(-1, order="F"), method="RK45",
-                            t_eval=times, rtol=rel_tol, atol=abs_tol)
-            if not sol.success:
-                raise RuntimeError(f"adaptive integration failed: {sol.message}")
-            Y[1:] = sol.y[:, 1:].reshape(*Vb.shape, -1, order="F").transpose(2, 1, 0)
+        Ys_g = [np.empty((size, U.shape[1], E.shape[1]), complex) for _ in group]
+        for m, Vb in enumerate(itertools.islice(group_states, size)):
+            for Y, v in zip(Ys_g, Vb):
+                Y[m] = v.T
+        if last:
+            group_states.close()
         for i, Y in zip(group, Ys_g):
             Ys[i] = Y
-            bad |= ~np.isfinite(Y.reshape(T, -1)).all(axis=1)
+            bad |= ~np.isfinite(Y.reshape(size, -1)).all(axis=1)
     if bad.any():
-        raise RuntimeError(f"propagated columns are non-finite at time sample {np.argmax(bad)}")
+        raise RuntimeError(
+            f"propagated columns are non-finite at time sample {start + np.argmax(bad)}"
+        )
     return tuple((u, e, Y) for (u, e), Y in zip(blocks, Ys))
+
+
+def _states(Vb, index, data, times, method, rel_tol, abs_tol, exponential):
+    """The columns Vb (g,entries,units) at each of times, from Vb at
+    times[0], under the generator blocks index.gather(data), gathered when
+    the second sample is asked for."""
+    yield Vb
+    if times.size == 1:
+        return
+    if method == "exponential":
+        A = index.gather(data) * (times[1] - times[0])
+        del index, data
+        P = expm(A) if exponential is None else np.stack([exponential(a) for a in A])
+        del A
+        for _ in range(1, times.size):
+            Vb = P @ Vb
+            yield Vb
+        return
+    # Imported here: scipy.integrate adds ~0.3 s to every start-up.
+    from scipy.integrate import solve_ivp
+
+    A, shape = index.gather(data)[0], Vb.shape[1:]
+    del index, data
+
+    def rhs(_t, y):
+        return (A @ y.reshape(shape, order="F")).reshape(-1, order="F")
+
+    sol = solve_ivp(rhs, times[[0, -1]], Vb[0].reshape(-1, order="F"), method="RK45",
+                    t_eval=times, rtol=rel_tol, atol=abs_tol)
+    if not sol.success:
+        raise RuntimeError(f"adaptive integration failed: {sol.message}")
+    for y in sol.y.T[1:]:
+        yield y.reshape(shape, order="F")[None]
 
 
 def _scatter(blocks, T: int, k: int, n: int) -> np.ndarray:
@@ -331,6 +383,11 @@ def evolve_superoperator(
     n = rho0.shape[1]
     if L.shape != (n * n, n * n):
         raise ValueError("superoperator does not match the state dimension")
+    if np.ndim(L.data) != 1:
+        raise ValueError(
+            f"expected one matrix, got data of shape {np.shape(L.data)}; "
+            "propagate_stack runs a stack"
+        )
     kw = {"method": method, "rel_tol": rel_tol, "abs_tol": abs_tol, "exponential": exponential}
     V = rho0.transpose(0, 2, 1).reshape(len(rho0), n * n).T  # column i is vec(ρ_i)
     blocks = propagate_stack(L, V, times, **kw)(0)
@@ -409,7 +466,8 @@ def superposition_input(amplitudes) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GateTrajectories:
-    """Evolution of the sixteen qubit-block matrix units.
+    """Evolution of the sixteen qubit-block matrix units, along a run's
+    time grid or one chunk of it.
 
     blocks, as a propagate_stack run returns them, hold the units' images on
     their entries, the vec indices a + dim*b of ρ[a, b]; all else is
@@ -461,17 +519,30 @@ class GateTrajectories:
 
 
 def qubit_unit_stack(L: Superoperator, positions, times: np.ndarray, amplitudes=None, **kw):
-    """evolve(k): GateTrajectories of the sixteen matrix units of the qubit
-    states at the four given positions under matrix k of the generator
-    stack L, in one batch (see propagate_stack). Column 4i + j, the vec of
-    |q_i><q_j|, gets its one at a + n*b for the positions a, b of q_i, q_j."""
+    """evolve(k, chunk=None): GateTrajectories of the sixteen matrix units
+    of the qubit states at the four given positions under matrix k of the
+    generator stack L, in one batch (see propagate_stack); with chunk, an
+    iterator over those of its consecutive chunks of chunk time samples.
+    Column 4i + j, the vec of |q_i><q_j|, gets its one at a + n*b for the
+    positions a, b of q_i, q_j."""
     c = normalized_amplitudes(amplitudes)
     n = math.isqrt(L.shape[0])
     V = np.zeros((n * n, 16), dtype=complex)
     V[[a + n * b for a in positions for b in positions], np.arange(16)] = 1.0
     run = propagate_stack(L, V, times, **kw)
     times = np.asarray(times, dtype=float)
-    return lambda k: GateTrajectories(times, run(k), n, c)
+
+    def evolve(k: int, chunk: int | None = None):
+        if chunk is None:
+            return GateTrajectories(times, run(k), n, c)
+        # map keeps no reference to a chunk it has handed out, where a
+        # generator, enumerate or zip would hold it until the next is stepped.
+        return map(
+            lambda span, blocks: GateTrajectories(times[slice(*span)], blocks, n, c),
+            _spans(times.size, chunk), run(k, chunk),
+        )
+
+    return evolve
 
 
 def evolve_gate_inputs(
@@ -491,9 +562,10 @@ def evolve_gate_inputs(
 def gate_input_stack(
     params, times: np.ndarray, amplitudes=None, *, dephasing_mode: str = "lindblad", **kw
 ):
-    """evolve(k, conditional=False): evolve_gate_inputs of params[k], for
-    parameter sets that share their channel rates and so differ in their
-    Hamiltonian alone.
+    """evolve(k, conditional=False, chunk=None): evolve_gate_inputs of
+    params[k], for parameter sets that share their channel rates and so
+    differ in their Hamiltonian alone; with chunk, an iterator over its
+    time chunks.
 
     Each generator, unconditional or conditional, is built on its first
     call by one build on the (P, 18, 18) Hamiltonian stack, each matrix
@@ -509,7 +581,7 @@ def gate_input_stack(
     channels = build_jump_channels(params[0])
     stacks = {}
 
-    def evolve(k: int, conditional: bool = False) -> GateTrajectories:
+    def evolve(k: int, conditional: bool = False, chunk: int | None = None):
         if conditional not in stacks:
             if conditional:
                 L = conditional_generator(H, channels, dephasing_mode)
@@ -517,7 +589,7 @@ def gate_input_stack(
                 L = build_liouvillian(H, channels)
             stacks[conditional] = qubit_unit_stack(L, QUBIT_M_INDICES, times, amplitudes, **kw)
         run = stacks.pop(conditional) if k == len(params) - 1 else stacks[conditional]
-        return run(k)
+        return run(k, chunk)
 
     return evolve
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import basis, dynamics
-from .dynamics import GateTrajectories, conditional_generator, matrix_units
+from .dynamics import conditional_generator, matrix_units
 from .mscheme import (
     JumpChannel, Superoperator, assemble_channels, assemble_hamiltonian, build_liouvillian,
 )
@@ -144,9 +144,12 @@ def evolve_ladder_gate(
     amplitudes=None,
     *,
     conditional: bool = False,
+    chunk: int | None = None,
     **kw,
-) -> GateTrajectories:
-    """Propagate the sixteen qubit matrix units of the ladder gate.
+):
+    """Propagate the sixteen qubit matrix units of the ladder gate: their
+    GateTrajectories, or with chunk an iterator over those of its time
+    chunks (see dynamics.qubit_unit_stack).
 
     perfbench/tracer.py measures the ladder build's memory at this
     module's bindings build_ladder_liouvillian and conditional_generator
@@ -160,7 +163,8 @@ def evolve_ladder_gate(
         )
     else:
         L = build_ladder_liouvillian(params)
-    return dynamics.qubit_unit_stack(L, qubit_positions(params.n_max), times, amplitudes, **kw)(0)
+    evolve = dynamics.qubit_unit_stack(L, qubit_positions(params.n_max), times, amplitudes, **kw)
+    return evolve(0, chunk)
 
 
 def reduce_to_photons(rho: np.ndarray, n_max: int) -> np.ndarray:

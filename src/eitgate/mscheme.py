@@ -48,7 +48,10 @@ class Superoperator(NamedTuple):
         return self.indices.size
 
     def toarray(self) -> np.ndarray:
-        """Dense form, a stored -0.0 read as +0.0 (see BlockIndex.gather)."""
+        """Dense form, a stored -0.0 read as +0.0 (see BlockIndex.gather),
+        of a single matrix; a stack raises ValueError."""
+        if np.ndim(self.data) != 1:
+            raise ValueError(f"expected one matrix, got data of shape {np.shape(self.data)}")
         return BlockIndex.of(self, np.arange(self.shape[0])).gather(self.data)
 
 

@@ -79,6 +79,15 @@ def phases_from_coherences(coherences: np.ndarray, amplitudes) -> np.ndarray:
     Non-finite coherences and steps of magnitude π or more raise ValueError;
     vanishing coherences raise UndefinedPhaseError, all naming the sample.
     """
+    return _phases_after(None, coherences, amplitudes)
+
+
+def _phases_after(previous, coherences: np.ndarray, amplitudes) -> np.ndarray:
+    """phases_from_coherences of the samples that follow a series whose
+    phases end in previous (3,): its first step is taken from previous,
+    so the phases of a series read in chunks are those of the whole
+    series bit for bit. None starts a series. Messages number the samples
+    from the first of coherences."""
     coh = np.asarray(coherences, dtype=complex)
     if coh.ndim != 2 or coh.shape[1] != 3:
         raise ValueError(f"expected a (T, 3) coherence series, got shape {coh.shape}")
@@ -95,16 +104,19 @@ def phases_from_coherences(coherences: np.ndarray, amplitudes) -> np.ndarray:
         raise UndefinedPhaseError(f"qubit coherence below threshold{where}; phase undefined")
     raw = np.angle(coh) - np.angle(c[1:4] * np.conj(c[0]))[None, :]
     phases = np.empty_like(raw)
-    phases[0] = _wrap(raw[0])
-    for m in range(1, raw.shape[0]):
-        step = _wrap(raw[m] - phases[m - 1])
-        largest = float(np.max(np.abs(step)))
-        if largest >= np.pi * (1.0 - 1e-9):
-            raise ValueError(
-                f"phase step of π or more between samples {m - 1} and {m} "
-                f"({largest / np.pi:.6f}π); refine the grid"
-            )
-        phases[m] = phases[m - 1] + step
+    for m in range(raw.shape[0]):
+        if previous is None:
+            phases[m] = _wrap(raw[m])
+        else:
+            step = _wrap(raw[m] - previous)
+            largest = float(np.max(np.abs(step)))
+            if largest >= np.pi * (1.0 - 1e-9):
+                raise ValueError(
+                    f"phase step of π or more between samples {m - 1} and {m} "
+                    f"({largest / np.pi:.6f}π); refine the grid"
+                )
+            phases[m] = previous + step
+        previous = phases[m]
     return phases
 
 

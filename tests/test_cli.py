@@ -561,7 +561,7 @@ def test_scan_rejects_bad_parameters(tmp_path, capsys, monkeypatch):
         # Keys no gate run reads gave identical rows.
         *((["--param", key, "--from", "1", "--to", "50", "--steps", "3"],
            f"scan parameter {key!r} is not read by a gate run")
-          for key in ("n_max", "hbar", "mc_samples", "seed", "fd_step", "avg_grid")),
+          for key in ("n_max", "hbar", "mc_samples", "seed", "fd_step", "avg_grid", "gamma_si")),
         # numpy's refusals of these grids ("Unable to allocate 7.11 PiB ...")
         # named no flag.
         (["--param", "g_p", "--from", "0", "--to", "1", "--steps", str(2**62)],
@@ -737,6 +737,24 @@ def test_fringes_rejects_bad_tables(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("payload, total", [
+    ({"cps": 1e308, "phi10": 1e308}, "inf"),
+    ({"phi10": 1e308, "phi00": -1e308}, "inf"),
+    ({"phi10": -1e308, "phi00": 1e308, "phi_plus0": 1.0}, "-inf"),
+])
+def test_fringes_refuses_finite_phases_whose_shift_is_not(tmp_path, capsys, payload, total):
+    # These wrote 256 rows of nan with two numpy RuntimeWarnings.
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["fringes", "--phases", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: phase keys phi10 - 2 phi00 + phi_plus0 + cps sum to {total}, "
+        "not a finite phase\n"
+    )
+    assert not out.exists()
+
+
 def test_ladder_cli_outputs(tmp_path):
     cfg_path = write_cfg(tmp_path, **SMALL_LADDER)
     out = tmp_path / "lad"
@@ -772,29 +790,38 @@ def test_unconditional_map_is_freed_before_the_conditional_one(
     tmp_path, monkeypatch, command, config
 ):
     # Each command makes one unit stack per generator, the unconditional
-    # one first, and runs its one point.
+    # one first, and runs its one point in chunks of two time samples. A
+    # chunk is dropped before the next one is stepped, and before it is
+    # scored by the conditional fidelity.
+    monkeypatch.setattr(cli, "_CHUNK_SAMPLES", 2)
     stack = dynamics.qubit_unit_stack
     score = observables.haar_conditional_fidelity
     maps, scored = [], []
 
+    def dead(refs):
+        gc.collect()
+        return all(ref() is None for ref in refs)
+
     def spy(*args, **kwargs):
         if maps:
-            gc.collect()
-            alive = any(ref() is not None for ref in maps[-1])
-            assert not alive, "the unconditional map outlived its readout"
+            assert dead(maps[-1]), "the unconditional map outlived its readout"
         evolve = stack(*args, **kwargs)
 
-        def tracked(k):
-            traj = evolve(k)
-            maps.append([weakref.ref(Y) for _, _, Y in traj.blocks])
-            return traj
+        def tracked(k, chunk):
+            refs = []
+            maps.append(refs)
+
+            def stepped(traj):
+                assert dead(refs), "a chunk outlived its readout"
+                refs.extend(weakref.ref(Y) for _, _, Y in traj.blocks)
+                return traj
+
+            return map(stepped, evolve(k, chunk))
 
         return tracked
 
     def scoring(*args, **kwargs):
-        gc.collect()
-        alive = any(ref() is not None for ref in maps[-1])
-        assert not alive, "the conditional map outlived its readout"
+        assert dead(maps[-1]), "the conditional map outlived its readout"
         scored.append(1)
         return score(*args, **kwargs)
 
@@ -802,7 +829,7 @@ def test_unconditional_map_is_freed_before_the_conditional_one(
     monkeypatch.setattr(observables, "haar_conditional_fidelity", scoring)
     cfg_path = write_cfg(tmp_path, **config)
     assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
-    assert (len(maps), len(scored)) == (2, 1)
+    assert (len(maps), len(scored)) == (2, -(-config["n_samples"] // 2))
 
 
 def test_ladder_truncation_guard_covers_every_basis_input(tmp_path, capsys, monkeypatch):
@@ -1147,11 +1174,12 @@ def test_scan_accepts_only_the_numeric_keys_a_gate_run_reads(tmp_path, capsys, m
         if cli.main(argv) == 0:
             accepted.add(key)
     # The keys of the five-level model's fields, and the time grid and
-    # engine settings.
+    # engine settings. gamma_si sets gamma_SI, which only groupvel's SI
+    # conversion reads.
     base = cli.params_from_config(cli.DEFAULTS)
     model = {k for k in cli.DEFAULTS if cli.params_from_config({**cli.DEFAULTS, k: 2}) != base}
     assert len(model) == len(dataclasses.fields(MSchemeParams))
-    assert accepted == model | {"t_max", "n_samples", "rel_tol", "abs_tol"}
+    assert accepted == model - {"gamma_si"} | {"t_max", "n_samples", "rel_tol", "abs_tol"}
 
 
 # The transient operating point with extreme but finite constants. Python

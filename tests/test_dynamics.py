@@ -397,6 +397,24 @@ def test_non_finite_propagation_names_the_first_time_sample():
     dynamics.propagate_stack(L, np.eye(3, dtype=complex)[:, :2], times[:3])(0)
 
 
+def test_single_matrix_entry_points_refuse_a_stack():
+    # evolve_superoperator propagated matrix 0 of the stack; toarray and
+    # steady_state raised IndexError.
+    L = dynamics.build_liouvillian_for(RICH_PARAMS)
+    stack = L._replace(data=np.stack([L.data] * 3))
+    shape = rf"data of shape \(3, {L.nnz}\)"
+    rho0 = np.zeros((basis.M_DIM, basis.M_DIM), dtype=complex)
+    rho0[0, 0] = 1.0
+    with pytest.raises(ValueError, match=shape):
+        dynamics.evolve_superoperator(stack, rho0, np.linspace(0.0, 0.1, 3))
+    with pytest.raises(ValueError, match=shape):
+        stack.toarray()
+    with pytest.raises(ValueError, match=shape):
+        dynamics.steady_state(stack)
+    # Matrix k of the stack is still a matrix.
+    assert np.array_equal(stack._replace(data=stack.data[2]).toarray(), L.toarray())
+
+
 def test_steady_state_of_cascading_model_is_photon_vacuum():
     L = dynamics.build_liouvillian_for(RICH_PARAMS)
     rho = dynamics.steady_state(L)
@@ -571,6 +589,38 @@ def test_blocks_match_the_union_propagation(model):
         assert Y.flags.owndata
         union[:, units[:, None], np.searchsorted(R_ref, entries)] = Y
     assert np.max(np.abs(union - Y_ref)) < 1e-14
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("method", ["exponential", "adaptive-rk"])
+@pytest.mark.parametrize("model", ["unconditional", "conditional", "ladder", "ladder conditional"])
+def test_a_run_in_chunks_is_the_whole_run_bit_for_bit(model, method, chunk):
+    # Chunks of one sample, and of seven, which divides neither 30 nor 15
+    # samples. Each chunk's arrays are its own.
+    L, positions, times = _unit_generator(model)
+    times = times[:30] if method == "exponential" else times[:30:2]
+    V = _units_as_columns(positions, math.isqrt(L.shape[0]))
+    run = dynamics.propagate_stack(L, V, times, method=method)
+    whole, chunks = run(0), list(run(0, chunk))
+    sizes = [stop - start for start, stop in dynamics._spans(times.size, chunk)]
+    assert [blocks[0][2].shape[0] for blocks in chunks] == sizes and len(sizes) > 1
+    for i, (units, entries, Y) in enumerate(whole):
+        parts = [blocks[i] for blocks in chunks]
+        for (u, e, Yc), size in zip(parts, sizes):
+            assert np.array_equal(u, units) and np.array_equal(e, entries)
+            assert Yc.flags.owndata and Yc.shape == (size,) + Y.shape[1:]
+        assert np.concatenate([Yc for _, _, Yc in parts]).tobytes() == Y.tobytes()
+
+
+def test_a_run_in_chunks_names_the_first_non_finite_sample():
+    # As test_non_finite_propagation_names_the_first_time_sample: sample 2
+    # overflows, in the second chunk of two samples, which is never handed out.
+    L = sp.csr_matrix(np.diag([0.0, 1000.0, 1500.0]))
+    chunks = dynamics.propagate_stack(L, np.eye(3, dtype=complex), np.linspace(0.0, 1.0, 5))(0, 2)
+    assert next(chunks)[0][2].shape == (2, 1, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RuntimeError, match="non-finite at time sample 2$"):
+            next(chunks)
 
 
 @pytest.mark.parametrize("model", ["unconditional", "conditional", "ladder", "ladder conditional"])

@@ -101,20 +101,20 @@ _SCORED = {
 @pytest.fixture(scope="module")
 def scored_maps():
     """name -> (blocks, traces, targets) that the CLI analysis hands to
-    the exact conditional fidelity."""
+    the exact conditional fidelity, its time chunks joined."""
     assert cli.params_from_config({**cli.DEFAULTS, **_SCORED["five-level"][1]}) == TRANSIENT
     printed = {**cli.DEFAULTS, **_SCORED["ladder as-printed n_max 6"][1]}
     assert cli.ladder_params_from_config(printed) == replace(LADDER_SET, n_max=6)
-    score, maps = observables.haar_conditional_fidelity, {}
+    score, chunks = observables.haar_conditional_fidelity, {}
     with pytest.MonkeyPatch.context() as mp:
         for name, (analysis, cfg, _) in _SCORED.items():
             def capture(lam, traces, U, name=name):
-                maps[name] = (lam, traces, U)
+                chunks.setdefault(name, []).append((lam, traces, U))
                 return score(lam, traces, U)
 
             mp.setattr(observables, "haar_conditional_fidelity", capture)
             getattr(cli, analysis)({**cli.DEFAULTS, **cfg})
-    return maps
+    return {name: tuple(map(np.concatenate, zip(*parts))) for name, parts in chunks.items()}
 
 
 def _haar_ratios(lam, traces, U, mc_samples, seed=42):

@@ -252,6 +252,18 @@ def test_scan_points_take_the_checks_simulate_applies(tmp_path, capsys):
     assert capsys.readouterr().err == "error: n_samples must be at least 2\n"
 
 
+def test_a_non_integral_value_of_an_integer_key_is_refused_in_its_row(tmp_path):
+    # The 2.5 row held the 2.0 row's metrics: it ran int(round(2.5)).
+    rows = _run_scan(tmp_path, fast_gate_config(), "n_samples", 2, 3, 3)
+    values, cfgs = _point_configs(fast_gate_config(), "n_samples", 2, 3, 3)
+    assert rows == [
+        _own_row(values[0], {**cfgs[0], "n_samples": 2}),
+        "2.5000000000000000e+00,,,,config key 'n_samples' must be an integer",
+        _own_row(values[2], {**cfgs[2], "n_samples": 3}),
+    ]
+    assert rows[0] != rows[2]
+
+
 def _count_calls(monkeypatch, module, name) -> list:
     """Count the calls of module.name through every eitgate namespace
     that binds it."""
