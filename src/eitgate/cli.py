@@ -114,9 +114,7 @@ _MAX_SAMPLES = np.iinfo(np.intp).max // 8
 # 1 MiB at 32 KiB a sample. A sample's blocks, images and metric
 # temporaries take 17 KB (the n_max 3 ladder) to 21 KB (the five-level
 # gate) of traced memory in a whole run, and below 32 samples the ladder
-# benchmark's peak RSS falls no further. It must be a multiple of four:
-# OpenBLAS's gemv sums the rows of the exact conditional fidelity's
-# quadrature in blocks of four, and a row rounds otherwise in a shorter one.
+# benchmark's peak RSS falls no further. Any length gives the same results.
 _CHUNK_SAMPLES = 2**20 // 2**15
 # The errors a run reports by name: main prints them on one line and exits
 # 1, a scan records them in the failing point's row.
@@ -274,10 +272,11 @@ def _metrics_from_blocks(propagate, states, times, guard=None) -> dict:
 
 
 def _scored(propagate, states, times, guard, chunk: int) -> dict:
-    """_metrics_from_blocks in chunks of chunk time samples. Fidelities use
-    the instantaneous ideal phase gate, one call per chunk; the conditional
-    one is the exact Haar average, which draws no samples."""
+    """_metrics_from_blocks in chunks of chunk time samples, each index map
+    built once. Fidelities use the instantaneous ideal phase gate, one call
+    per chunk; the conditional one is the exact Haar average (no draws)."""
     T, qubit, pop_cells = times.size, basis.qubit_cells(states), basis.population_cells(states)
+    edge = None if guard is None else basis.edge_cells(states)
     phases, fid, populations = np.empty((T, 3)), np.empty(T), np.empty((T, len(states)))
     leak = None if guard is None else np.empty((T, 16), dtype=complex)
     start = 0
@@ -293,17 +292,17 @@ def _scored(propagate, states, times, guard, chunk: int) -> dict:
         )
         populations[at] = gt.image(pop_cells, superposed=True).real
         if guard is not None:
-            leak[at] = gt.image(basis.edge_cells(states))[..., 0]
+            leak[at] = gt.image(edge)[..., 0]
         start, weights = at.stop, gt.weights
         del gt, blocks  # before the next chunk is stepped
     if guard is not None:
         guard(leak, weights)
         del leak
-    cond_fid, p_success, start = np.empty(T), np.empty(T), 0
+    trace, cond_fid, p_success, start = basis.trace_cells(states), np.empty(T), np.empty(T), 0
     for gt in propagate(conditional=True, chunk=chunk):
         at = slice(start, start + gt.times.size)
         cond_blocks = gt.image(qubit).reshape(-1, 16, 4, 4)
-        cond_traces = gt.image(basis.trace_cells(states))[..., 0]
+        cond_traces = gt.image(trace)[..., 0]
         del gt
         cond_fid[at], p_success[at] = observables.haar_conditional_fidelity(
             cond_blocks, cond_traces, observables.ideal_phase_unitary(phases[at])

@@ -43,6 +43,7 @@ DEPHASING_MODES = ("lindblad", "excluded")
 _UNIFORM_RTOL = 1e-9
 _KERNEL_RTOL = 1e-10
 _RESIDUAL_TOL = 1e-10
+_MIN_RK_RTOL = float(100 * np.finfo(float).eps)  # scipy's RK45 raises a smaller rtol to it
 
 
 # Higham (2005), Table 2.3: the [m/m] Padé orders with the largest 1-norm
@@ -204,9 +205,9 @@ def propagate_stack(
     R reachable from the nonzero rows of V: the columns of V touching the
     block, its sorted vec indices and its own array Y (T,units,entries),
     Y[m, i] = vec(ρ_i(t_m)) there; all else stays 0. run(k, chunk) returns
-    an iterator over the blocks of consecutive chunks of chunk time samples
-    (see _spans for the last one), each Y its own (size,units,entries)
-    array, and steps a chunk only when the previous one has been taken, so
+    an iterator over the blocks of consecutive chunks of chunk time samples,
+    the last one shorter, each Y its own (size,units,entries) array, and
+    steps a chunk only when the previous one has been taken, so
     a caller that reads and drops each chunk holds one; run(k) is its one
     chunk of T. The exponential engine runs each connected component of
     L[R, R] as a block, and the blocks of one shape (entries, units)
@@ -217,14 +218,14 @@ def propagate_stack(
     holds while the chunks are taken.
 
     Raises ValueError, here and once, naming rel_tol or abs_tol if it is
-    not positive, or if times is not finite and strictly increasing,
-    whatever the method; a run raises RuntimeError naming the first time
-    sample whose columns are non-finite, as it steps the chunk of it. The
-    plan (reached set, components, shape groups, gather indices) depends
-    on the nonzero mask of a matrix alone, so it is made on the first run
-    of each distinct mask and reused: a matrix whose explicitly stored
-    zeros differ, as at a zero coupling, gets its own plan and the blocks
-    of its own build.
+    not positive, rel_tol if adaptive-rk is given one below _MIN_RK_RTOL,
+    or if times is not finite and strictly increasing; a run raises
+    RuntimeError naming the first time sample whose columns are
+    non-finite, as it steps the chunk of it. The plan (reached set,
+    components, shape groups, gather indices) depends on the nonzero mask
+    of a matrix alone, so it is made on the first run of each distinct
+    mask and reused: a matrix whose explicitly stored zeros differ, as at
+    a zero coupling, gets its own plan and the blocks of its own build.
 
     exponential replaces expm for the step propagator, called on each
     block's generator. It is temporary: only groupvel's transient passes
@@ -236,6 +237,8 @@ def propagate_stack(
     for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
         if not tol > 0:
             raise ValueError(f"{name} must be positive, got {tol!r}")
+    if method == "adaptive-rk" and rel_tol < _MIN_RK_RTOL:
+        raise ValueError(f"rel_tol must be at least {_MIN_RK_RTOL} for adaptive-rk, got {rel_tol}")
     times = _checked_times(times, uniform=method == "exponential")
     data = np.asarray(L.data)
     data = data.reshape(math.prod(data.shape[:-1]), data.shape[-1])
@@ -248,10 +251,7 @@ def propagate_stack(
             plans[mask] = _plan(Lk, V, method)
         chunks = _run(plans[mask], Lk.data, V, times, chunk or times.size, method, rel_tol,
                       abs_tol, exponential)
-        if chunk is not None:
-            return chunks
-        (blocks,) = chunks
-        return blocks
+        return chunks if chunk is not None else next(chunks)
 
     return run
 
@@ -282,19 +282,9 @@ def _run(plan, data, V, times, chunk, method, rel_tol, abs_tol, exponential):
     states = [_states(V[E[:, :, None], U[:, None, :]], index, data, times, method, rel_tol,
                       abs_tol, exponential) for _, E, U, index in groups]
     del V, data  # the generator is held by the states alone, until gathered
-    for start, stop in _spans(times.size, chunk):
-        yield _chunk(blocks, groups, states, start, stop - start, stop == times.size)
-
-
-def _spans(T: int, chunk: int) -> list[tuple[int, int]]:
-    """(start, stop) of the chunks of chunk samples, the last one shorter,
-    that a run of T samples is taken in. A last chunk of one sample joins
-    the one before: numpy takes a one-row matrix-vector product as a dot
-    product, which rounds otherwise than the rows of a longer one."""
-    stops = [*range(chunk, T, chunk), T]
-    if len(stops) > 1 and stops[-1] - stops[-2] == 1:
-        del stops[-2]
-    return list(zip([0, *stops[:-1]], stops))
+    for start in range(0, times.size, chunk):
+        size = min(chunk, times.size - start)
+        yield _chunk(blocks, groups, states, start, size, start + size == times.size)
 
 
 def _chunk(blocks, groups, states, start: int, size: int, last: bool) -> tuple:
@@ -504,17 +494,17 @@ class GateTrajectories:
     def image(self, cells: np.ndarray, *, superposed: bool = False) -> np.ndarray:
         """Readout (T,16,size) of every unit through the index map cells
         (basis.qubit_cells and the like), size = cells.max() + 1: vec entry
-        a + dim*b adds to cell cells[a + dim*b], -1 drops it; one 0/1
-        product per block. superposed reads the superposition input alone,
-        (T,size), its units summed before the map. Where each cell takes
-        one entry, as for basis.population_cells, that equals the weighted
-        sum of the units' images bit for bit."""
+        a + dim*b adds to cell cells[a + dim*b], -1 drops it, in block and
+        entry order whatever samples are read together. superposed reads
+        the superposition input alone, (T,size), its units summed before
+        the map; where each cell takes one entry, as for population_cells,
+        that equals the weighted sum of the units' images bit for bit."""
         size = int(cells.max()) + 1
         blocks = self._superposed() if superposed else self.blocks
         out = np.zeros((self.times.size, 1 if superposed else 16, size), dtype=complex)
         for units, e, Y in blocks:
-            F = (cells[e, None] == np.arange(size)).astype(complex)
-            out[:, units] += (Y.reshape(-1, e.size) @ F).reshape(Y.shape[:2] + (size,))
+            for j in np.flatnonzero(cells[e] >= 0):
+                out[:, units, cells[e[j]]] += Y[:, :, j]
         return out[:, 0] if superposed else out
 
 
@@ -538,8 +528,8 @@ def qubit_unit_stack(L: Superoperator, positions, times: np.ndarray, amplitudes=
         # map keeps no reference to a chunk it has handed out, where a
         # generator, enumerate or zip would hold it until the next is stepped.
         return map(
-            lambda span, blocks: GateTrajectories(times[slice(*span)], blocks, n, c),
-            _spans(times.size, chunk), run(k, chunk),
+            lambda start, blocks: GateTrajectories(times[start:start + chunk], blocks, n, c),
+            range(0, times.size, chunk), run(k, chunk),
         )
 
     return evolve

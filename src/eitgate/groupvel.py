@@ -200,7 +200,7 @@ def group_velocity_transient(
     # Pinned to scipy's expm: the trapezoid average of c/n_g(t) crosses a
     # pole of n_g, so an exponential that differs in rounding moves the
     # result by up to 1e-6 relative. Goes away once the average is
-    # well-posed (ROADMAP item 3).
+    # well-posed (ROADMAP item 4).
     from scipy.linalg import expm
 
     traj = np.array([

@@ -175,6 +175,21 @@ def _rotated_blocks(lam: np.ndarray, target_unitary, lead: tuple[int, ...]) -> n
     return (U.conj().swapaxes(-1, -2) @ lam @ U).reshape(lead + (4, 4, 4, 4))
 
 
+_ROUNDING = 1e-12  # how far above 1 a fidelity reads 1.0; the Haar rule resolves ~1e-15
+
+
+def _at_most_one(fid: np.ndarray, name: str) -> np.ndarray:
+    """fid at most 1, or ValueError naming name and the first time sample
+    above 1 by more than _ROUNDING."""
+    excess = fid > 1.0 + _ROUNDING
+    if excess.any():
+        raise ValueError(
+            f"{name} {float(fid[excess][0])!r} exceeds 1{_sample_label(excess)}; "
+            "the map is not physical"
+        )
+    return np.minimum(fid, 1.0)
+
+
 def average_fidelity_from_blocks(
     lam: np.ndarray, target_unitary: np.ndarray
 ) -> float | np.ndarray:
@@ -183,7 +198,8 @@ def average_fidelity_from_blocks(
     lam[..., 4*i+j, :, :] is the 4x4 qubit-block image of |q_i><q_j|. The
     average of <ψ|U† Λ(|ψ><ψ|) U|ψ> over pure qubit inputs has the
     closed form (d² F_e + Tr Λ(I)) / (d(d+1)) with the entanglement
-    fidelity F_e; the reported figure of merit is its square root.
+    fidelity F_e; the reported figure of merit is its square root, read
+    as 1.0 up to _ROUNDING above 1 and refused further above 1.
 
     Blocks (16,4,4) with one (4,4) target give a float. A leading time
     axis, blocks (...,16,4,4) with targets (...,4,4), gives an array
@@ -205,7 +221,7 @@ def average_fidelity_from_blocks(
         raise ValueError(
             f"negative average overlap{_sample_label(negative)}; the map is not physical"
         )
-    fid = np.sqrt(np.maximum(overlap, 0.0))
+    fid = _at_most_one(np.sqrt(np.maximum(overlap, 0.0)), "average fidelity")
     return float(fid) if not lead else fid
 
 
@@ -287,9 +303,6 @@ def conditional_fidelity_from_blocks(
 # the half-width of the node grid, which is symmetric about t = 1.
 _HAAR_STEP = 0.4
 _HAAR_SPAN = 40.0
-# A fidelity within this of 1 is rounding and reads 1.0; one further above
-# 1 raises. The rule resolves F_c to ~1e-15.
-_HAAR_ROUNDING = 1e-12
 
 
 def haar_conditional_fidelity(
@@ -326,7 +339,7 @@ def haar_conditional_fidelity(
     Raises ValueError naming the first offending time sample for non-finite
     blocks or traces, an off-diagonal trace above 1e-12, a no-jump
     probability p_i ≤ 0 (p·x then vanishes on a face of the simplex), or
-    an F_c above 1 by more than _HAAR_ROUNDING.
+    an F_c above 1 by more than _ROUNDING; one within _ROUNDING of 1 is 1.0.
     """
     lam = np.asarray(lam)
     lead = _check_blocks(lam)
@@ -355,14 +368,10 @@ def haar_conditional_fidelity(
     D += 1.0
     np.reciprocal(D, out=D)  # 1/λ_j, (T,4,N)
     quad = np.einsum("tia,tin,tan->tn", K, D, D) * D.prod(axis=1)
-    fid = np.sqrt(np.maximum(_HAAR_STEP * (quad @ t) / (4.0 * p_max), 0.0))
-    excess = fid > 1.0 + _HAAR_ROUNDING
-    if excess.any():
-        raise ValueError(
-            f"conditional fidelity {float(fid[np.argmax(excess)])!r} exceeds 1"
-            f"{_sample_label(excess.reshape(lead))}; the map is not physical"
-        )
-    fid = np.where(np.abs(fid - 1.0) <= _HAAR_ROUNDING, 1.0, fid).reshape(lead)
+    # Row by row, so a sample's F_c does not depend on the samples scored with it.
+    squared = _HAAR_STEP * np.einsum("tn,n->t", quad, t) / (4.0 * p_max)
+    fid = _at_most_one(np.sqrt(np.maximum(squared, 0.0)).reshape(lead), "conditional fidelity")
+    fid = np.where(fid >= 1.0 - _ROUNDING, 1.0, fid)
     p_success = (p.sum(axis=1) / 4.0).reshape(lead)
     if not lead:
         return float(fid), float(p_success)

@@ -973,6 +973,43 @@ def test_non_positive_tolerances_are_rejected_before_propagating(
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_adaptive_rk_refuses_a_rel_tol_below_its_solvers_least(tmp_path, capsys, monkeypatch):
+    # scipy's RK45 would raise rel_tol 1e-15 to 100 eps with a warning,
+    # while summary.json echoes 1e-15: refused by name before any solve.
+    # The exponential engine reads no rel_tol and runs.
+    def never(*args, **kwargs):
+        raise AssertionError("propagated with a rel_tol below the solver's least")
+
+    monkeypatch.setattr(dynamics, "_plan", never)
+    cfg = {**SMALL_GATE, "method": "adaptive-rk", "rel_tol": 1e-15}
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["simulate", "--config", write_cfg(tmp_path, **cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: rel_tol must be at least 2.220446049250313e-14 for adaptive-rk, got 1e-15\n"
+    )
+    assert not out.exists() or not any(out.iterdir())
+    monkeypatch.undo()
+    cfg["method"] = "exponential"
+    assert cli.main(["simulate", "--config", write_cfg(tmp_path, **cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["config"]["rel_tol"] == 1e-15
+
+
+def test_scan_records_an_adaptive_rk_rel_tol_below_its_solvers_least(tmp_path):
+    cfg_path = write_cfg(tmp_path, **{**SMALL_GATE, "method": "adaptive-rk"})
+    out = tmp_path / "scan"
+    assert cli.main([
+        "scan", "--config", cfg_path, "--out", str(out),
+        "--param", "rel_tol", "--from", "1e-15", "--to", "1e-8", "--steps", "2",
+    ]) == 0
+    _, rows = _read_csv(out / "scan.csv")
+    assert rows[0][1:] == [
+        "", "", "", "rel_tol must be at least 2.220446049250313e-14 for adaptive-rk; got 1e-15"
+    ]
+    assert rows[1][4] == ""
+
+
 def test_simulate_reports_a_non_finite_propagation(tmp_path, capsys):
     # At N_a = 1e300 the collective couplings overflow the propagator.
     cfg_path = write_cfg(

@@ -1,4 +1,5 @@
 """Propagation engines, conditional evolution and stationary states."""
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -385,6 +386,27 @@ def test_superposed_image_matches_the_superposition_readout():
     assert np.max(np.abs(via_image - _field_blocks(gt.superposition))) < 1e-14
 
 
+@pytest.mark.parametrize("method", ["exponential", "adaptive-rk"])
+@pytest.mark.parametrize("model", ["five-level", "ladder"])
+def test_an_image_reads_each_sample_as_it_reads_it_alone(model, method):
+    # Every map, per unit and superposed, read on 13 samples, on each one
+    # alone and on chunks of them: a cell sums its entries in one order
+    # whatever the number of samples read with it.
+    times = np.linspace(0.0, 0.3, 13)
+    _, readouts = _readouts(model)
+    spans = [slice(m, m + 1) for m in range(13)] + [slice(0, 2), slice(2, 9), slice(9, 13)]
+    for conditional in (False, True):
+        _, gt = _gate(model, times, [0.5, -0.5j, 0.3, 0.6j], method=method,
+                      conditional=conditional)
+        for (cells, _, _), superposed in itertools.product(readouts, (False, True)):
+            whole = gt.image(cells, superposed=superposed)
+            for at in spans:
+                part = replace(gt, times=times[at], blocks=tuple(
+                    (units, entries, Y[at]) for units, entries, Y in gt.blocks
+                ))
+                assert part.image(cells, superposed=superposed).tobytes() == whole[at].tobytes()
+
+
 def test_non_finite_propagation_names_the_first_time_sample():
     # Three one-entry blocks growing at rates 0, 1000 and 1500 over steps
     # of 0.25: e^750 overflows, at time sample 3 in the second block and
@@ -602,7 +624,7 @@ def test_a_run_in_chunks_is_the_whole_run_bit_for_bit(model, method, chunk):
     V = _units_as_columns(positions, math.isqrt(L.shape[0]))
     run = dynamics.propagate_stack(L, V, times, method=method)
     whole, chunks = run(0), list(run(0, chunk))
-    sizes = [stop - start for start, stop in dynamics._spans(times.size, chunk)]
+    sizes = [min(chunk, times.size - start) for start in range(0, times.size, chunk)]
     assert [blocks[0][2].shape[0] for blocks in chunks] == sizes and len(sizes) > 1
     for i, (units, entries, Y) in enumerate(whole):
         parts = [blocks[i] for blocks in chunks]
@@ -610,6 +632,24 @@ def test_a_run_in_chunks_is_the_whole_run_bit_for_bit(model, method, chunk):
             assert np.array_equal(u, units) and np.array_equal(e, entries)
             assert Yc.flags.owndata and Yc.shape == (size,) + Y.shape[1:]
         assert np.concatenate([Yc for _, _, Yc in parts]).tobytes() == Y.tobytes()
+
+
+def test_adaptive_rk_refuses_a_rel_tol_below_its_solvers_least():
+    # scipy's RK45 raises a smaller rtol to 100 eps with a warning; the
+    # exponential engine reads no rel_tol and takes any positive one.
+    L = sp.csr_matrix(np.diag([0.0, -1.0, -1.0, -2.0]))
+    rho0, times = np.diag([0.5, 0.5]).astype(complex), np.linspace(0.0, 1.0, 3)
+    with pytest.raises(ValueError, match=(
+        r"^rel_tol must be at least 2\.220446049250313e-14 for adaptive-rk, got 1e-15$"
+    )):
+        dynamics.evolve_superoperator(L, rho0, times, method="adaptive-rk", rel_tol=1e-15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        least = dynamics.evolve_superoperator(
+            L, rho0, times, method="adaptive-rk", rel_tol=2.220446049250313e-14
+        )
+        assert np.allclose(least[-1], np.diag([0.5, 0.5 * math.exp(-2.0)]), atol=1e-12)
+        dynamics.evolve_superoperator(L, rho0, times, rel_tol=1e-300)
 
 
 def test_a_run_in_chunks_names_the_first_non_finite_sample():

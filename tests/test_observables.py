@@ -281,6 +281,23 @@ def test_average_fidelity_rejects_malformed_blocks():
         observables.average_fidelity_from_blocks(skew, np.eye(4))
 
 
+def test_average_fidelity_above_one_by_rounding_reads_one():
+    # Overlaps 1, 1 + 1e-15 and 1 - 1e-15: the square root above 1 reads
+    # 1.0, the one below 1 is kept; further above 1 the map is refused.
+    series = np.repeat(_units()[None], 3, axis=0).astype(complex)
+    series[1] *= 1.0 + 1e-15
+    series[2] *= 1.0 - 1e-15
+    F = observables.average_fidelity_from_blocks(series, np.eye(4))
+    assert F[0] == F[1] == 1.0 and 1.0 - 1e-15 < F[2] < 1.0
+    one = observables.average_fidelity_from_blocks(series[1], np.eye(4))
+    assert type(one) is float and one == 1.0
+    series[2] = (1.0 + 1e-11) * _units()
+    with pytest.raises(ValueError, match=(
+        r"^average fidelity 1\.0000000000\d* exceeds 1 at time sample 2; the map is not physical$"
+    )):
+        observables.average_fidelity_from_blocks(series, np.eye(4))
+
+
 def test_non_finite_blocks_raise_naming_the_time_sample():
     # The NaN sits in an entry that neither F_e nor Tr Λ(I) reads.
     one = _units()
@@ -698,6 +715,20 @@ def test_exact_conditional_fidelity_batches_and_returns_scalars():
         lam.reshape(3, 2, 16, 4, 4), traces.reshape(3, 2, 16), U.reshape(3, 2, 4, 4)
     )
     assert np.allclose(grid[0].reshape(6), f, rtol=1e-14, atol=0.0)
+
+
+def test_exact_conditional_fidelity_scores_each_sample_as_it_scores_it_alone():
+    # 13 samples scored together, each alone and in chunks: the quadrature
+    # is summed row by row, so a sample's bits do not depend on the others.
+    rng = np.random.default_rng(34)
+    lam, traces = _random_conserving_blocks(rng, 13)
+    U = np.stack([_random_unitary(rng) for _ in range(13)])
+    f, p = observables.haar_conditional_fidelity(lam, traces, U)
+    for m in range(13):
+        assert observables.haar_conditional_fidelity(lam[m], traces[m], U[m]) == (f[m], p[m])
+    for at in (slice(0, 1), slice(1, 3), slice(3, 10), slice(10, 13)):
+        f_at, p_at = observables.haar_conditional_fidelity(lam[at], traces[at], U[at])
+        assert f_at.tobytes() == f[at].tobytes() and p_at.tobytes() == p[at].tobytes()
 
 
 def test_exact_conditional_fidelity_guards_name_the_time_sample():

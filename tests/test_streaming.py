@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from eitgate import cli, dynamics, observables
+from eitgate import basis, cli, observables
 
 from _support import fast_gate_config
 from test_scan import _assert_same_metrics
@@ -41,21 +41,12 @@ def _scoring_calls(monkeypatch) -> list:
 
 
 def _sizes(T: int, chunk: int) -> list[int]:
-    return [stop - start for start, stop in dynamics._spans(T, chunk)]
+    """The lengths of the chunks of chunk samples a run of T is taken in."""
+    return [min(chunk, T - start) for start in range(0, T, chunk)]
 
 
-def test_chunk_spans_leave_no_sample_alone():
-    assert _sizes(41, 4) == [4] * 9 + [5]
-    assert _sizes(26, 12) == [12, 12, 2]
-    assert _sizes(33, 32) == [33] and _sizes(32, 32) == [32] and _sizes(2, 32) == [2]
-    assert _sizes(65, 32) == [32, 33] and _sizes(95, 32) == [32, 32, 31]
-
-
-# Chunk lengths that divide none of the grids. They are multiples of four:
-# OpenBLAS's gemv sums the rows of the exact conditional fidelity's
-# quadrature in blocks of four, and a row rounds otherwise in a shorter
-# block, as it would in chunks of one or seven samples.
-@pytest.mark.parametrize("chunk", [4, 12])
+# Chunks of one sample, and lengths that divide none of the grids.
+@pytest.mark.parametrize("chunk", [1, 2, 4, 7, 12])
 @pytest.mark.parametrize("run", sorted(RUNS))
 def test_chunked_runs_are_the_whole_run_bit_for_bit(monkeypatch, run, chunk):
     analysis, overrides = RUNS[run]
@@ -73,8 +64,9 @@ def test_chunked_runs_are_the_whole_run_bit_for_bit(monkeypatch, run, chunk):
     ]
 
 
-def test_chunked_scan_stack_is_the_whole_scan_bit_for_bit(monkeypatch):
-    # Four points of one generator stack, each run in chunks of twelve.
+@pytest.mark.parametrize("chunk", [1, 2, 7, 12])
+def test_chunked_scan_stack_is_the_whole_scan_bit_for_bit(monkeypatch, chunk):
+    # Four points of one generator stack, each run in chunks.
     cfg = {**cli.DEFAULTS, **fast_gate_config()}
     values = np.linspace(0.0022, 0.0030, 4)
 
@@ -83,11 +75,28 @@ def test_chunked_scan_stack_is_the_whole_scan_bit_for_bit(monkeypatch):
 
     monkeypatch.setattr(cli, "_CHUNK_SAMPLES", cli._MAX_SAMPLES)
     whole = scan()
-    monkeypatch.setattr(cli, "_CHUNK_SAMPLES", 12)
+    monkeypatch.setattr(cli, "_CHUNK_SAMPLES", chunk)
     calls = _scoring_calls(monkeypatch)
     for got, want in zip(scan(), whole, strict=True):
         _assert_same_metrics(got, want)
-    assert len(calls) == 2 * len(values) * len(_sizes(cfg["n_samples"], 12))
+    assert len(calls) == 2 * len(values) * len(_sizes(cfg["n_samples"], chunk))
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_each_readout_map_is_built_once_per_run(monkeypatch, run):
+    # In chunks of seven samples; only the ladder's guard reads edge cells.
+    analysis, overrides = RUNS[run]
+    built = []
+    for name in ("qubit_cells", "population_cells", "trace_cells", "edge_cells"):
+        def counted(states, build=getattr(basis, name), name=name):
+            built.append(name)
+            return build(states)
+
+        monkeypatch.setattr(basis, name, counted)
+    monkeypatch.setattr(cli, "_CHUNK_SAMPLES", 7)
+    getattr(cli, analysis)({**cli.DEFAULTS, **overrides})
+    edge = ["edge_cells"] if analysis == "run_ladder_analysis" else []
+    assert sorted(built) == sorted(["qubit_cells", "population_cells", "trace_cells", *edge])
 
 
 @pytest.mark.parametrize("chunk", [1, 7, None])
