@@ -566,8 +566,7 @@ def cmd_groupvel(args) -> int:
         "probe_rabi_classical": float(cfg["probe_rabi_classical"]),
         "constants": constants,
     }
-    # The steady work runs, and frees its generators, before the transient
-    # loads scipy.
+    # The steady work runs, and frees its generators, before the transient.
     v_steady = groupvel.group_velocity_steady(params, **common)
     if args.out is not None:
         offsets = np.linspace(-1.0, 1.0, 201)

@@ -229,8 +229,9 @@ def propagate_stack(
 
     exponential replaces expm for the step propagator, called on each
     block's generator. It is temporary: only groupvel's transient passes
-    one (scipy.linalg.expm), until that average no longer amplifies
-    rounding. None means the module's expm, looked up at call time.
+    one (_expm2009.expm, which gives scipy.linalg.expm's bits without
+    loading scipy), until that average no longer amplifies rounding. None
+    means the module's expm, looked up at call time.
     """
     if method not in METHODS:
         raise ValueError(f"unknown evolution method {method!r}")

@@ -1134,38 +1134,81 @@ def test_cli_import_leaves_scipy_integrate_unloaded(module):
     assert proc.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("command, config, extra, loaded", [
-    ("simulate", SMALL_GATE, [], False),
-    ("scan", SMALL_GATE, ["--param", "g_p", "--from", "0.4", "--to", "0.5", "--steps", "2"], False),
-    ("ladder", SMALL_LADDER, [], False),
-    # groupvel's transient average alone stays on scipy's expm for now.
-    ("groupvel", SMALL_GATE, [], True),
-])
-def test_commands_load_scipy_linalg_only_for_groupvel(tmp_path, command, config, extra, loaded):
-    # The generators are numpy CSR arrays and the propagation blocks use
-    # dynamics.expm, so a run other than groupvel loads no scipy module at
-    # all, and with it neither scipy.linalg nor the second BLAS it brings.
-    # The conditional fidelity is the exact Haar average, so the gate runs
-    # draw nothing and leave numpy.random unloaded too. They call no
-    # np.unique either, whose first call imports numpy.ma.
+# Run in a child: the CLI's exit code, whether scipy, scipy.linalg,
+# numpy.random and numpy.ma were loaded, the scipy submodules that eitgate's
+# own code imported (an audit hook names the first frame outside importlib
+# as the importer), and on Linux the number of OpenBLAS libraries mapped.
+_LOADED_CODE = """
+import json, sys
+direct = set()
+
+def audit(event, args):
+    if event == "import" and args[0].startswith("scipy."):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_filename.startswith("<frozen"):
+            frame = frame.f_back
+        if frame is not None and "eitgate" in frame.f_code.co_filename:
+            direct.add(args[0])
+
+sys.addaudithook(audit)
+import eitgate.cli
+rc = eitgate.cli.main(sys.argv[1:])
+blas = None
+if sys.platform == "linux":
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        blas = len({line.split()[-1] for line in fh if "openblas" in line.lower() and ".so" in line})
+print(json.dumps({
+    "rc": rc, "scipy": "scipy" in sys.modules, "linalg": "scipy.linalg" in sys.modules,
+    "random": "numpy.random" in sys.modules, "ma": "numpy.ma" in sys.modules,
+    "direct": sorted(direct), "blas": blas,
+}))
+"""
+
+
+def _loaded(tmp_path, command, config, extra):
     cfg_path = write_cfg(tmp_path, **config)
-    code = (
-        "import sys, eitgate.cli; rc = eitgate.cli.main(sys.argv[1:]); "
-        "print(rc, 'scipy.linalg' in sys.modules, 'scipy' in sys.modules, "
-        "'numpy.random' in sys.modules, 'numpy.ma' in sys.modules)"
-    )
     proc = subprocess.run(
-        [sys.executable, "-c", code, command, "--config", cfg_path, *extra]
+        [sys.executable, "-c", _LOADED_CODE, command, "--config", cfg_path, *extra]
         + ([] if command == "groupvel" else ["--out", str(tmp_path / "out")]),
         capture_output=True,
         text=True,
         check=True,
         cwd=Path(cli.__file__).resolve().parents[1],
     )
-    rc, linalg, scipy, random, ma = proc.stdout.splitlines()[-1].split()
-    assert (rc, linalg, scipy) == ("0", str(loaded), str(loaded))
-    if command != "groupvel":
-        assert (random, ma) == ("False", "False")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("command, config, extra", [
+    ("simulate", SMALL_GATE, []),
+    ("scan", SMALL_GATE, ["--param", "g_p", "--from", "0.4", "--to", "0.5", "--steps", "2"]),
+    ("ladder", SMALL_LADDER, []),
+    ("groupvel", SMALL_GATE, []),
+])
+def test_commands_leave_scipy_linalg_unloaded(tmp_path, command, config, extra):
+    # The generators are numpy CSR arrays and the propagation blocks use
+    # dynamics.expm, or for groupvel's transient _expm2009.expm (scipy's
+    # bits on numpy's own LAPACK), so no run loads any scipy module, and
+    # with it neither scipy.linalg nor the second BLAS it brings. The
+    # conditional fidelity is the exact Haar average, so the gate runs
+    # draw nothing and leave numpy.random unloaded too. No run calls
+    # np.unique either, whose first call imports numpy.ma.
+    got = _loaded(tmp_path, command, config, extra)
+    assert (got["rc"], got["linalg"], got["scipy"], got["direct"]) == (0, False, False, [])
+    assert (got["random"], got["ma"]) == (False, False)
+
+
+def test_adaptive_rk_groupvel_imports_scipy_integrate_only(tmp_path):
+    # The transient's exponential is unused by the adaptive engine; the one
+    # scipy module eitgate itself imports is the integrator (which brings
+    # scipy.linalg with it).
+    got = _loaded(tmp_path, "groupvel", {**SMALL_GATE, "method": "adaptive-rk"}, [])
+    assert (got["rc"], got["scipy"], got["direct"]) == (0, True, ["scipy.integrate"])
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/maps")
+def test_groupvel_maps_a_single_openblas(tmp_path):
+    # numpy's OpenBLAS serves the transient's LU solve too.
+    assert _loaded(tmp_path, "groupvel", SMALL_GATE, [])["blas"] == 1
 
 
 @pytest.mark.parametrize("cls", [MSchemeParams, LadderParams, OpticalConstants])

@@ -209,6 +209,31 @@ def test_zero_fd_step_rejected_before_any_propagation(monkeypatch):
             groupvel.group_velocity_transient(EIT_SET, 1.0, fd_step=fd_step)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_transient_names_a_non_finite_t_int_before_any_build(monkeypatch, bad):
+    monkeypatch.setattr(groupvel, "semiclassical_liouvillian", _never_built)
+    with pytest.raises(ValueError, match=f"t_int must be positive and finite, got {bad}"):
+        groupvel.group_velocity_transient(EIT_SET, bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_transient_names_a_non_finite_fd_step_before_any_build(monkeypatch, bad):
+    monkeypatch.setattr(groupvel, "semiclassical_liouvillian", _never_built)
+    with pytest.raises(ValueError, match=f"fd_step must be positive and finite, got {bad}"):
+        groupvel.group_velocity_transient(EIT_SET, 1.0, fd_step=bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_steady_names_a_non_finite_fd_step_before_any_build(monkeypatch, bad):
+    monkeypatch.setattr(groupvel, "semiclassical_liouvillian", _never_built)
+    with pytest.raises(ValueError, match=f"fd_step must be positive and finite, got {bad}"):
+        groupvel.group_velocity_steady(EIT_SET, fd_step=bad)
+
+
+def _never_built(*args, **kwargs):
+    raise AssertionError("built a generator before validating the inputs")
+
+
 def test_cell_geometry_round_trips():
     consts = OpticalConstants()
     geo = groupvel.cell_geometry(EIT_SET, 1.5e6, 0.4)
