@@ -15,6 +15,7 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -101,11 +102,12 @@ DEFAULTS: dict = {key: row.default for key, row in _CONFIG.items()}
 _INT_KEYS = {key for key, row in _CONFIG.items() if row.kind is int}
 _AMPLITUDE_KEYS = tuple(key for key, row in _CONFIG.items() if row.kind is complex)
 _HAMILTONIAN_KEYS = frozenset(key for key, row in _CONFIG.items() if row.gate == _HAMILTONIAN)
-# Points per generator stack of a scan, so the stacked generators and
-# their build temporaries do not grow with --steps. At the benchmark's
+# Generators built as one stack at most: the points of a scan and the probe
+# offsets of groupvel's χ sweep, so the stacked generators and their build
+# temporaries do not grow with --steps or with the sweep. At the benchmark's
 # scan point the two builds cost ~2.5 ms for one point and ~0.2 ms per
 # point from 16 on, while the traced peak grows ~0.11 MB per point.
-SCAN_STACK = 16
+GENERATOR_STACK = 16
 # The most float64 time samples one numpy array can index; numpy refuses
 # a longer np.linspace with an error that names no key.
 _MAX_SAMPLES = np.iinfo(np.intp).max // 8
@@ -115,6 +117,7 @@ _MAX_SAMPLES = np.iinfo(np.intp).max // 8
 # temporaries take 17 KB (the n_max 3 ladder) to 21 KB (the five-level
 # gate) of traced memory in a whole run, and below 32 samples the ladder
 # benchmark's peak RSS falls no further. Any length gives the same results.
+# The CSV writers format a table this many rows at a time.
 _CHUNK_SAMPLES = 2**20 // 2**15
 # The errors a run reports by name: main prints them on one line and exits
 # 1, a scan records them in the failing point's row.
@@ -254,60 +257,70 @@ def _metrics_from_blocks(propagate, states, times, guard=None) -> dict:
 
     propagate(conditional=..., chunk=...) returns the trajectories of the
     sixteen matrix units on the states, as GateTrajectories of consecutive
-    chunks of chunk time samples; the index maps of basis read them out.
-    Each chunk is read, scored into the output columns and dropped before
-    the next is stepped. The unconditional map is taken to its end, and
-    guard, if given, called on its edge series (T, 16) and the
-    superposition's weights, before the conditional map is propagated. A
-    run whose scoring fails is scored again as one chunk, which raises
-    what a whole run raises: each check of the readout names the first
-    failing sample of the series, and a later chunk may fail a check that
-    ranks above.
+    chunks of _CHUNK_SAMPLES time samples; the index maps of basis, each
+    built once, read them out. Each chunk is read, scored into the output
+    columns and dropped before the next is stepped. The unconditional map
+    is taken to its end, and guard, if given, called on its edge series
+    (T, 16) and the superposition's weights, before the conditional map is
+    propagated. Fidelities use the instantaneous ideal phase gate; the
+    conditional one is the exact Haar average (no draws).
+
+    A run raises what it would raise scored as one chunk. There each
+    sample check of the readout names the first failing sample of the
+    series, and the first check to fail anywhere is raised; the phases are
+    read before the fidelities, and their checks rank first
+    (observables._ranked). So a map whose scoring fails is still taken to
+    its end, keeping the first failure of the highest-ranked check, which
+    is raised once the map is done.
     """
-    try:
-        return _scored(propagate, states, times, guard, _CHUNK_SAMPLES)
-    except ValueError:
-        pass  # rescored once the failed run's chunks are released
-    return _scored(propagate, states, times, guard, _MAX_SAMPLES)
-
-
-def _scored(propagate, states, times, guard, chunk: int) -> dict:
-    """_metrics_from_blocks in chunks of chunk time samples, each index map
-    built once. Fidelities use the instantaneous ideal phase gate, one call
-    per chunk; the conditional one is the exact Haar average (no draws)."""
     T, qubit, pop_cells = times.size, basis.qubit_cells(states), basis.population_cells(states)
     edge = None if guard is None else basis.edge_cells(states)
-    phases, fid, populations = np.empty((T, 3)), np.empty(T), np.empty((T, len(states)))
+    # Zeros, so a chunk that follows a failed phase check unwraps from finite
+    # values; the checks that can still outrank it read no earlier sample.
+    phases, fid, populations = np.zeros((T, 3)), np.empty(T), np.empty((T, len(states)))
     leak = None if guard is None else np.empty((T, 16), dtype=complex)
-    start = 0
-    for gt in propagate(conditional=False, chunk=chunk):
+    failed, start = None, 0
+    for gt in propagate(conditional=False, chunk=_CHUNK_SAMPLES):
         at = slice(start, start + gt.times.size)
         blocks = gt.image(qubit).reshape(-1, 16, 4, 4)
         super_blocks = np.einsum("k,tkab->tab", gt.weights, blocks)
-        phases[at] = observables._phases_after(
-            phases[start - 1] if start else None, super_blocks[:, 1:4, 0], gt.amplitudes
-        )
-        fid[at] = observables.average_fidelity_from_blocks(
-            blocks, observables.ideal_phase_unitary(phases[at])
-        )
-        populations[at] = gt.image(pop_cells, superposed=True).real
-        if guard is not None:
-            leak[at] = gt.image(edge)[..., 0]
+        try:
+            phases[at] = observables._phases_after(
+                phases[start - 1] if start else None, super_blocks[:, 1:4, 0], gt.amplitudes,
+                first_sample=start,
+            )
+            fid[at] = observables.average_fidelity_from_blocks(
+                blocks, observables.ideal_phase_unitary(phases[at]), first_sample=start
+            )
+        except ValueError as exc:
+            failed = _outranking(failed, exc)
+        if failed is None:
+            populations[at] = gt.image(pop_cells, superposed=True).real
+            if guard is not None:
+                leak[at] = gt.image(edge)[..., 0]
         start, weights = at.stop, gt.weights
         del gt, blocks  # before the next chunk is stepped
+    if failed is not None:
+        raise failed
     if guard is not None:
         guard(leak, weights)
         del leak
     trace, cond_fid, p_success, start = basis.trace_cells(states), np.empty(T), np.empty(T), 0
-    for gt in propagate(conditional=True, chunk=chunk):
+    for gt in propagate(conditional=True, chunk=_CHUNK_SAMPLES):
         at = slice(start, start + gt.times.size)
         cond_blocks = gt.image(qubit).reshape(-1, 16, 4, 4)
         cond_traces = gt.image(trace)[..., 0]
         del gt
-        cond_fid[at], p_success[at] = observables.haar_conditional_fidelity(
-            cond_blocks, cond_traces, observables.ideal_phase_unitary(phases[at])
-        )
+        try:
+            cond_fid[at], p_success[at] = observables.haar_conditional_fidelity(
+                cond_blocks, cond_traces, observables.ideal_phase_unitary(phases[at]),
+                first_sample=start,
+            )
+        except ValueError as exc:
+            failed = _outranking(failed, exc)
         start = at.stop
+    if failed is not None:
+        raise failed
     return {
         "times": times,
         "phases": phases,
@@ -318,6 +331,15 @@ def _scored(propagate, states, times, guard, chunk: int) -> dict:
         "populations": populations,
         "pop_names": basis.state_names(states),
     }
+
+
+def _outranking(failed: ValueError | None, exc: ValueError) -> ValueError:
+    """exc if its check outranks failed's (or nothing failed before), else
+    failed. An error of no ranked check names no sample, so every chunk
+    raises it alike, and it is raised at once."""
+    if not hasattr(exc, "rank"):
+        raise exc
+    return exc if failed is None or exc.rank < failed.rank else failed
 
 
 def run_gate_analysis(cfg: dict) -> dict:
@@ -384,11 +406,23 @@ def _fmt(x: float) -> str:
     return f"{float(x):.16e}"
 
 
-def _atomic_write(path: Path, text: str) -> None:
+@contextlib.contextmanager
+def _atomic_file(path: Path):
+    """A text file written as path.tmp and moved onto path once it is
+    complete; on an error the partial file is removed and path untouched."""
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
+
+
+def _atomic_write(path: Path, text: str) -> None:
+    with _atomic_file(path) as fh:
+        fh.write(text)
 
 
 def _gate_columns(res: dict) -> dict:
@@ -403,10 +437,14 @@ def _gate_columns(res: dict) -> dict:
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    """One row per sample of the stacked (T,) or (T, k) columns."""
-    rows = np.column_stack(columns).tolist()
-    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """One row per sample of the (T,) or (T, k) columns side by side,
+    formatted and written _CHUNK_SAMPLES rows at a time, so no more of the
+    table than that is held as floats or text."""
+    with _atomic_file(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), _CHUNK_SAMPLES):
+            rows = np.column_stack([c[start : start + _CHUNK_SAMPLES] for c in columns])
+            fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows.tolist())
 
 
 def _write_timeseries(outdir: Path, res: dict) -> None:
@@ -499,18 +537,20 @@ def cmd_scan(args) -> int:
         if not math.isfinite(bound):
             raise ValueError(f"{flag} must be finite")
     values = _linspace("--steps", args.from_, args.to, args.steps)
-    lines = ["value,pi_time,fidelity,cond_fidelity,error"]
-    for value, res in zip(values, _scan_results(_scan_points(cfg, args.param, values))):
-        pi_s = fid_s = cond_s = err = ""
-        if isinstance(res, Exception):  # keep scanning, record the failure
-            err = (str(res) or type(res).__name__).replace(",", ";").replace("\n", " ")
-        else:
-            t_pi = pi_crossing_time(res["times"], res["cps"])
-            if t_pi is not None:
-                at = _values_at(res, t_pi)
-                pi_s, fid_s, cond_s = (_fmt(at[k]) for k in ("time", "fidelity", "cond_fidelity"))
-        lines.append(f"{_fmt(value)},{pi_s},{fid_s},{cond_s},{err}")
-    _atomic_write(_outdir(args) / "scan.csv", "\n".join(lines) + "\n")
+    with _atomic_file(_outdir(args) / "scan.csv") as fh:  # a row as each point is done
+        fh.write("value,pi_time,fidelity,cond_fidelity,error\n")
+        for value, res in zip(values, _scan_results(_scan_points(cfg, args.param, values))):
+            pi_s = fid_s = cond_s = err = ""
+            if isinstance(res, Exception):  # keep scanning, record the failure
+                err = (str(res) or type(res).__name__).replace(",", ";").replace("\n", " ")
+            else:
+                t_pi = pi_crossing_time(res["times"], res["cps"])
+                if t_pi is not None:
+                    at = _values_at(res, t_pi)
+                    pi_s, fid_s, cond_s = (
+                        _fmt(at[k]) for k in ("time", "fidelity", "cond_fidelity")
+                    )
+            fh.write(f"{_fmt(value)},{pi_s},{fid_s},{cond_s},{err}\n")
     return 0
 
 
@@ -535,13 +575,13 @@ def _scan_results(points):
     """The run_gate_analysis result of each config among points, or the
     error its run raised, in order; an error among points stands for its
     point. Consecutive configs that differ in _HAMILTONIAN_KEYS alone run
-    as generator stacks of at most SCAN_STACK points, so at most one
+    as generator stacks of at most GENERATOR_STACK points, so at most one
     stack of configs is held at a time."""
     for key, group in itertools.groupby(points, _stack_key):
         if key is None:
             yield from group
             continue
-        while stack := list(itertools.islice(group, SCAN_STACK)):
+        while stack := list(itertools.islice(group, GENERATOR_STACK)):
             for run in _gate_runs(stack):
                 try:
                     yield run()
@@ -569,11 +609,15 @@ def cmd_groupvel(args) -> int:
     # The steady work runs, and frees its generators, before the transient.
     v_steady = groupvel.group_velocity_steady(params, **common)
     if args.out is not None:
+        # In stacks of GENERATOR_STACK offsets; each gives its offsets' bits.
         offsets = np.linspace(-1.0, 1.0, 201)
-        chi = groupvel.steady_susceptibility(
-            params, offsets, probe_rabi_classical=common["probe_rabi_classical"],
-            constants=constants,
-        )
+        chi = np.concatenate([
+            groupvel.steady_susceptibility(
+                params, offsets[i : i + GENERATOR_STACK],
+                probe_rabi_classical=common["probe_rabi_classical"], constants=constants,
+            )
+            for i in range(0, offsets.size, GENERATOR_STACK)
+        ])
     v_transient = groupvel.group_velocity_transient(
         params,
         float(cfg["t_max"]),

@@ -585,9 +585,11 @@ def gate_input_stack(
     return evolve
 
 
-def steady_state(L: Superoperator) -> np.ndarray:
+def steady_state(L: Superoperator | np.ndarray) -> np.ndarray:
     """Unique trace-one stationary state of L, from the SVD null space.
 
+    L is a single generator in CSR form, or its dense array, as a caller
+    that solves a stack on one pattern gathers it through one BlockIndex.
     Raises if the kernel at the relative tolerance is empty or has
     dimension above one, or if the residual ||L vec(ρ)|| exceeds the
     absolute bound _RESIDUAL_TOL.
@@ -595,7 +597,8 @@ def steady_state(L: Superoperator) -> np.ndarray:
     n = math.isqrt(L.shape[0])
     if L.shape != (n * n, n * n):
         raise ValueError("L must act on vectorized square matrices")
-    L = L.toarray()
+    if not isinstance(L, np.ndarray):
+        L = L.toarray()
     _, s, Vh = np.linalg.svd(L)
     null_dim = int(np.count_nonzero(s <= _KERNEL_RTOL * s[0]))
     if null_dim != 1:

@@ -19,8 +19,8 @@ import numpy as np
 
 from .dynamics import evolve_superoperator, steady_state
 from .mscheme import (
-    MSchemeParams, Superoperator, build_hamiltonian, build_jump_channels, build_liouvillian,
-    transition_operator,
+    BlockIndex, MSchemeParams, Superoperator, build_hamiltonian, build_jump_channels,
+    build_liouvillian, transition_operator,
 )
 
 # Atomic levels 1..5 at indices 0..4; the ground level is 3. They are the
@@ -117,17 +117,19 @@ def steady_susceptibility(
 
     One semiclassical_liouvillian call assembles the generators of every
     offset as a stack, and each offset's steady state is solved on its
-    own matrix of it; a failure names the offset.
+    own matrix of it, gathered dense through one BlockIndex of the shared
+    pattern; a failure names the offset.
     """
     offset = np.asarray(offset, dtype=float)
     flat = offset.ravel()
     if not np.isfinite(flat).all():
         raise ValueError(f"probe offset {float(flat[~np.isfinite(flat)][0])} is not finite")
     L = semiclassical_liouvillian(params, probe_rabi_classical, flat)
+    dense = BlockIndex.of(L, np.arange(L.shape[0]))  # as L.toarray() gathers each matrix
     rho = np.empty((flat.size, _N_LEVELS, _N_LEVELS), dtype=complex)
     for k, d in enumerate(flat):
         try:
-            rho[k] = steady_state(L._replace(data=L.data[k]))
+            rho[k] = steady_state(dense.gather(L.data[k]))
         except (ValueError, RuntimeError) as exc:
             raise type(exc)(f"{exc} at probe offset {float(d)}") from exc
     rho = rho.reshape(*offset.shape, _N_LEVELS, _N_LEVELS)

@@ -62,12 +62,28 @@ def _wrap(angle: np.ndarray) -> np.ndarray:
     return np.pi - np.mod(np.pi - angle, 2.0 * np.pi)
 
 
-def _sample_label(flags: np.ndarray) -> str:
-    """' at time sample m' for the first flagged sample of a series, '' for one sample."""
+def _sample_label(flags: np.ndarray, first_sample: int = 0) -> str:
+    """' at time sample m' for the first flagged sample of a series, a 1-D
+    one numbered from first_sample; '' for one sample."""
     if flags.ndim == 0:
         return ""
     m = np.unravel_index(int(np.argmax(flags)), flags.shape)
-    return f" at time sample {m[0] if len(m) == 1 else tuple(int(i) for i in m)}"
+    return f" at time sample {first_sample + m[0] if len(m) == 1 else tuple(int(i) for i in m)}"
+
+
+# The checks that name a time sample, in the order every scorer that runs
+# them runs them. Each tags its ValueError with its rank here, so that a
+# series scored in chunks can raise what the whole series raises: the
+# error of the first check that fails anywhere in it, at its first failing
+# sample (cli._metrics_from_blocks).
+(_NONFINITE_COHERENCE, _VANISHING_COHERENCE, _PHASE_STEP, _NONFINITE_BLOCK, _NONFINITE_TRACE,
+ _NONREAL_OVERLAP, _NEGATIVE_OVERLAP, _OFF_DIAGONAL_TRACE, _LOST_TRACE, _ABOVE_ONE) = range(10)
+
+
+def _ranked(error: ValueError, rank: int) -> ValueError:
+    """error, tagged with the rank of the check that raised it."""
+    error.rank = rank
+    return error
 
 
 def phases_from_coherences(coherences: np.ndarray, amplitudes) -> np.ndarray:
@@ -82,12 +98,14 @@ def phases_from_coherences(coherences: np.ndarray, amplitudes) -> np.ndarray:
     return _phases_after(None, coherences, amplitudes)
 
 
-def _phases_after(previous, coherences: np.ndarray, amplitudes) -> np.ndarray:
+def _phases_after(
+    previous, coherences: np.ndarray, amplitudes, first_sample: int = 0
+) -> np.ndarray:
     """phases_from_coherences of the samples that follow a series whose
     phases end in previous (3,): its first step is taken from previous,
     so the phases of a series read in chunks are those of the whole
     series bit for bit. None starts a series. Messages number the samples
-    from the first of coherences."""
+    from first_sample, the number of the first of coherences."""
     coh = np.asarray(coherences, dtype=complex)
     if coh.ndim != 2 or coh.shape[1] != 3:
         raise ValueError(f"expected a (T, 3) coherence series, got shape {coh.shape}")
@@ -97,11 +115,17 @@ def _phases_after(previous, coherences: np.ndarray, amplitudes) -> np.ndarray:
         raise UndefinedPhaseError("vacuum amplitude below 1e-12 of the norm; phases undefined")
     nonfinite = ~np.isfinite(coh).all(axis=-1)
     if nonfinite.any():
-        raise ValueError(f"non-finite qubit coherence{_sample_label(nonfinite)}")
+        raise _ranked(
+            ValueError(f"non-finite qubit coherence{_sample_label(nonfinite, first_sample)}"),
+            _NONFINITE_COHERENCE,
+        )
     vanishing = np.abs(coh) < 1e-12
     if np.any(vanishing):
-        where = _sample_label(np.any(vanishing, axis=-1))
-        raise UndefinedPhaseError(f"qubit coherence below threshold{where}; phase undefined")
+        where = _sample_label(np.any(vanishing, axis=-1), first_sample)
+        raise _ranked(
+            UndefinedPhaseError(f"qubit coherence below threshold{where}; phase undefined"),
+            _VANISHING_COHERENCE,
+        )
     raw = np.angle(coh) - np.angle(c[1:4] * np.conj(c[0]))[None, :]
     phases = np.empty_like(raw)
     for m in range(raw.shape[0]):
@@ -111,10 +135,11 @@ def _phases_after(previous, coherences: np.ndarray, amplitudes) -> np.ndarray:
             step = _wrap(raw[m] - previous)
             largest = float(np.max(np.abs(step)))
             if largest >= np.pi * (1.0 - 1e-9):
-                raise ValueError(
+                m += first_sample
+                raise _ranked(ValueError(
                     f"phase step of π or more between samples {m - 1} and {m} "
                     f"({largest / np.pi:.6f}π); refine the grid"
-                )
+                ), _PHASE_STEP)
             phases[m] = previous + step
         previous = phases[m]
     return phases
@@ -145,18 +170,21 @@ def ideal_phase_unitary(phases) -> np.ndarray:
     return U
 
 
-def _check_blocks(lam: np.ndarray) -> tuple[int, ...]:
+def _check_blocks(lam: np.ndarray, first_sample: int = 0) -> tuple[int, ...]:
     """Leading (time) shape of (...,16,4,4) qubit-block images; raises
     ValueError naming the first time sample with a non-finite one."""
     if lam.shape[-3:] != (16, 4, 4):
         raise ValueError("expected 16 qubit-block images")
     nonfinite = ~np.isfinite(lam).reshape(lam.shape[:-3] + (-1,)).all(axis=-1)
     if np.any(nonfinite):
-        raise ValueError(f"non-finite qubit-block image{_sample_label(nonfinite)}")
+        raise _ranked(
+            ValueError(f"non-finite qubit-block image{_sample_label(nonfinite, first_sample)}"),
+            _NONFINITE_BLOCK,
+        )
     return lam.shape[:-3]
 
 
-def _check_traces(full_traces, lead: tuple[int, ...]) -> np.ndarray:
+def _check_traces(full_traces, lead: tuple[int, ...], first_sample: int = 0) -> np.ndarray:
     """full_traces as (...,16) traces of blocks of leading shape lead, else
     ValueError: for another shape, or naming the first non-finite sample."""
     tr_full = np.asarray(full_traces)
@@ -164,7 +192,10 @@ def _check_traces(full_traces, lead: tuple[int, ...]) -> np.ndarray:
         raise ValueError(f"full_traces has shape {tr_full.shape}; the blocks need {lead + (16,)}")
     nonfinite = ~np.isfinite(tr_full).all(axis=-1)
     if nonfinite.any():
-        raise ValueError(f"non-finite no-jump trace{_sample_label(nonfinite)}")
+        raise _ranked(
+            ValueError(f"non-finite no-jump trace{_sample_label(nonfinite, first_sample)}"),
+            _NONFINITE_TRACE,
+        )
     return tr_full
 
 
@@ -178,20 +209,20 @@ def _rotated_blocks(lam: np.ndarray, target_unitary, lead: tuple[int, ...]) -> n
 _ROUNDING = 1e-12  # how far above 1 a fidelity reads 1.0; the Haar rule resolves ~1e-15
 
 
-def _at_most_one(fid: np.ndarray, name: str) -> np.ndarray:
+def _at_most_one(fid: np.ndarray, name: str, first_sample: int = 0) -> np.ndarray:
     """fid at most 1, or ValueError naming name and the first time sample
     above 1 by more than _ROUNDING."""
     excess = fid > 1.0 + _ROUNDING
     if excess.any():
-        raise ValueError(
-            f"{name} {float(fid[excess][0])!r} exceeds 1{_sample_label(excess)}; "
+        raise _ranked(ValueError(
+            f"{name} {float(fid[excess][0])!r} exceeds 1{_sample_label(excess, first_sample)}; "
             "the map is not physical"
-        )
+        ), _ABOVE_ONE)
     return np.minimum(fid, 1.0)
 
 
 def average_fidelity_from_blocks(
-    lam: np.ndarray, target_unitary: np.ndarray
+    lam: np.ndarray, target_unitary: np.ndarray, *, first_sample: int = 0
 ) -> float | np.ndarray:
     """Haar-average fidelity from the qubit-block images of matrix units.
 
@@ -203,25 +234,27 @@ def average_fidelity_from_blocks(
 
     Blocks (16,4,4) with one (4,4) target give a float. A leading time
     axis, blocks (...,16,4,4) with targets (...,4,4), gives an array
-    (...) of the same per-sample values.
+    (...) of the same per-sample values; errors number a 1-D axis from
+    first_sample.
     """
     lam = np.asarray(lam)
-    lead = _check_blocks(lam)
+    lead = _check_blocks(lam, first_sample)
     rotated = _rotated_blocks(lam, target_unitary, lead)
     F_e = np.einsum("...ijij->...", rotated) / 16.0
     nonreal = np.abs(F_e.imag) > 1e-9
     if np.any(nonreal):
-        raise ValueError(
-            f"entanglement fidelity has a non-real value{_sample_label(nonreal)}"
-        )
+        raise _ranked(ValueError(
+            f"entanglement fidelity has a non-real value{_sample_label(nonreal, first_sample)}"
+        ), _NONREAL_OVERLAP)
     trace_of_identity_image = np.einsum("...iiaa->...", lam.reshape(lead + (4, 4, 4, 4))).real
     overlap = (16.0 * F_e.real + trace_of_identity_image) / 20.0
     negative = overlap < -1e-12
     if np.any(negative):
-        raise ValueError(
-            f"negative average overlap{_sample_label(negative)}; the map is not physical"
-        )
-    fid = _at_most_one(np.sqrt(np.maximum(overlap, 0.0)), "average fidelity")
+        raise _ranked(ValueError(
+            f"negative average overlap{_sample_label(negative, first_sample)}; "
+            "the map is not physical"
+        ), _NEGATIVE_OVERLAP)
+    fid = _at_most_one(np.sqrt(np.maximum(overlap, 0.0)), "average fidelity", first_sample)
     return float(fid) if not lead else fid
 
 
@@ -306,7 +339,8 @@ _HAAR_SPAN = 40.0
 
 
 def haar_conditional_fidelity(
-    lam: np.ndarray, full_traces: np.ndarray, target_unitary: np.ndarray
+    lam: np.ndarray, full_traces: np.ndarray, target_unitary: np.ndarray, *,
+    first_sample: int = 0,
 ) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Exact Haar average of what conditional_fidelity_from_blocks samples.
 
@@ -336,29 +370,32 @@ def haar_conditional_fidelity(
     Returns (F_c, p_success): floats for one sample, arrays of the leading
     (time) shape otherwise.
 
-    Raises ValueError naming the first offending time sample for non-finite
-    blocks or traces, an off-diagonal trace above 1e-12, a no-jump
-    probability p_i ≤ 0 (p·x then vanishes on a face of the simplex), or
-    an F_c above 1 by more than _ROUNDING; one within _ROUNDING of 1 is 1.0.
+    Raises ValueError naming the first offending time sample (of a 1-D
+    axis, numbered from first_sample) for non-finite blocks or traces, an
+    off-diagonal trace above 1e-12, a no-jump probability p_i ≤ 0 (p·x
+    then vanishes on a face of the simplex), or an F_c above 1 by more
+    than _ROUNDING; one within _ROUNDING of 1 is 1.0.
     """
     lam = np.asarray(lam)
-    lead = _check_blocks(lam)
+    lead = _check_blocks(lam, first_sample)
     T = math.prod(lead)
-    tr = _check_traces(full_traces, lead).reshape(T, 4, 4)
+    tr = _check_traces(full_traces, lead, first_sample).reshape(T, 4, 4)
     off = np.abs(tr[:, ~np.eye(4, dtype=bool)]).max(axis=1) > 1e-12
     if off.any():
-        raise ValueError(
+        raise _ranked(ValueError(
             "off-diagonal matrix unit has a no-jump trace above 1e-12"
-            f"{_sample_label(off.reshape(lead))}; the map does not conserve the photon numbers"
-        )
+            f"{_sample_label(off.reshape(lead), first_sample)}; "
+            "the map does not conserve the photon numbers"
+        ), _OFF_DIAGONAL_TRACE)
     p = np.diagonal(tr, axis1=-2, axis2=-1).real
     lost = ~(p.min(axis=1) > 0.0)
     if lost.any():
         m = int(np.argmax(lost))
-        raise ValueError(
+        raise _ranked(ValueError(
             f"no-jump probability {float(p[m].min())!r} is not positive"
-            f"{_sample_label(lost.reshape(lead))}; the conditional fidelity is undefined"
-        )
+            f"{_sample_label(lost.reshape(lead), first_sample)}; "
+            "the conditional fidelity is undefined"
+        ), _LOST_TRACE)
     R = _rotated_blocks(lam, target_unitary, lead).reshape(T, 4, 4, 4, 4)
     K = (np.einsum("tiiaa->tia", R) + np.einsum("tiaia->tia", R)).real
     del R  # before the (T, 4, N) table of 1/λ_j is formed
@@ -370,7 +407,9 @@ def haar_conditional_fidelity(
     quad = np.einsum("tia,tin,tan->tn", K, D, D) * D.prod(axis=1)
     # Row by row, so a sample's F_c does not depend on the samples scored with it.
     squared = _HAAR_STEP * np.einsum("tn,n->t", quad, t) / (4.0 * p_max)
-    fid = _at_most_one(np.sqrt(np.maximum(squared, 0.0)).reshape(lead), "conditional fidelity")
+    fid = _at_most_one(
+        np.sqrt(np.maximum(squared, 0.0)).reshape(lead), "conditional fidelity", first_sample
+    )
     fid = np.where(fid >= 1.0 - _ROUNDING, 1.0, fid)
     p_success = (p.sum(axis=1) / 4.0).reshape(lead)
     if not lead:

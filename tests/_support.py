@@ -7,6 +7,7 @@ collective states. It shares no code with the package builders, so
 projected agreement is an independent check of every matrix element.
 """
 import os
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,6 +26,17 @@ def child_env() -> dict:
     if os.environ.get("PYTHONPATH"):
         path.append(os.environ["PYTHONPATH"])
     return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak bytes tracemalloc traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 LEVELS = ("G", "E1", "E2", "E4", "E5")
 

@@ -6,7 +6,6 @@ import json
 import math
 import subprocess
 import sys
-import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -20,6 +19,8 @@ from eitgate import (
 from eitgate.groupvel import OpticalConstants
 from eitgate.ladder import LadderParams
 from eitgate.mscheme import GAMMA_SI_DEFAULT, MSchemeParams
+
+from _support import traced_peak
 
 
 _HUGE = 10**401 - 1  # a JSON integer beyond the float range
@@ -673,6 +674,80 @@ def test_groupvel_stdout_and_chi_table(tmp_path, capsys):
     assert offs[-1] == 1.0
 
 
+@pytest.mark.parametrize("stack", [1, 7, 201])
+def test_chi_sweep_in_stacks_of_any_size_writes_the_same_table(tmp_path, capsys, monkeypatch,
+                                                                stack):
+    # Every matrix of a stacked build has the bits of its own build.
+    cfg_path = write_cfg(tmp_path, **SMALL_GATE, avg_grid=10)
+
+    def groupvel_run(name):
+        assert cli.main(["groupvel", "--config", cfg_path, "--out", str(tmp_path / name)]) == 0
+        return capsys.readouterr().out, (tmp_path / name / "chi.csv").read_bytes()
+
+    default = groupvel_run("default")
+    monkeypatch.setattr(cli, "GENERATOR_STACK", stack)
+    assert groupvel_run("stacked") == default
+
+
+def _joined_csv(header, columns) -> str:
+    """The table as one string, every row stacked, formatted and joined."""
+    rows = np.column_stack(columns).tolist()
+    lines = [",".join(header)] + [",".join(cli._fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+# Values whose text is easy to get wrong: nan, ±inf, both zeros, the least
+# subnormal, a subnormal, the largest double and a repeating fraction.
+_AWKWARD = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.225e-309,
+                     np.finfo(float).max, -1.0 / 3.0])
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None])
+@pytest.mark.parametrize("T", [1, 2, 31, 32, 33, 70])
+def test_csv_writer_writes_the_joined_table(tmp_path, monkeypatch, T, chunk):
+    # A (T,) column and (T, k) columns side by side, as the writers pass them.
+    if chunk is not None:
+        monkeypatch.setattr(cli, "_CHUNK_SAMPLES", chunk)
+    values = np.random.default_rng(T).choice(_AWKWARD, size=(T, 5))
+    columns = [np.linspace(0.0, 1.0, T), values[:, 0], values[:, 1:3], values[:, 3:]]
+    header = ["time", "a", "b0", "b1", "c0", "c1"]
+    path = tmp_path / "table.csv"
+    cli._write_csv(path, header, columns)
+    assert path.read_bytes() == _joined_csv(header, columns).encode("utf-8")
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
+
+def test_csv_writer_holds_no_whole_table(tmp_path):
+    # Criterion 3's timeseries.csv: 2801 rows of time, seven gate columns
+    # and 18 populations, 1.7 MB. Stacked, listed and joined whole, the
+    # table traced 7.7 MB; 32 rows at a time, 58 KB.
+    rng = np.random.default_rng(3)
+    T = 2801
+    columns = [np.linspace(0.0, 700.0, T), rng.standard_normal((T, 7)),
+               rng.random((T, 18))]
+    path = tmp_path / "timeseries.csv"
+    peak = traced_peak(cli._write_csv, path, [f"c{i}" for i in range(26)], columns)[1]
+    size = path.stat().st_size
+    assert size > 1e6
+    assert peak < 0.1 * size, f"traced peak {peak} B for a {size} B file"
+
+
+def test_a_failed_scan_leaves_no_partial_table(tmp_path, monkeypatch):
+    # The table is written as its points finish, into scan.csv.tmp; an error
+    # that escapes the scan removes it and leaves no scan.csv.
+    def interrupted(points):
+        yield ValueError("the first point's row")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_scan_results", interrupted)
+    cfg_path = write_cfg(tmp_path, **SMALL_GATE)
+    out = tmp_path / "out"
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["scan", "--config", cfg_path, "--param", "g_p", "--from", "0.4", "--to", "0.5",
+                  "--steps", "3", "--out", str(out)])
+    assert list(out.iterdir()) == []
+
+
 def test_perturbative_stdout(tmp_path, capsys):
     cfg_path = write_cfg(
         tmp_path,
@@ -859,12 +934,7 @@ def test_ladder_analysis_stays_below_one_dense_map():
     # array of the unit states would take 26*16*147²*16 B, about 144 MB.
     cfg = {**cli.DEFAULTS, **SMALL_LADDER, "n_max": 6, "t_max": 0.25, "n_samples": 26}
     dense_map = 26 * 16 * ladder.ladder_dim(6) ** 2 * 16
-    tracemalloc.start()
-    try:
-        res = cli.run_ladder_analysis(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    res, peak = traced_peak(cli.run_ladder_analysis, cfg)
     assert res["fidelity"].shape == (26,)
     assert peak < dense_map, f"traced peak {peak / 1e6:.0f} MB"
 
@@ -878,12 +948,7 @@ def test_ladder_analysis_memory_is_set_by_the_build_not_the_readout():
     # (131769, 16) unit columns.
     cfg = {**cli.DEFAULTS, **LADDER_ABSORPTIVE, "ladder_convention": "as-printed",
            "n_max": 10, "mc_samples": 2000}
-    tracemalloc.start()
-    try:
-        res = cli.run_ladder_analysis(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    res, peak = traced_peak(cli.run_ladder_analysis, cfg)
     assert res["fidelity"].shape == (26,)
     assert peak < 130e6, f"traced peak {peak / 1e6:.1f} MB"
 

@@ -1,7 +1,6 @@
 """Propagation engines, conditional evolution and stationary states."""
 import itertools
 import math
-import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -11,7 +10,7 @@ import scipy.sparse as sp
 
 from eitgate import basis, dynamics, ladder, mscheme, observables
 
-from _support import CLOSED_PARAMS, RICH_PARAMS, random_density
+from _support import CLOSED_PARAMS, RICH_PARAMS, random_density, traced_peak
 
 BARE = mscheme.MSchemeParams(N_a=1.0)
 
@@ -365,16 +364,8 @@ def test_superposed_populations_never_hold_the_unit_images(model):
     cells = basis.population_cells(states)
     unit_image = T * 16 * len(states) * 16
 
-    def peak(read):
-        tracemalloc.start()
-        try:
-            read()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    assert peak(lambda: gt.image(cells)) >= unit_image
-    superposed = peak(lambda: gt.image(cells, superposed=True))
+    assert traced_peak(gt.image, cells)[1] >= unit_image
+    superposed = traced_peak(lambda: gt.image(cells, superposed=True))[1]
     assert superposed < unit_image, f"traced peak {superposed} B of {unit_image} B"
 
 
@@ -677,12 +668,7 @@ def test_unit_stack_writes_the_unit_columns_in_place(model, monkeypatch):
         raise AssertionError("formed the (16, n, n) unit tensor")
 
     monkeypatch.setattr(dynamics, "matrix_units", never)
-    tracemalloc.start()
-    try:
-        evolve = dynamics.qubit_unit_stack(L, positions, times)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    evolve, peak = traced_peak(dynamics.qubit_unit_stack, L, positions, times)
     assert peak < 1.5 * columns.nbytes, f"traced peak {peak} B, columns {columns.nbytes} B"
     got = evolve(0).blocks
     assert len(got) == len(want)

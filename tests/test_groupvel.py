@@ -311,14 +311,16 @@ def test_one_generator_build_per_sweep(tmp_path, monkeypatch):
     builds.clear()
     groupvel.group_velocity_transient(EIT_SET, 1.0)
     assert builds == [(3, 5, 5)]
-    # A groupvel run with --out: the steady velocity, the χ sweep and the
-    # transient, one build each.
+    # A groupvel run with --out: the steady velocity, the χ sweep in stacks
+    # of at most cli.GENERATOR_STACK offsets, and the transient.
     builds.clear()
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**fast_gate_config(), "t_max": 1.0}), encoding="utf-8")
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["groupvel", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
-    assert builds == [(3, 5, 5), (201, 5, 5), (3, 5, 5)]
+    stack = cli.GENERATOR_STACK
+    sweep = [(stack, 5, 5)] * (201 // stack) + [(201 % stack, 5, 5)]
+    assert builds == [(3, 5, 5), *sweep, (3, 5, 5)]
 
 
 def _transient_runs(monkeypatch, params, t_int, **kw):

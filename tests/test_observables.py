@@ -1,14 +1,13 @@
 """Field reduction, phase extraction and fidelity measures."""
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from eitgate import basis, dynamics, observables
 
-from _support import RICH_PARAMS, CLOSED_PARAMS, haar_states, random_density
+from _support import RICH_PARAMS, CLOSED_PARAMS, haar_states, random_density, traced_peak
 
 
 def _units():
@@ -537,12 +536,11 @@ def test_skipped_samples_in_a_later_tile_give_the_same_error():
 
 
 def _traced_peak(mc_samples, lam, traces):
-    tracemalloc.start()
-    try:
-        observables.conditional_fidelity_from_blocks(lam, traces, np.eye(4), mc_samples=mc_samples)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced_peak(
+        lambda: observables.conditional_fidelity_from_blocks(
+            lam, traces, np.eye(4), mc_samples=mc_samples
+        )
+    )[1]
 
 
 def test_conditional_fidelity_memory_does_not_grow_with_the_sample_count():

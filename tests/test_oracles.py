@@ -108,9 +108,9 @@ def scored_maps():
     score, chunks = observables.haar_conditional_fidelity, {}
     with pytest.MonkeyPatch.context() as mp:
         for name, (analysis, cfg, _) in _SCORED.items():
-            def capture(lam, traces, U, name=name):
+            def capture(lam, traces, U, name=name, **kwargs):
                 chunks.setdefault(name, []).append((lam, traces, U))
-                return score(lam, traces, U)
+                return score(lam, traces, U, **kwargs)
 
             mp.setattr(observables, "haar_conditional_fidelity", capture)
             getattr(cli, analysis)({**cli.DEFAULTS, **cfg})

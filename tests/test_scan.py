@@ -2,7 +2,6 @@
 
 import json
 import sys
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +9,7 @@ import pytest
 
 from eitgate import basis, cli, dynamics, mscheme
 
-from _support import fast_gate_config
+from _support import fast_gate_config, traced_peak
 
 # Closed, strongly coupled single-atom set, integrated by adaptive-rk.
 SMALL_RK = dict(
@@ -285,7 +284,7 @@ def _count_calls(monkeypatch, module, name) -> list:
     # One stack; g_t = 0 has its own mask for both generators.
     ("g_t", 0.0, 0.0022, 3, 1, 4),
     # One more point than a stack holds.
-    ("g_p", 0.0022, 0.0030, cli.SCAN_STACK + 1, 2, 4),
+    ("g_p", 0.0022, 0.0030, cli.GENERATOR_STACK + 1, 2, 4),
     # Channels or time grids differ: a stack per point.
     ("gamma_21", 0.2, 0.4, 3, 3, 6),
     ("t_max", 0.3, 0.5, 3, 3, 6),
@@ -307,12 +306,9 @@ def test_scan_memory_is_bounded_by_the_stack_cap(tmp_path):
     # four stacks holds no more than a scan of one.
     overrides = {**fast_gate_config(), "t_max": 0.1, "n_samples": 6}
     peaks = []
-    for steps in (cli.SCAN_STACK, 4 * cli.SCAN_STACK):
+    for steps in (cli.GENERATOR_STACK, 4 * cli.GENERATOR_STACK):
         _run_scan(tmp_path, overrides, "g_p", 0.0022, 0.0030, steps)  # warm caches
-        tracemalloc.start()
-        try:
-            _run_scan(tmp_path, overrides, "g_p", 0.0022, 0.0030, steps)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(
+            traced_peak(_run_scan, tmp_path, overrides, "g_p", 0.0022, 0.0030, steps)[1]
+        )
     assert peaks[1] < 1.1 * peaks[0], f"traced peaks {peaks[0]} and {peaks[1]} B"

@@ -1,14 +1,14 @@
 """Gate runs in time chunks: each chunk is stepped, read out and scored,
 then dropped, and the results are the whole run's bit for bit."""
 
-import tracemalloc
+import re
 
 import numpy as np
 import pytest
 
 from eitgate import basis, cli, observables
 
-from _support import fast_gate_config
+from _support import fast_gate_config, traced_peak
 from test_scan import _assert_same_metrics
 
 LADDER = dict(
@@ -32,9 +32,9 @@ def _scoring_calls(monkeypatch) -> list:
     for name in ("average_fidelity_from_blocks", "haar_conditional_fidelity"):
         score = getattr(observables, name)
 
-        def counted(lam, *args, score=score, name=name):
+        def counted(lam, *args, score=score, name=name, **kwargs):
             calls.append((name, lam.shape[0]))
-            return score(lam, *args)
+            return score(lam, *args, **kwargs)
 
         monkeypatch.setattr(observables, name, counted)
     return calls
@@ -121,20 +121,97 @@ def test_a_leak_in_a_later_chunk_gives_the_whole_runs_guard_message(monkeypatch,
     assert {name for name, _ in calls} <= {"average_fidelity_from_blocks"}
 
 
+# Without its pumps the medium absorbs the photons: the qubit coherences
+# fall below the phase threshold at about t 230.
+PUMP_FREE = {
+    **cli.DEFAULTS, "g_p": 0.5, "g_t": 0.5, "eps12": 0.1, "eps34": 0.1,
+    **{k: 3.0 for k in cli.DEFAULTS if k.startswith("gamma_") and k != "gamma_si"},
+    "t_max": 400.0,
+}
+
+
 @pytest.mark.parametrize("chunk", [1, 7, None])
 def test_a_scoring_failure_in_a_later_chunk_names_the_whole_runs_sample(monkeypatch, chunk):
-    # Without its pumps the medium absorbs the photons: the qubit
-    # coherences fall below the phase threshold at sample 24 of 41.
-    decays = {k: 3.0 for k in cli.DEFAULTS if k.startswith("gamma_") and k != "gamma_si"}
-    cfg = {
-        **cli.DEFAULTS, "g_p": 0.5, "g_t": 0.5, "eps12": 0.1, "eps34": 0.1, **decays,
-        "t_max": 400.0, "n_samples": 41,
-    }
+    # Sample 24 of 41.
+    cfg = {**PUMP_FREE, "n_samples": 41}
     if chunk is not None:
         monkeypatch.setattr(cli, "_CHUNK_SAMPLES", chunk)
     with pytest.raises(observables.UndefinedPhaseError,
                        match="^qubit coherence below threshold at time sample 24; "):
         cli.run_gate_analysis(cfg)
+
+
+def test_a_failing_runs_traced_peak_stays_near_a_passing_runs():
+    # Sample 1153 of 2001; over t 40 the same run passes. Scored again as
+    # one chunk to name its sample, the failing run traced 15.4 MB against
+    # the passing run's 1.0 MB.
+    cfg = {**PUMP_FREE, "n_samples": 2001}
+
+    def failing():
+        with pytest.raises(observables.UndefinedPhaseError, match=" at time sample 1153; "):
+            cli.run_gate_analysis(cfg)
+
+    failed = traced_peak(failing)[1]
+    passed = traced_peak(cli.run_gate_analysis, {**cfg, "t_max": 40.0})[1]
+    assert failed < 1.5 * passed, f"traced peaks {failed} B failing, {passed} B passing"
+
+
+# Faults put into what a scorer reads at one time sample: (scorer, the
+# argument it reads, the fault), each failing one check of the scorer.
+FAULTS = {
+    "non-finite coherence": ("_phases_after", 1, lambda x: np.nan),
+    "vanishing coherence": ("_phases_after", 1, lambda x: 0.0),
+    "average fidelity above 1": ("average_fidelity_from_blocks", 0, lambda x: 2.0 * x),
+    "non-finite trace": ("haar_conditional_fidelity", 1, lambda x: np.nan),
+    "conditional fidelity above 1": ("haar_conditional_fidelity", 0, lambda x: 2.0 * x),
+}
+
+
+def _inject(monkeypatch, fault: str, sample: int) -> None:
+    name, argument, change = FAULTS[fault]
+    score = getattr(observables, name)
+
+    def faulty(*args, first_sample=0):
+        args = list(args)
+        if 0 <= sample - first_sample < len(args[argument]):
+            args[argument] = args[argument].copy()
+            args[argument][sample - first_sample] = change(args[argument][sample - first_sample])
+        return score(*args, first_sample=first_sample)
+
+    monkeypatch.setattr(observables, name, faulty)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 32])
+@pytest.mark.parametrize("faults, message", [
+    # The phases are read before the fidelities, so their checks rank first.
+    ((("average fidelity above 1", 5), ("vanishing coherence", 30)),
+     r"qubit coherence below threshold at time sample 30; phase undefined$"),
+    # Within a scorer, its checks rank in the order it runs them.
+    ((("vanishing coherence", 10), ("non-finite coherence", 30)),
+     r"non-finite qubit coherence at time sample 30$"),
+    ((("conditional fidelity above 1", 5), ("non-finite trace", 30)),
+     r"non-finite no-jump trace at time sample 30$"),
+    # The unconditional map is scored before the conditional one.
+    ((("conditional fidelity above 1", 3), ("average fidelity above 1", 20)),
+     r"average fidelity \S+ exceeds 1 at time sample 20; "),
+    # A check names its first failing sample.
+    ((("vanishing coherence", 33), ("vanishing coherence", 12)),
+     r"qubit coherence below threshold at time sample 12; "),
+])
+def test_a_run_raises_the_failure_a_whole_run_raises(monkeypatch, chunk, faults, message):
+    cfg = {**cli.DEFAULTS, **fast_gate_config(), "n_samples": 41}
+    for fault, sample in faults:
+        _inject(monkeypatch, fault, sample)
+    monkeypatch.setattr(cli, "_CHUNK_SAMPLES", cli._MAX_SAMPLES)
+    with pytest.raises(ValueError) as whole:
+        cli.run_gate_analysis(cfg)
+    assert re.match(message, str(whole.value)), str(whole.value)
+    monkeypatch.setattr(cli, "_CHUNK_SAMPLES", chunk)
+    calls = _scoring_calls(monkeypatch)
+    with pytest.raises(type(whole.value)) as chunked:
+        cli.run_gate_analysis(cfg)
+    assert str(chunked.value) == str(whole.value)
+    assert all(n <= chunk for _, n in calls)  # nothing scored again whole
 
 
 def test_a_runs_traced_peak_grows_with_n_samples_by_its_output_columns():
@@ -143,14 +220,10 @@ def test_a_runs_traced_peak_grows_with_n_samples_by_its_output_columns():
     # now is the output columns (time, three phases, CPS, F, F_c, p and a
     # population per state) and the (T, 16) edge series of the guard.
     def peak(n_samples: int) -> int:
-        cfg = {**cli.DEFAULTS, **LADDER, "n_samples": n_samples}
-        tracemalloc.start()
-        try:
-            res = cli.run_ladder_analysis(cfg)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-            assert res["populations"].shape == (n_samples, 48)
+        res, traced = traced_peak(cli.run_ladder_analysis, {**cli.DEFAULTS, **LADDER,
+                                                            "n_samples": n_samples})
+        assert res["populations"].shape == (n_samples, 48)
+        return traced
 
     per_sample = 8 * (8 + 48) + 16 * 16
     grown = peak(2001) - peak(126)
